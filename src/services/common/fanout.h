@@ -7,7 +7,9 @@
  * which "count down and merge" (paper §IV): every response thread
  * stashes its payload and counts down, and only the completing one
  * does real work — running the merge functor and completing the
- * parent RPC.
+ * parent RPC. fanoutCall() is that count-down; serveFanout() wraps it
+ * into the whole mid-tier response path, so a handler only shapes its
+ * per-leaf requests and supplies a fold that merges the decoded legs.
  *
  * Resilience (the fan-out is where a single slow or dead leaf defines
  * the parent's tail):
@@ -24,6 +26,11 @@
  *    parent waits for all of them, so healthy traffic is never marked
  *    degraded. Late straggler responses are counted (fanout.late_leg)
  *    and dropped.
+ *  - serveFanout() owns the multi-hop propagation contract (DESIGN.md
+ *    "Multi-hop propagation contract"): fail fast on an expired
+ *    budget, clamp legs to the budget left at issue time, OR degraded
+ *    flags through, and report the dominant failure when no leg
+ *    answered.
  *
  * THREADING CONTRACT: on_complete is invoked exactly once, on the
  * thread of whichever leg completes the fan-out — a completion
@@ -44,6 +51,7 @@
 #define MUSUITE_SERVICES_COMMON_FANOUT_H
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -55,6 +63,7 @@
 #include "rpc/channel.h"
 #include "rpc/health.h"
 #include "rpc/server.h"
+#include "serde/wire.h"
 #include "stats/counters.h"
 
 namespace musuite {
@@ -64,6 +73,7 @@ struct LeafResult
 {
     Status status;
     std::string payload;
+    uint32_t tag = 0; //!< The leg's FanoutRequest::tag.
 };
 
 /** One leg of a fan-out: which channel to call and with what body. */
@@ -71,7 +81,8 @@ struct FanoutRequest
 {
     rpc::Channel *channel = nullptr;
     std::string body;
-    /** Caller-meaningful tag (e.g. leaf index) carried to the merge. */
+    /** Caller-meaningful tag (e.g. leaf index), carried to the merge
+     *  as LeafResult::tag. */
     uint32_t tag = 0;
 };
 
@@ -134,19 +145,6 @@ struct FanoutPolicy
      */
     std::shared_ptr<rpc::EjectionPolicy> ejection;
 
-    FanoutOptions
-    resolve(size_t legs) const
-    {
-        FanoutOptions options;
-        options.leg = leg;
-        options.ejection = ejection.get();
-        if (quorumFraction < 1.0 && legs > 0) {
-            options.quorum = std::max<uint32_t>(
-                1, uint32_t(std::ceil(quorumFraction * double(legs))));
-        }
-        return options;
-    }
-
     /** Clamp a call's deadlines to an inbound budget: a downstream
      *  attempt is never promised longer than the end-to-end caller
      *  will wait. 0 budget = no inbound deadline, no clamping. */
@@ -164,22 +162,30 @@ struct FanoutPolicy
     }
 
     /**
-     * Deadline-propagating variant: clamp every leg's deadlines to the
-     * budget the mid-tier's own caller has left (ServerCall::
-     * remainingBudgetNs; 0 = no inbound deadline, no clamping). A leaf
-     * is never given longer than the end-to-end caller will wait, so
-     * work the client has abandoned is not re-queued downstream, and
-     * legs with no deadline of their own inherit the inbound one.
+     * Options for one fan-out of `legs` legs, with every leg's
+     * deadlines clamped to the budget the mid-tier's own caller has
+     * left (ServerCall::remainingBudgetNs; 0 = no inbound deadline, no
+     * clamping). A leaf is never given longer than the end-to-end
+     * caller will wait, so work the client has abandoned is not
+     * re-queued downstream, and legs with no deadline of their own
+     * inherit the inbound one.
      *
-     * Pass `remainingBudgetNs()` read at the *call site*, not a value
-     * captured at admission: the remaining budget shrinks by local
-     * queueing + service time, and each hop of a deep DAG must forward
-     * only what is actually left (the depth-3 re-promise bug).
+     * The budget must be read at issue time, not captured at
+     * admission: the remaining budget shrinks by local queueing +
+     * service time, and each hop of a deep DAG must forward only what
+     * is actually left (the depth-3 re-promise bug). serveFanout()
+     * does exactly that.
      */
     FanoutOptions
     resolve(size_t legs, int64_t inbound_budget_ns) const
     {
-        FanoutOptions options = resolve(legs);
+        FanoutOptions options;
+        options.leg = leg;
+        options.ejection = ejection.get();
+        if (quorumFraction < 1.0 && legs > 0) {
+            options.quorum = std::max<uint32_t>(
+                1, uint32_t(std::ceil(quorumFraction * double(legs))));
+        }
         clampToBudget(options.leg, inbound_budget_ns);
         return options;
     }
@@ -295,17 +301,21 @@ fanoutCall(uint32_t method, std::vector<FanoutRequest> requests,
         uint32_t quorum;
         std::function<void(FanoutOutcome)> merge;
 
-        SharedState(size_t n, uint32_t quorum)
-            : results(n), arrived(n, false), legs(uint32_t(n)),
-              quorum(quorum)
-        {}
+        SharedState(const std::vector<FanoutRequest> &requests,
+                    uint32_t quorum)
+            : results(requests.size()), arrived(requests.size(), false),
+              legs(uint32_t(requests.size())), quorum(quorum)
+        {
+            for (size_t i = 0; i < requests.size(); ++i)
+                results[i].tag = requests[i].tag;
+        }
     };
     const uint32_t quorum =
         options.quorum == 0
             ? 0
             : std::min<uint32_t>(options.quorum,
                                  uint32_t(requests.size()));
-    auto state = std::make_shared<SharedState>(requests.size(), quorum);
+    auto state = std::make_shared<SharedState>(requests, quorum);
     state->merge = std::move(on_complete);
     globalCounters().counter("fanout.calls").add();
 
@@ -355,7 +365,7 @@ fanoutCall(uint32_t method, std::vector<FanoutRequest> requests,
             }
         }
         for (size_t i : probes) {
-            // mulint: allow(deadline-taint): probes reuse the caller-resolved leg options; the budget was applied in the mid-tier's resolve() call
+            // mulint: allow(deadline-taint): probes reuse the caller-resolved leg options; the budget was applied in serveFanout's resolve() call
             requests[i].channel->call(
                 method, std::move(requests[i].body), options.leg,
                 [](const Status &, std::string_view) {
@@ -394,7 +404,7 @@ fanoutCall(uint32_t method, std::vector<FanoutRequest> requests,
         FanoutRequest &request = requests[i];
         if (!skip.empty() && skip[i])
             continue; // Ejected: pre-completed above, channel untouched.
-        // mulint: allow(deadline-taint): legs carry the caller-resolved FanoutOptions; the budget was applied in the mid-tier's resolve()/legOptions() call
+        // mulint: allow(deadline-taint): legs carry the caller-resolved FanoutOptions; the budget was applied in serveFanout's resolve() call
         request.channel->call(
             method, std::move(request.body), options.leg,
             [state, i](const Status &status, std::string_view payload) {
@@ -458,19 +468,60 @@ fanoutCall(uint32_t method, std::vector<FanoutRequest> requests,
 }
 
 /**
- * Classic all-legs fan-out: wait for every leg, plain calls. Kept for
- * callers that need no resilience policy.
+ * The mid-tier response path, one implementation for every service:
+ * fail fast on an expired inbound budget, clamp the legs to the budget
+ * left *now* and issue them, then merge on the completing leg's thread
+ * (fanoutCall threading contract: possibly this very thread).
+ *
+ * A leg counts as answered only when it is OK, its payload decodes as
+ * a LegReply, and `fold.add(tag, reply)` accepts it (e.g. a replica
+ * that really stored a set). `fold.finish()` then builds the response
+ * message, whose `degraded` flag is set here: the OR of this hop's
+ * partial merge (a failed, abandoned, garbled or refused leg) and
+ * every answered reply's own flag. When no leg answered, the dominant
+ * failure — with the largest shed retry-after — goes upstream instead.
+ *
+ * @param degraded The service's degraded-response counter; must
+ *                 outlive the call, like the service itself.
  */
-inline void
-fanoutCall(uint32_t method, std::vector<FanoutRequest> requests,
-           std::function<void(std::vector<LeafResult>)> on_complete)
+template <typename LegReply, typename Fold>
+void
+serveFanout(const rpc::ServerCallPtr &call, uint32_t method,
+            std::vector<FanoutRequest> legs, const FanoutPolicy &policy,
+            std::atomic<uint64_t> &degraded, Fold fold)
 {
-    // mulint: allow(deadline-taint): compatibility shim with no inbound call context; FanoutOptions{} means no per-leg deadline to derive
-    fanoutCall(method, std::move(requests), FanoutOptions{},
-               [on_complete = std::move(on_complete)](
-                   FanoutOutcome outcome) {
-                   on_complete(std::move(outcome.results));
-               });
+    if (failFastIfExpired(call))
+        return;
+    const FanoutOptions options =
+        policy.resolve(legs.size(), call->remainingBudgetNs());
+    fanoutCall(
+        method, std::move(legs), options,
+        [call, &degraded,
+         fold = std::move(fold)](FanoutOutcome outcome) mutable {
+            uint32_t answered = 0;
+            bool downstream_degraded = false;
+            for (const LeafResult &result : outcome.results) {
+                LegReply reply;
+                if (result.status.isOk() &&
+                    decodeMessage(result.payload, reply) &&
+                    fold.add(result.tag, reply)) {
+                    ++answered;
+                    downstream_degraded |= reply.degraded;
+                }
+            }
+            if (answered == 0) {
+                respondFailure(call,
+                               dominantFailure(outcome.results,
+                                               "no downstream leg answered"));
+                return;
+            }
+            auto response = fold.finish();
+            response.degraded = outcome.degraded || downstream_degraded ||
+                                answered < outcome.okLegs;
+            if (response.degraded)
+                degraded.fetch_add(1, std::memory_order_relaxed);
+            call->respondOk(encodeMessage(response));
+        });
 }
 
 } // namespace musuite

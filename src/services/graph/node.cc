@@ -109,11 +109,8 @@ GraphNode::onComputeDone(rpc::ServerCallPtr call, uint64_t work_id)
 
     // The budget ran out while this request queued or computed: the
     // root has stopped waiting, so don't burn downstream work on it.
-    if (call->deadlineNanos() != 0 && call->remainingBudgetNs() <= 1) {
-        globalCounters().counter("graph.node.expired").add();
-        call->respond(StatusCode::DeadlineExceeded, "");
+    if (failFastIfExpired(call))
         return;
-    }
 
     if (cache_hit || downstream.empty()) {
         if (cache_hit)
@@ -127,6 +124,25 @@ GraphNode::onComputeDone(rpc::ServerCallPtr call, uint64_t work_id)
     }
     fanoutDownstream(call, work_id);
 }
+
+namespace {
+
+/** Counts the nodes the request visited: self plus every subtree. */
+struct VisitFold
+{
+    GraphReply merged;
+
+    bool
+    add(uint32_t, const GraphReply &reply)
+    {
+        merged.nodesVisited += reply.nodesVisited;
+        return true;
+    }
+
+    GraphReply finish() const { return merged; }
+};
+
+} // namespace
 
 void
 GraphNode::fanoutDownstream(rpc::ServerCallPtr call, uint64_t work_id)
@@ -144,43 +160,11 @@ GraphNode::fanoutDownstream(rpc::ServerCallPtr call, uint64_t work_id)
         requests.push_back(std::move(request));
     }
 
-    // The budget is re-read *here*, after queue wait + compute: each
-    // hop forwards only what is actually left of the root deadline
-    // (budget-decrement rule; mulint deadline-taint enforces that the
-    // resolve argument is budget-derived at every services fan-out).
-    const FanoutOptions fanout_options = options.fanout.resolve(
-        requests.size(), call->remainingBudgetNs());
-    fanoutCall(
-        kProcess, std::move(requests), fanout_options,
-        [this, call, work_id](FanoutOutcome outcome) {
-            if (outcome.okLegs == 0) {
-                // Total downstream failure: the dominant leg status
-                // goes upstream with the max retry-after preserved.
-                respondFailure(call,
-                               dominantFailure(outcome.results,
-                                               "graph fan-out failed"));
-                return;
-            }
-            GraphReply merged;
-            merged.workId = work_id;
-            merged.nodesVisited = 1; // Self.
-            bool downstream_degraded = false;
-            for (const LeafResult &result : outcome.results) {
-                if (!result.status.isOk())
-                    continue;
-                GraphReply reply;
-                if (decodeMessage(result.payload, reply)) {
-                    merged.nodesVisited += reply.nodesVisited;
-                    // OR the whole subtree's degraded flag through
-                    // (multi-hop propagation fix).
-                    downstream_degraded |= reply.degraded;
-                }
-            }
-            merged.degraded = outcome.degraded || downstream_degraded;
-            if (merged.degraded)
-                degraded.fetch_add(1, std::memory_order_relaxed);
-            call->respondOk(encodeMessage(merged));
-        });
+    VisitFold fold;
+    fold.merged.workId = work_id;
+    fold.merged.nodesVisited = 1; // Self.
+    serveFanout<GraphReply>(call, kProcess, std::move(requests),
+                            options.fanout, degraded, fold);
 }
 
 } // namespace graph

@@ -20,19 +20,19 @@
  *  - The compute completion fires on the node's Clock after queue wait
  *    plus service time; a request whose inbound budget ran out while
  *    queued is answered DEADLINE_EXCEEDED without downstream work
- *    (`graph.node.expired`, the tier-3 shedding analog).
+ *    (failFastIfExpired, the tier-3 shedding analog).
  *  - Cache: with probability cacheHitRatio (seeded) the node answers
  *    immediately after compute (`graph.node.cache_hit`).
  *  - Otherwise it fans out to every downstream channel through
- *    fanoutCall with the policy resolved against the budget remaining
- *    *now* — never the budget as received (budget-decrement rule).
+ *    serveFanout, which resolves the policy against the budget
+ *    remaining *now* — never the budget as received.
  *
- * Propagation contract (the three multi-hop fixes, enforced here and
- * tested at depth 3): the remaining budget is re-read at every
- * forwarding point; a downstream reply's degraded flag is OR-ed into
- * this node's reply; and when every leg fails, the dominant failure —
- * including the max downstream retry-after — goes upstream instead of
- * a re-minted local error.
+ * Propagation contract (the three multi-hop fixes, tested at depth 3):
+ * serveFanout re-reads the remaining budget at the forwarding point,
+ * ORs a downstream reply's degraded flag into this node's reply, and,
+ * when every leg fails, sends the dominant failure — including the max
+ * downstream retry-after — upstream instead of a re-minted local
+ * error.
  */
 
 #ifndef MUSUITE_SERVICES_GRAPH_NODE_H

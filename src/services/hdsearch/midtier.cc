@@ -30,11 +30,48 @@ MidTier::registerWith(rpc::Server &server)
                            });
 }
 
+namespace {
+
+/** Response path: merge the distance-sorted leaf lists into the
+ *  global top-k. */
+struct TopKFold
+{
+    uint32_t k;
+    std::vector<std::vector<Neighbor>> lists;
+
+    bool
+    add(uint32_t leaf, const LeafNNResponse &reply)
+    {
+        std::vector<Neighbor> list;
+        list.reserve(reply.pointIds.size());
+        for (size_t j = 0; j < reply.pointIds.size(); ++j) {
+            list.push_back({globalPointId(leaf, reply.pointIds[j]),
+                            reply.distances[j]});
+        }
+        lists.push_back(std::move(list));
+        return true;
+    }
+
+    NNResponse
+    finish() const
+    {
+        const auto merged = mergeTopK(lists, k);
+        NNResponse response;
+        response.pointIds.reserve(merged.size());
+        response.distances.reserve(merged.size());
+        for (const Neighbor &neighbor : merged) {
+            response.pointIds.push_back(neighbor.id);
+            response.distances.push_back(neighbor.distance);
+        }
+        return response;
+    }
+};
+
+} // namespace
+
 void
 MidTier::handle(rpc::ServerCallPtr call)
 {
-    if (failFastIfExpired(call))
-        return;
     NNQuery query;
     if (!decodeMessage(call->body(), query) || query.k == 0) {
         call->respond(StatusCode::InvalidArgument, "bad NN query");
@@ -44,11 +81,6 @@ MidTier::handle(rpc::ServerCallPtr call)
 
     // Request path step 1-2: LSH lookup, point ids grouped by leaf.
     auto candidates = lsh->query(query.features);
-    if (candidates.empty()) {
-        // No bucket hits anywhere: legitimately empty result.
-        call->respondOk(encodeMessage(NNResponse{}));
-        return;
-    }
 
     // Step 3: launch asynchronous clients to the leaf microservers.
     std::vector<FanoutRequest> requests;
@@ -70,74 +102,14 @@ MidTier::handle(rpc::ServerCallPtr call)
         requests.push_back(std::move(request));
     }
     if (requests.empty()) {
+        // No usable bucket hits: legitimately empty result.
         call->respondOk(encodeMessage(NNResponse{}));
         return;
     }
-
-    // Response path: merge distance-sorted leaf lists into the global
-    // top-k. Runs on the thread of the completing leaf response (see
-    // the fanoutCall threading contract: possibly this very thread).
-    const uint32_t k = query.k;
-    std::vector<uint32_t> tags;
-    tags.reserve(requests.size());
-    for (const FanoutRequest &request : requests)
-        tags.push_back(request.tag);
-
-    const FanoutOptions fanout_options = fanoutPolicy.resolve(
-        requests.size(), call->remainingBudgetNs());
-    fanoutCall(kLeafDistance, std::move(requests), fanout_options,
-               [this, call, k,
-                tags = std::move(tags)](FanoutOutcome outcome) {
-                   if (outcome.okLegs == 0) {
-                       // No shard contributed: report the dominant
-                       // failure (keeping a shedder's retry-after)
-                       // rather than an empty OK.
-                       respondFailure(
-                           call, dominantFailure(outcome.results,
-                                                 "no shard answered"));
-                       return;
-                   }
-                   std::vector<std::vector<Neighbor>> lists;
-                   lists.reserve(outcome.results.size());
-                   bool downstream_degraded = false;
-                   for (size_t i = 0; i < outcome.results.size(); ++i) {
-                       if (!outcome.results[i].status.isOk())
-                           continue; // Degraded: merge what arrived.
-                       LeafNNResponse leaf_response;
-                       if (!decodeMessage(outcome.results[i].payload,
-                                          leaf_response)) {
-                           continue;
-                       }
-                       // OR through a downstream mid-tier's degraded
-                       // flag (multi-hop propagation).
-                       downstream_degraded |= leaf_response.degraded;
-                       std::vector<Neighbor> list;
-                       list.reserve(leaf_response.pointIds.size());
-                       for (size_t j = 0;
-                            j < leaf_response.pointIds.size(); ++j) {
-                           list.push_back(
-                               {globalPointId(tags[i],
-                                              leaf_response.pointIds[j]),
-                                leaf_response.distances[j]});
-                       }
-                       lists.push_back(std::move(list));
-                   }
-
-                   const auto merged = mergeTopK(lists, k);
-                   NNResponse response;
-                   response.pointIds.reserve(merged.size());
-                   response.distances.reserve(merged.size());
-                   for (const Neighbor &neighbor : merged) {
-                       response.pointIds.push_back(neighbor.id);
-                       response.distances.push_back(neighbor.distance);
-                   }
-                   response.degraded =
-                       outcome.degraded || downstream_degraded;
-                   if (response.degraded)
-                       degraded.fetch_add(1,
-                                          std::memory_order_relaxed);
-                   call->respondOk(encodeMessage(response));
-               });
+    TopKFold fold{query.k, {}};
+    fold.lists.reserve(requests.size());
+    serveFanout<LeafNNResponse>(call, kLeafDistance, std::move(requests),
+                                fanoutPolicy, degraded, std::move(fold));
 }
 
 BuiltIndex

@@ -28,11 +28,36 @@ MidTier::registerWith(rpc::Server &server)
     });
 }
 
+namespace {
+
+/** Response path: the average of the leaves' predictions. */
+struct MeanFold
+{
+    double sum = 0.0;
+    uint32_t count = 0;
+
+    bool
+    add(uint32_t, const RatingReply &reply)
+    {
+        sum += reply.rating;
+        ++count;
+        return true;
+    }
+
+    RatingReply
+    finish() const
+    {
+        RatingReply averaged;
+        averaged.rating = sum / double(count);
+        return averaged;
+    }
+};
+
+} // namespace
+
 void
 MidTier::handle(rpc::ServerCallPtr call)
 {
-    if (failFastIfExpired(call))
-        return;
     RatingQuery query;
     if (!decodeMessage(call->body(), query)) {
         call->respond(StatusCode::InvalidArgument, "bad rating query");
@@ -49,43 +74,8 @@ MidTier::handle(rpc::ServerCallPtr call)
         request.body = call->body();
         requests.push_back(std::move(request));
     }
-
-    // Response path: average of the ratings received from leaves. May
-    // run inline on this thread (fanoutCall threading contract).
-    const FanoutOptions fanout_options = fanoutPolicy.resolve(
-        requests.size(), call->remainingBudgetNs());
-    fanoutCall(kLeafPredict, std::move(requests), fanout_options,
-               [this, call](FanoutOutcome outcome) {
-                   double sum = 0.0;
-                   uint32_t answered = 0;
-                   bool downstream_degraded = false;
-                   for (const LeafResult &result : outcome.results) {
-                       if (!result.status.isOk())
-                           continue;
-                       RatingReply reply;
-                       if (decodeMessage(result.payload, reply)) {
-                           sum += reply.rating;
-                           ++answered;
-                           // OR through a downstream mid-tier's own
-                           // degraded answer (multi-hop propagation).
-                           downstream_degraded |= reply.degraded;
-                       }
-                   }
-                   if (answered == 0) {
-                       respondFailure(
-                           call, dominantFailure(outcome.results,
-                                                 "no leaf predictions"));
-                       return;
-                   }
-                   RatingReply averaged;
-                   averaged.rating = sum / double(answered);
-                   averaged.degraded =
-                       outcome.degraded || downstream_degraded;
-                   if (averaged.degraded)
-                       degraded.fetch_add(1,
-                                          std::memory_order_relaxed);
-                   call->respondOk(encodeMessage(averaged));
-               });
+    serveFanout<RatingReply>(call, kLeafPredict, std::move(requests),
+                             fanoutPolicy, degraded, MeanFold{});
 }
 
 std::vector<SparseRatings>

@@ -49,8 +49,6 @@ MidTier::replicaPool(std::string_view key) const
 void
 MidTier::handle(rpc::ServerCallPtr call)
 {
-    if (failFastIfExpired(call))
-        return;
     KvRequest request;
     if (!decodeMessage(call->body(), request) || request.key.empty()) {
         call->respond(StatusCode::InvalidArgument, "bad route request");
@@ -74,6 +72,25 @@ MidTier::handle(rpc::ServerCallPtr call)
     }
 }
 
+namespace {
+
+/** A set stands if any replica stored it; one that did not (or whose
+ *  reply is unusable) only degrades the answer. */
+struct StoreFold
+{
+    bool add(uint32_t, const KvReply &reply) { return reply.found; }
+
+    KvReply
+    finish() const
+    {
+        KvReply reply;
+        reply.found = true;
+        return reply;
+    }
+};
+
+} // namespace
+
 void
 MidTier::routeSet(rpc::ServerCallPtr call, const std::string &body,
                   const std::vector<uint32_t> &pool)
@@ -88,47 +105,8 @@ MidTier::routeSet(rpc::ServerCallPtr call, const std::string &body,
         request.tag = leaf;
         requests.push_back(std::move(request));
     }
-
-    const FanoutOptions fanout_options = options.fanout.resolve(
-        requests.size(), call->remainingBudgetNs());
-    fanoutCall(kLeafOp, std::move(requests), fanout_options,
-               [this, call](FanoutOutcome outcome) {
-                   // The set succeeds if any replica stored it; a
-                   // fully failed pool reports the dominant failure
-                   // (a shedding replica's retry-after survives).
-                   uint32_t stored = 0;
-                   bool downstream_degraded = false;
-                   for (const LeafResult &result : outcome.results) {
-                       KvReply reply;
-                       if (result.status.isOk() &&
-                           decodeMessage(result.payload, reply) &&
-                           reply.found) {
-                           ++stored;
-                           // A replica that is itself a mid-tier may
-                           // have stored the value degraded; OR that
-                           // through so the root sees it (multi-hop
-                           // degraded-propagation fix).
-                           downstream_degraded |= reply.degraded;
-                       }
-                   }
-                   if (stored == 0) {
-                       respondFailure(
-                           call,
-                           dominantFailure(
-                               outcome.results,
-                               "no replica stored the value"));
-                       return;
-                   }
-                   KvReply reply;
-                   reply.found = true;
-                   reply.degraded =
-                       downstream_degraded ||
-                       stored < uint32_t(outcome.results.size());
-                   if (reply.degraded)
-                       degraded.fetch_add(1,
-                                          std::memory_order_relaxed);
-                   call->respondOk(encodeMessage(reply));
-               });
+    serveFanout<KvReply>(call, kLeafOp, std::move(requests),
+                         options.fanout, degraded, StoreFold{});
 }
 
 void
@@ -144,7 +122,7 @@ MidTier::routeGet(rpc::ServerCallPtr call, std::string body,
     }
     // A failover walk can outlive the caller's budget: stop promising
     // replicas time the root no longer has.
-    if (attempt > 0 && failFastIfExpired(call))
+    if (failFastIfExpired(call))
         return;
     if (attempt > 0)
         failoverCount.fetch_add(1, std::memory_order_relaxed);
@@ -168,7 +146,7 @@ MidTier::routeGet(rpc::ServerCallPtr call, std::string body,
             }
             // Replica down: fall over to the next one in the pool,
             // remembering why this one failed.
-            failures.push_back(LeafResult{status, {}});
+            failures.push_back(LeafResult{status, {}, pool[attempt]});
             routeGet(call, std::move(body), std::move(pool),
                      attempt + 1, std::move(failures));
         });

@@ -28,11 +28,34 @@ MidTier::registerWith(rpc::Server &server)
     });
 }
 
+namespace {
+
+/** Response path: set union over the per-shard intersections. */
+struct UnionFold
+{
+    std::vector<std::vector<uint32_t>> lists;
+
+    bool
+    add(uint32_t, PostingReply &reply)
+    {
+        lists.push_back(std::move(reply.docIds));
+        return true;
+    }
+
+    PostingReply
+    finish() const
+    {
+        PostingReply merged;
+        merged.docIds = unionAll(lists);
+        return merged;
+    }
+};
+
+} // namespace
+
 void
 MidTier::handle(rpc::ServerCallPtr call)
 {
-    if (failFastIfExpired(call))
-        return;
     SearchQuery query;
     if (!decodeMessage(call->body(), query) || query.terms.empty()) {
         call->respond(StatusCode::InvalidArgument, "bad search query");
@@ -49,46 +72,10 @@ MidTier::handle(rpc::ServerCallPtr call)
         request.body = call->body(); // Same SearchQuery shape.
         requests.push_back(std::move(request));
     }
-
-    // Response path: set union over the per-shard intersections. May
-    // run inline on this thread (fanoutCall threading contract).
-    const FanoutOptions fanout_options = fanoutPolicy.resolve(
-        requests.size(), call->remainingBudgetNs());
-    fanoutCall(kIntersect, std::move(requests), fanout_options,
-               [this, call](FanoutOutcome outcome) {
-                   if (outcome.okLegs == 0) {
-                       // Nothing merged: surface the dominant failure
-                       // (and a shedding shard's retry-after) instead
-                       // of a hollow OK.
-                       respondFailure(
-                           call, dominantFailure(outcome.results,
-                                                 "no shard answered"));
-                       return;
-                   }
-                   std::vector<std::vector<uint32_t>> lists;
-                   lists.reserve(outcome.results.size());
-                   bool downstream_degraded = false;
-                   for (const LeafResult &result : outcome.results) {
-                       if (!result.status.isOk())
-                           continue; // Degraded result set.
-                       PostingReply reply;
-                       if (decodeMessage(result.payload, reply)) {
-                           lists.push_back(std::move(reply.docIds));
-                           // A shard that is itself a mid-tier may
-                           // answer degraded; OR it through so depth-N
-                           // callers see it.
-                           downstream_degraded |= reply.degraded;
-                       }
-                   }
-                   PostingReply merged;
-                   merged.docIds = unionAll(lists);
-                   merged.degraded =
-                       outcome.degraded || downstream_degraded;
-                   if (merged.degraded)
-                       degraded.fetch_add(1,
-                                          std::memory_order_relaxed);
-                   call->respondOk(encodeMessage(merged));
-               });
+    UnionFold fold;
+    fold.lists.reserve(requests.size());
+    serveFanout<PostingReply>(call, kIntersect, std::move(requests),
+                              fanoutPolicy, degraded, std::move(fold));
 }
 
 } // namespace setalgebra

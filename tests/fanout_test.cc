@@ -85,14 +85,37 @@ TEST(FanoutTest, ResultsArriveInRequestOrder)
     requests.push_back({&c, "3", 2});
 
     std::vector<LeafResult> got;
-    fanoutCall(7, std::move(requests),
-               [&](std::vector<LeafResult> results) {
-                   got = std::move(results);
+    fanoutCall(7, std::move(requests), FanoutOptions{},
+               [&](FanoutOutcome outcome) {
+                   got = std::move(outcome.results);
                });
     ASSERT_EQ(got.size(), 3u);
     EXPECT_EQ(got[0].payload, "a:1");
     EXPECT_EQ(got[1].payload, "b:2");
     EXPECT_EQ(got[2].payload, "c:3");
+}
+
+TEST(FanoutTest, TagsArriveWithTheirResults)
+{
+    // Each result carries its request's tag, failed legs included, so
+    // a merge can tell which leaf a payload came from.
+    InlineChannel good;
+    FailingChannel bad;
+    std::vector<FanoutRequest> requests;
+    requests.push_back({&good, "x", 7});
+    requests.push_back({&bad, "y", 3});
+    requests.push_back({&good, "z", 9});
+
+    std::vector<LeafResult> got;
+    fanoutCall(1, std::move(requests), FanoutOptions{},
+               [&](FanoutOutcome outcome) {
+                   got = std::move(outcome.results);
+               });
+    ASSERT_EQ(got.size(), 3u);
+    EXPECT_EQ(got[0].tag, 7u);
+    EXPECT_EQ(got[1].tag, 3u);
+    EXPECT_FALSE(got[1].status.isOk());
+    EXPECT_EQ(got[2].tag, 9u);
 }
 
 TEST(FanoutTest, SingleLeg)
@@ -101,11 +124,11 @@ TEST(FanoutTest, SingleLeg)
     std::vector<FanoutRequest> requests;
     requests.push_back({&only, "solo", 0});
     int completions = 0;
-    fanoutCall(1, std::move(requests),
-               [&](std::vector<LeafResult> results) {
+    fanoutCall(1, std::move(requests), FanoutOptions{},
+               [&](FanoutOutcome outcome) {
                    ++completions;
-                   ASSERT_EQ(results.size(), 1u);
-                   EXPECT_EQ(results[0].payload, "ok:solo");
+                   ASSERT_EQ(outcome.results.size(), 1u);
+                   EXPECT_EQ(outcome.results[0].payload, "ok:solo");
                });
     EXPECT_EQ(completions, 1);
 }
@@ -120,9 +143,9 @@ TEST(FanoutTest, ErrorLegsReportedPerLeg)
     requests.push_back({&good, "z", 2});
 
     std::vector<LeafResult> got;
-    fanoutCall(1, std::move(requests),
-               [&](std::vector<LeafResult> results) {
-                   got = std::move(results);
+    fanoutCall(1, std::move(requests), FanoutOptions{},
+               [&](FanoutOutcome outcome) {
+                   got = std::move(outcome.results);
                });
     ASSERT_EQ(got.size(), 3u);
     EXPECT_TRUE(got[0].status.isOk());
@@ -143,9 +166,9 @@ TEST(FanoutTest, CompletesExactlyOnceAcrossThreads)
 
         std::atomic<int> completions{0};
         CountdownLatch latch(1);
-        fanoutCall(1, std::move(requests),
-                   [&](std::vector<LeafResult> results) {
-                       EXPECT_EQ(results.size(), 3u);
+        fanoutCall(1, std::move(requests), FanoutOptions{},
+                   [&](FanoutOutcome outcome) {
+                       EXPECT_EQ(outcome.results.size(), 3u);
                        completions.fetch_add(1);
                        latch.countDown();
                    });
@@ -168,8 +191,8 @@ TEST(FanoutTest, MergeRunsOnLastRespondersThread)
     const std::thread::id caller = std::this_thread::get_id();
     std::thread::id merger;
     CountdownLatch latch(1);
-    fanoutCall(1, std::move(requests),
-               [&](std::vector<LeafResult>) {
+    fanoutCall(1, std::move(requests), FanoutOptions{},
+               [&](FanoutOutcome) {
                    merger = std::this_thread::get_id();
                    latch.countDown();
                });
@@ -191,10 +214,10 @@ TEST(FanoutTest, MergeRunsInlineWhenAllLegsCompleteInline)
 
     const std::thread::id caller = std::this_thread::get_id();
     bool merged = false;
-    fanoutCall(1, std::move(requests),
-               [&](std::vector<LeafResult> results) {
+    fanoutCall(1, std::move(requests), FanoutOptions{},
+               [&](FanoutOutcome outcome) {
                    EXPECT_EQ(std::this_thread::get_id(), caller);
-                   EXPECT_EQ(results.size(), 2u);
+                   EXPECT_EQ(outcome.results.size(), 2u);
                    merged = true;
                });
     EXPECT_TRUE(merged); // Completed before fanoutCall returned.
@@ -288,9 +311,9 @@ TEST(FanoutTest, WideFanout)
     for (uint32_t i = 0; i < 64; ++i)
         requests.push_back({&shared, std::to_string(i), i});
     std::vector<LeafResult> got;
-    fanoutCall(1, std::move(requests),
-               [&](std::vector<LeafResult> results) {
-                   got = std::move(results);
+    fanoutCall(1, std::move(requests), FanoutOptions{},
+               [&](FanoutOutcome outcome) {
+                   got = std::move(outcome.results);
                });
     ASSERT_EQ(got.size(), 64u);
     for (uint32_t i = 0; i < 64; ++i)

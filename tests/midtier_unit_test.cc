@@ -1,17 +1,21 @@
 /**
  * @file
- * Unit tests of the four mid-tiers in isolation, using scripted fake
- * leaf channels: degraded merges when leaves fail or return garbage,
- * full-outage error propagation, and request-path routing decisions —
- * without sockets, so every failure mode is exactly controllable.
+ * Unit tests of the four mid-tiers and GraphNode in isolation, using
+ * scripted fake downstream channels: degraded merges when legs fail or
+ * return garbage, full-outage error propagation, and request-path
+ * routing decisions — without sockets, so every failure mode is
+ * exactly controllable.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "base/clock.h"
 #include "index/lsh.h"
 #include "rpc/server.h"
+#include "services/graph/node.h"
+#include "services/graph/proto.h"
 #include "services/hdsearch/midtier.h"
 #include "services/hdsearch/proto.h"
 #include "services/recommend/midtier.h"
@@ -20,6 +24,7 @@
 #include "services/router/proto.h"
 #include "services/setalgebra/midtier.h"
 #include "services/setalgebra/proto.h"
+#include "simkernel/simclock.h"
 
 namespace musuite {
 namespace {
@@ -566,6 +571,213 @@ TEST(SetAlgebraMidTierTest, ExpiredInboundBudgetFailsFastBeforeFanout)
     ASSERT_TRUE(out.responded);
     EXPECT_EQ(out.code, StatusCode::DeadlineExceeded);
     EXPECT_EQ(leaf->calls, 0); // Counter: fanout.expired_before_fanout.
+}
+
+// --------------------------------------------------------------------
+// Garbled legs: a leg that answers OK with a payload that does not
+// decode contributed nothing, so it must degrade the answer like a
+// failed leg, and a fan-out where every leg garbles must fail rather
+// than answer an empty OK. ScriptedChannel's Garbage bytes happen to
+// parse as a RatingReply or GraphReply, so these legs answer a lone
+// varint continuation byte, which no message decodes.
+// --------------------------------------------------------------------
+
+std::shared_ptr<ScriptedChannel>
+undecodableLeg()
+{
+    return std::make_shared<ScriptedChannel>(
+        ScriptedChannel::Mode::Reply, std::string("\x80"));
+}
+
+/** Invoke `method` on `host`; `out` captures the response whenever
+ *  it comes, so it must outlive any asynchronous completion. */
+void
+invoke(rpc::Server &host, uint32_t method, std::string body,
+       CapturedResponse &out)
+{
+    host.invokeLocal(method, std::move(body),
+                     [&out](StatusCode code, std::string_view payload,
+                            int64_t retry_after) {
+                         out.code = code;
+                         out.payload.assign(payload.data(),
+                                            payload.size());
+                         out.retryAfterNs = retry_after;
+                         out.responded = true;
+                     });
+}
+
+std::unique_ptr<LshIndex>
+twoLeafIndex(const std::vector<float> &point)
+{
+    LshParams params;
+    params.numTables = 2;
+    params.hashesPerTable = 2;
+    params.bucketWidth = 1000.0f;
+    auto index = std::make_unique<LshIndex>(4, params);
+    index->insert(point, {0, 0});
+    index->insert(point, {1, 0});
+    return index;
+}
+
+TEST(HdSearchMidTierTest, GarbledLegDegradesTheMerge)
+{
+    const std::vector<float> point(4, 0.5f);
+    hdsearch::LeafNNResponse healthy_response;
+    healthy_response.pointIds = {0};
+    healthy_response.distances = {0.25f};
+    auto healthy = std::make_shared<ScriptedChannel>(
+        ScriptedChannel::Mode::Reply, encodeMessage(healthy_response));
+    hdsearch::MidTier midtier(twoLeafIndex(point),
+                              {healthy, undecodableLeg()});
+    rpc::Server host;
+    midtier.registerWith(host);
+
+    hdsearch::NNQuery query;
+    query.features = point;
+    query.k = 2;
+    CapturedResponse out;
+    invoke(host, hdsearch::kNearestNeighbors, encodeMessage(query), out);
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Ok);
+    hdsearch::NNResponse response;
+    ASSERT_TRUE(decodeMessage(out.payload, response));
+    ASSERT_EQ(response.pointIds.size(), 1u);
+    EXPECT_EQ(response.pointIds[0], hdsearch::globalPointId(0, 0));
+    EXPECT_TRUE(response.degraded);
+    EXPECT_EQ(midtier.degradedResponses(), 1u);
+}
+
+TEST(HdSearchMidTierTest, AllLegsGarbledIsUnavailable)
+{
+    const std::vector<float> point(4, 0.5f);
+    hdsearch::MidTier midtier(twoLeafIndex(point),
+                              {undecodableLeg(), undecodableLeg()});
+    rpc::Server host;
+    midtier.registerWith(host);
+
+    hdsearch::NNQuery query;
+    query.features = point;
+    query.k = 2;
+    CapturedResponse out;
+    invoke(host, hdsearch::kNearestNeighbors, encodeMessage(query), out);
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Unavailable);
+}
+
+TEST(SetAlgebraMidTierTest, GarbledLegDegradesTheUnion)
+{
+    auto healthy = std::make_shared<ScriptedChannel>(
+        ScriptedChannel::Mode::Reply, postingPayload({3, 4}));
+    setalgebra::MidTier midtier({healthy, undecodableLeg()});
+    rpc::Server host;
+    midtier.registerWith(host);
+
+    setalgebra::SearchQuery query;
+    query.terms = {1};
+    CapturedResponse out;
+    invoke(host, setalgebra::kSearch, encodeMessage(query), out);
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Ok);
+    setalgebra::PostingReply merged;
+    ASSERT_TRUE(decodeMessage(out.payload, merged));
+    EXPECT_EQ(merged.docIds, (std::vector<uint32_t>{3, 4}));
+    EXPECT_TRUE(merged.degraded);
+    EXPECT_EQ(midtier.degradedResponses(), 1u);
+}
+
+TEST(SetAlgebraMidTierTest, AllLegsGarbledIsUnavailable)
+{
+    setalgebra::MidTier midtier({undecodableLeg(), undecodableLeg()});
+    rpc::Server host;
+    midtier.registerWith(host);
+
+    setalgebra::SearchQuery query;
+    query.terms = {1};
+    CapturedResponse out;
+    invoke(host, setalgebra::kSearch, encodeMessage(query), out);
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Unavailable);
+}
+
+TEST(RecommendMidTierTest, GarbledLegDegradesTheAverage)
+{
+    auto healthy = std::make_shared<ScriptedChannel>(
+        ScriptedChannel::Mode::Reply, ratingPayload(4.0));
+    recommend::MidTier midtier({healthy, undecodableLeg()});
+    rpc::Server host;
+    midtier.registerWith(host);
+
+    CapturedResponse out;
+    invoke(host, recommend::kPredict,
+           encodeMessage(recommend::RatingQuery{1, 2}), out);
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Ok);
+    recommend::RatingReply reply;
+    ASSERT_TRUE(decodeMessage(out.payload, reply));
+    EXPECT_DOUBLE_EQ(reply.rating, 4.0);
+    EXPECT_TRUE(reply.degraded);
+    EXPECT_EQ(midtier.degradedResponses(), 1u);
+}
+
+TEST(RecommendMidTierTest, AllLegsGarbledIsUnavailable)
+{
+    recommend::MidTier midtier({undecodableLeg(), undecodableLeg()});
+    rpc::Server host;
+    midtier.registerWith(host);
+
+    CapturedResponse out;
+    invoke(host, recommend::kPredict,
+           encodeMessage(recommend::RatingQuery{1, 2}), out);
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Unavailable);
+}
+
+/** Serve one GraphNode request on a SimClock, draining its compute
+ *  timer; returns the node's degraded-reply count. */
+uint64_t
+serveGraphRequest(std::vector<std::shared_ptr<rpc::Channel>> downstream,
+                  sim::SimClock &clock, CapturedResponse &out)
+{
+    graph::GraphNode node(clock, std::move(downstream));
+    rpc::Server host;
+    node.registerWith(host);
+    graph::GraphRequest request;
+    request.workId = 5;
+    invoke(host, graph::kProcess, encodeMessage(request), out);
+    clock.runUntilIdle();
+    return node.degradedReplies();
+}
+
+TEST(GraphNodeTest, GarbledLegDegradesTheReply)
+{
+    sim::SimClock clock;
+    ScopedClock scoped(clock);
+    graph::GraphReply child;
+    child.workId = 5;
+    child.nodesVisited = 1;
+    auto healthy = std::make_shared<ScriptedChannel>(
+        ScriptedChannel::Mode::Reply, encodeMessage(child));
+    CapturedResponse out;
+    const uint64_t degraded_replies =
+        serveGraphRequest({healthy, undecodableLeg()}, clock, out);
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Ok);
+    graph::GraphReply reply;
+    ASSERT_TRUE(decodeMessage(out.payload, reply));
+    EXPECT_EQ(reply.workId, 5u);
+    EXPECT_EQ(reply.nodesVisited, 2u); // Self + the healthy child.
+    EXPECT_TRUE(reply.degraded);
+    EXPECT_EQ(degraded_replies, 1u);
+}
+
+TEST(GraphNodeTest, AllLegsGarbledIsUnavailable)
+{
+    sim::SimClock clock;
+    ScopedClock scoped(clock);
+    CapturedResponse out;
+    serveGraphRequest({undecodableLeg(), undecodableLeg()}, clock, out);
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Unavailable);
 }
 
 } // namespace

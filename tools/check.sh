@@ -8,6 +8,7 @@
 #      + bench/overload_storm smoke -> BENCH_overload.json (goodput)
 #      + bench/dag_storm smoke -> BENCH_dag.json (deep-DAG goodput)
 #      + bench/chaos_storm smoke -> BENCH_chaos.json (gray failures)
+#        (both byte-identical to the committed copies, or the gate fails)
 #      + tools/mulint over src/ (static lock-rank, raw-sync, thread-role,
 #        unchecked-status, rank-table, guarded-by, plus the
 #        interprocedural clock-seam and counter-registry rules and the
@@ -123,7 +124,14 @@ if cmake --build build-check-werror --target dag_storm -j "$jobs" \
         >>build-check-werror/build.log 2>&1 \
         && build-check-werror/bench/dag_storm \
             --smoke-json="$repo_root/BENCH_dag.json"; then
-    :
+    # Virtual time makes the run byte-reproducible under the default
+    # seed: any difference from the committed copy is a behaviour
+    # change, never noise. Stage the new file when the change is
+    # intended.
+    if ! git diff --exit-code -- BENCH_dag.json; then
+        echo "BENCH_dag.json DIFFERS FROM THE COMMITTED COPY"
+        failures+=("bench-smoke: dag_storm output changed")
+    fi
 else
     echo "BENCH SMOKE FAILED"
     failures+=("bench-smoke: dag_storm")
@@ -142,7 +150,11 @@ if cmake --build build-check-werror --target chaos_storm -j "$jobs" \
         >>build-check-werror/build.log 2>&1 \
         && build-check-werror/bench/chaos_storm \
             --smoke-json="$repo_root/BENCH_chaos.json"; then
-    :
+    # Byte-reproducible like dag_storm: a diff is a behaviour change.
+    if ! git diff --exit-code -- BENCH_chaos.json; then
+        echo "BENCH_chaos.json DIFFERS FROM THE COMMITTED COPY"
+        failures+=("bench-smoke: chaos_storm output changed")
+    fi
 else
     echo "BENCH SMOKE FAILED"
     failures+=("bench-smoke: chaos_storm")
