@@ -21,7 +21,7 @@
 #include <memory>
 
 #include "bench_common.h"
-#include "loadgen/loadgen.h"
+#include "harness/experiment.h"
 #include "rpc/client.h"
 #include "rpc/fault.h"
 #include "stats/counters.h"
@@ -37,26 +37,13 @@ runPhase(ServiceDeployment &deployment, rpc::RpcClient &client,
          double qps, int64_t duration_ns, uint64_t seed)
 {
     OpenLoopLoadGen::Options options;
-    options.qps = qps;
+    options.shape = loadgen::LoadShape::constant(qps);
     options.durationNs = duration_ns;
     options.seed = seed;
     OpenLoopLoadGen generator(options);
 
     Rng rng(seed ^ 0xBADCAFEull);
-    const uint32_t method = deployment.frontEndMethod();
-    return generator.run([&](uint64_t,
-                             std::function<void(RequestOutcome)> done) {
-        client.call(method, deployment.sampleRequestBody(rng),
-                    [&deployment, done = std::move(done)](
-                        const Status &status, std::string_view payload) {
-                        const bool ok =
-                            status.isOk() &&
-                            deployment.validateResponse(payload);
-                        done(RequestOutcome(
-                            ok, ok && deployment.responseDegraded(
-                                          payload)));
-                    });
-    });
+    return generator.run(frontEndIssue(deployment, client, rng)).front();
 }
 
 } // namespace

@@ -12,12 +12,16 @@
  *
  * Flags: --service=router|hdsearch|setalgebra|recommend
  *        --baseline=QPS --spike-factor=N --phase-ms=N
+ *
+ * Exits nonzero if any phase lost a request (issued != completed +
+ * errors). The gate is weak on purpose: it never looks at latency, so
+ * a loaded box cannot fail it.
  */
 
 #include <iostream>
 
 #include "bench_common.h"
-#include "loadgen/profile.h"
+#include "harness/experiment.h"
 #include "rpc/client.h"
 #include "stats/table.h"
 
@@ -51,39 +55,34 @@ main(int argc, char **argv)
     const int64_t phase_ns =
         int64_t(flags.num("phase-ms", 800)) * 1'000'000;
 
-    const auto profile = LoadProfile::flashCrowd(
-        baseline, factor, 3 * phase_ns, phase_ns, phase_ns);
-    ProfiledLoadGen::Options options;
+    OpenLoopLoadGen::Options options;
+    options.shape = loadgen::LoadShape::flashCrowd(
+        baseline, baseline * factor, phase_ns, phase_ns);
+    options.durationNs = 3 * phase_ns;
     options.seed = 7;
     options.phaseBounds = {0, phase_ns, 2 * phase_ns};
-    options.phaseNames = {"baseline", "flash-crowd", "recovery"};
-    ProfiledLoadGen generator(profile, options);
-
-    const uint32_t method = deployment->frontEndMethod();
-    const auto phases = generator.run(
-        [&](uint64_t, std::function<void(bool)> done) {
-            client.call(method,
-                        deployment->sampleRequestBody(request_rng),
-                        [&, done = std::move(done)](
-                            const Status &status, std::string_view p) {
-                            done(status.isOk() &&
-                                 deployment->validateResponse(p));
-                        });
-        });
+    OpenLoopLoadGen generator(options);
+    const std::vector<LoadResult> phases = generator.run(
+        frontEndIssue(*deployment, client, request_rng));
+    const char *const phase_names[] = {"baseline", "flash-crowd",
+                                       "recovery"};
 
     std::cout << "\n" << serviceName(kind) << ": " << baseline
               << " QPS baseline, " << factor << "x surge\n";
     Table table({"phase", "offered_qps", "completed", "errors", "p50",
                  "p99", "max"});
-    for (const PhaseResult &phase : phases) {
+    bool lost = false;
+    for (size_t i = 0; i < phases.size(); ++i) {
+        const LoadResult &phase = phases[i];
+        lost |= phase.issued != phase.completed + phase.errors;
         table.row()
-            .cell(phase.name)
-            .cell(phase.load.offeredQps, 0)
-            .cell(phase.load.completed)
-            .cell(phase.load.errors)
-            .nanos(phase.load.latency.valueAtQuantile(0.5))
-            .nanos(phase.load.latency.valueAtQuantile(0.99))
-            .nanos(phase.load.latency.maxValue());
+            .cell(phase_names[i])
+            .cell(phase.offeredQps, 0)
+            .cell(phase.completed)
+            .cell(phase.errors)
+            .nanos(phase.latency.valueAtQuantile(0.5))
+            .nanos(phase.latency.valueAtQuantile(0.99))
+            .nanos(phase.latency.maxValue());
     }
     table.print(std::cout);
 
@@ -92,5 +91,10 @@ main(int argc, char **argv)
                  "tails fall back toward baseline once the backlog "
                  "drains — the wide-ranging-load behaviour µSuite is "
                  "built to study.\n";
+    if (lost) {
+        std::cerr << "FAIL: a phase lost requests (issued != completed "
+                     "+ errors)\n";
+        return 1;
+    }
     return 0;
 }

@@ -129,7 +129,8 @@ runPhase(const StormConfig &config, bool controlled, double multiplier)
     }
 
     OpenLoopLoadGen::Options load_options;
-    load_options.qps = config.peakQps() * multiplier;
+    load_options.shape =
+        loadgen::LoadShape::constant(config.peakQps() * multiplier);
     load_options.durationNs = config.durationNs;
     // Vanilla beyond saturation banks a backlog of roughly
     // (multiplier - 1) x duration worth of work; give the drain room
@@ -150,12 +151,12 @@ runPhase(const StormConfig &config, bool controlled, double multiplier)
                             else
                                 done(RequestOutcome(false));
                         });
-        });
+        }).front();
 
     PhaseResult phase;
     phase.mode = controlled ? "controlled" : "vanilla";
     phase.multiplier = multiplier;
-    phase.offeredQps = load_options.qps;
+    phase.offeredQps = result.offeredQps;
     phase.achievedQps = result.achievedQps;
     phase.breakdown = result.breakdown(config.deadlineNs);
     phase.goodputQps = result.elapsedNs > 0

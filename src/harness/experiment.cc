@@ -9,6 +9,31 @@
 
 namespace musuite {
 
+OpenLoopLoadGen::AsyncIssue
+frontEndIssue(ServiceDeployment &deployment, rpc::RpcClient &client,
+              Rng &rng)
+{
+    const uint32_t method = deployment.frontEndMethod();
+    return [&deployment, &client, &rng, method](
+               uint64_t, std::function<void(RequestOutcome)> done) {
+        client.call(method, deployment.sampleRequestBody(rng),
+                    [&deployment, done = std::move(done)](
+                        const Status &status, std::string_view payload) {
+                        if (status.code() ==
+                            StatusCode::ResourceExhausted) {
+                            done(RequestOutcome::shedRequest());
+                            return;
+                        }
+                        const bool ok =
+                            status.isOk() &&
+                            deployment.validateResponse(payload);
+                        done(RequestOutcome(
+                            ok, ok && deployment.responseDegraded(
+                                          payload)));
+                    });
+    };
+}
+
 WindowReport
 runOpenLoopWindow(ServiceDeployment &deployment,
                   const WindowOptions &options)
@@ -26,27 +51,13 @@ runOpenLoopWindow(ServiceDeployment &deployment,
     const SyscallSnapshot sys_before = snapshotSyscalls();
 
     OpenLoopLoadGen::Options load_options;
-    load_options.qps = options.qps;
+    load_options.shape = loadgen::LoadShape::constant(options.qps);
     load_options.durationNs = options.durationNs;
     load_options.seed = options.seed;
     OpenLoopLoadGen generator(load_options);
-
-    const uint32_t method = deployment.frontEndMethod();
-    LoadResult load = generator.run(
-        [&](uint64_t, std::function<void(RequestOutcome)> done) {
-            client.call(method, deployment.sampleRequestBody(request_rng),
-                        [&deployment, done = std::move(done)](
-                            const Status &status,
-                            std::string_view payload) {
-                            const bool ok =
-                                status.isOk() &&
-                                deployment.validateResponse(payload);
-                            done(RequestOutcome(
-                                ok,
-                                ok && deployment.responseDegraded(
-                                          payload)));
-                        });
-        });
+    LoadResult load =
+        generator.run(frontEndIssue(deployment, client, request_rng))
+            .front();
 
     WindowReport report;
     report.load = std::move(load);

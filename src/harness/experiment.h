@@ -53,6 +53,17 @@ struct WindowReport
 };
 
 /**
+ * Open-loop issuer for the deployment's front end: each call sends a
+ * body drawn from `rng` and reports the reply validated, degraded when
+ * it carries partial results, or shed on RESOURCE_EXHAUSTED (a shed
+ * still counts as an error). All three references must outlive the
+ * load generator's run.
+ */
+OpenLoopLoadGen::AsyncIssue frontEndIssue(ServiceDeployment &deployment,
+                                          rpc::RpcClient &client,
+                                          Rng &rng);
+
+/**
  * Drive the deployment open loop at the given offered load and return
  * the full report. Counters are reset at window start, snapshotted at
  * window end.

@@ -16,58 +16,60 @@ namespace musuite {
 
 namespace {
 
-/** Completion-side state shared with in-flight callbacks. */
+/** Completion-side state shared with in-flight callbacks: it outlives
+ *  run(), so a completion arriving after the drain timeout lands here
+ *  rather than in the caller's results. */
 struct OpenLoopState
 {
+    explicit OpenLoopState(size_t phase_count) : phases(phase_count) {}
+
     Mutex mutex{LockRank::loadgen, "loadgen"};
-    Histogram latency GUARDED_BY(mutex);
-    uint64_t completed GUARDED_BY(mutex) = 0;
-    uint64_t errors GUARDED_BY(mutex) = 0;
-    uint64_t shed GUARDED_BY(mutex) = 0;
-    uint64_t degraded GUARDED_BY(mutex) = 0;
+    /** Per-phase latency/completed/errors/shed/degraded. */
+    std::vector<LoadResult> phases GUARDED_BY(mutex);
     std::atomic<uint64_t> outstanding{0};
 };
 
 } // namespace
 
-LoadResult
+std::vector<LoadResult>
 OpenLoopLoadGen::run(const AsyncIssue &issue)
 {
-    auto state = std::make_shared<OpenLoopState>();
-    Rng rng(options.seed);
+    const std::vector<int64_t> schedule = loadgen::arrivalSchedule(
+        options.shape, options.durationNs, options.seed);
+    std::vector<int64_t> bounds = options.phaseBounds;
+    if (bounds.empty())
+        bounds = {0};
+    auto state = std::make_shared<OpenLoopState>(bounds.size());
+    std::vector<uint64_t> issued(bounds.size(), 0);
 
     const int64_t start = nowNanos();
-    const int64_t deadline = start + options.durationNs;
-    // Inter-arrival gaps are exponential: a Poisson arrival process.
-    const double rate_per_ns = options.qps / 1e9;
-
-    uint64_t issued = 0;
-    int64_t scheduled = start;
-    while (issued < options.maxRequests) {
-        scheduled += int64_t(rng.nextExponential(rate_per_ns));
-        if (scheduled >= deadline)
-            break;
-        sleepUntilNanos(scheduled);
-
-        const uint64_t seq = issued++;
-        state->outstanding.fetch_add(1, std::memory_order_relaxed);
+    size_t phase = 0;
+    for (uint64_t seq = 0; seq < schedule.size(); ++seq) {
+        const int64_t offset = schedule[seq];
+        while (phase + 1 < bounds.size() && offset >= bounds[phase + 1])
+            ++phase;
         // Latency is measured from the *scheduled* send time: if the
         // generator itself fell behind (service pushed back), the
         // wait counts against the service, not the generator.
-        const int64_t scheduled_ns = scheduled;
-        issue(seq, [state, scheduled_ns](RequestOutcome outcome) {
+        const int64_t scheduled_ns = start + offset;
+        sleepUntilNanos(scheduled_ns);
+
+        issued[phase]++;
+        state->outstanding.fetch_add(1, std::memory_order_relaxed);
+        issue(seq, [state, phase, scheduled_ns](RequestOutcome outcome) {
             const int64_t now = nowNanos();
             {
                 MutexLock guard(state->mutex);
+                LoadResult &load = state->phases[phase];
                 if (outcome.ok) {
-                    state->latency.record(now - scheduled_ns);
-                    state->completed++;
+                    load.latency.record(now - scheduled_ns);
+                    load.completed++;
                     if (outcome.degraded)
-                        state->degraded++;
+                        load.degraded++;
                 } else {
-                    state->errors++;
+                    load.errors++;
                     if (outcome.shed)
-                        state->shed++;
+                        load.shed++;
                 }
             }
             state->outstanding.fetch_sub(1, std::memory_order_release);
@@ -80,24 +82,27 @@ OpenLoopLoadGen::run(const AsyncIssue &issue)
            nowNanos() < drain_deadline) {
         sleepForNanos(100'000);
     }
+    const int64_t elapsed = nowNanos() - start;
 
-    LoadResult result;
+    std::vector<LoadResult> results;
     {
         MutexLock guard(state->mutex);
-        result.latency = state->latency;
-        result.completed = state->completed;
-        result.errors = state->errors;
-        result.shed = state->shed;
-        result.degraded = state->degraded;
+        results = state->phases;
     }
-    result.issued = issued;
-    result.offeredQps = options.qps;
-    result.elapsedNs = nowNanos() - start;
-    result.achievedQps =
-        result.elapsedNs > 0
-            ? double(result.completed) * 1e9 / double(result.elapsedNs)
-            : 0.0;
-    return result;
+    for (size_t i = 0; i < results.size(); ++i) {
+        const bool last = i + 1 == results.size();
+        const int64_t from = bounds[i];
+        const int64_t to = last ? options.durationNs : bounds[i + 1];
+        LoadResult &load = results[i];
+        load.issued = issued[i];
+        load.offeredQps = options.shape.qpsAt((from + to) / 2);
+        load.elapsedNs = (last ? elapsed : to) - from;
+        load.achievedQps =
+            load.elapsedNs > 0
+                ? double(load.completed) * 1e9 / double(load.elapsedNs)
+                : 0.0;
+    }
+    return results;
 }
 
 LoadResult

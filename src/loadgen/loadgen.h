@@ -8,13 +8,16 @@
  *    back-to-back requests; used only to establish peak sustainable
  *    (saturation) throughput, where latency is meaningless.
  *
- *  - Open loop: request send times are drawn a priori from a Poisson
- *    process at the offered load and laid out on the monotonic clock;
- *    latency for request i is measured from its *scheduled* send time,
- *    so a stalled service inflates the latency of every queued request
- *    instead of silently pausing the generator. This is the defence
- *    against the coordinated-omission problem the paper calls out in
- *    CloudSuite/YCSB-style closed-loop testers.
+ *  - Open loop: request send times are drawn a priori as a Poisson
+ *    arrival schedule following a LoadShape (loadgen/scenario.h, the
+ *    same schedule the virtual-time benches replay) and laid out on
+ *    the monotonic clock; latency for request i is measured from its
+ *    *scheduled* send time, so a stalled service inflates the latency
+ *    of every queued request instead of silently pausing the
+ *    generator. This is the defence against the coordinated-omission
+ *    problem the paper calls out in CloudSuite/YCSB-style closed-loop
+ *    testers. Requests are reported per phase, bucketed by scheduled
+ *    time, so a bench can show tails *through* a flash crowd.
  */
 
 #ifndef MUSUITE_LOADGEN_LOADGEN_H
@@ -23,9 +26,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
-#include "base/rng.h"
 #include "base/status.h"
+#include "loadgen/scenario.h"
 #include "stats/histogram.h"
 
 namespace musuite {
@@ -133,17 +137,29 @@ class OpenLoopLoadGen
 
     struct Options
     {
-        double qps = 1000.0;        //!< Offered load.
+        loadgen::LoadShape shape;   //!< Offered load over time.
         int64_t durationNs = 1'000'000'000;
-        uint64_t maxRequests = UINT64_MAX;
-        uint64_t seed = 1;
+        uint64_t seed = 1;          //!< Seeds the arrival schedule.
         int64_t drainTimeoutNs = 5'000'000'000; //!< Wait for stragglers.
+        /**
+         * Ascending phase starts (ns since run start) for per-phase
+         * reports; phase i holds the requests *scheduled* in
+         * [phaseBounds[i], phaseBounds[i+1]). Empty = one phase.
+         */
+        std::vector<int64_t> phaseBounds;
     };
 
-    explicit OpenLoopLoadGen(Options options) : options(options) {}
+    explicit OpenLoopLoadGen(Options options)
+        : options(std::move(options))
+    {}
 
-    /** Run to completion on the calling thread. */
-    LoadResult run(const AsyncIssue &issue);
+    /**
+     * Replay arrivalSchedule(shape, durationNs, seed) on the calling
+     * thread and return one LoadResult per phase. A phase's
+     * offeredQps is the shape's rate at the phase midpoint; the last
+     * phase's window runs until the drain ends.
+     */
+    std::vector<LoadResult> run(const AsyncIssue &issue);
 
   private:
     Options options;

@@ -3,19 +3,22 @@
  * Tests for the load generators: open-loop Poisson pacing, offered vs
  * achieved load, coordinated-omission accounting (latency measured
  * from scheduled send time), closed-loop throughput, error counting,
- * and saturation search.
+ * and saturation search. Load shapes and per-phase replay are in
+ * profile_test.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-
 #include <cmath>
+#include <mutex>
+#include <vector>
 
 #include "base/queue.h"
 #include "base/threading.h"
 #include "base/time_util.h"
 #include "loadgen/loadgen.h"
+#include "loadgen/scenario.h"
 
 namespace musuite {
 namespace {
@@ -23,13 +26,14 @@ namespace {
 TEST(OpenLoopTest, AchievesOfferedLoad)
 {
     OpenLoopLoadGen::Options options;
-    options.qps = 2000;
+    options.shape = loadgen::LoadShape::constant(2000);
     options.durationNs = 500'000'000;
     options.seed = 1;
     OpenLoopLoadGen generator(options);
 
     const LoadResult result = generator.run(
-        [](uint64_t, std::function<void(bool)> done) { done(true); });
+        [](uint64_t, std::function<void(bool)> done) { done(true); })
+            .front();
 
     EXPECT_NEAR(result.achievedQps, 2000, 2000 * 0.25);
     EXPECT_EQ(result.completed, result.issued);
@@ -43,7 +47,7 @@ TEST(OpenLoopTest, PoissonInterArrivalsAreIrregular)
     std::vector<int64_t> sends;
     std::mutex mutex;
     OpenLoopLoadGen::Options options;
-    options.qps = 5000;
+    options.shape = loadgen::LoadShape::constant(5000);
     options.durationNs = 300'000'000;
     OpenLoopLoadGen generator(options);
     generator.run([&](uint64_t, std::function<void(bool)> done) {
@@ -75,7 +79,7 @@ TEST(OpenLoopTest, CoordinatedOmissionAccountedFor)
     // A service that stalls must show the stall in recorded latency
     // even though the generator keeps issuing on schedule.
     OpenLoopLoadGen::Options options;
-    options.qps = 1000;
+    options.shape = loadgen::LoadShape::constant(1000);
     options.durationNs = 200'000'000;
     OpenLoopLoadGen generator(options);
 
@@ -87,7 +91,7 @@ TEST(OpenLoopTest, CoordinatedOmissionAccountedFor)
                 sleepForNanos(50'000'000);
             }
             done(true);
-        });
+        }).front();
 
     // The stall shows up in the tail (and, because issue() runs on the
     // generator thread here, queued requests absorb it too).
@@ -97,27 +101,15 @@ TEST(OpenLoopTest, CoordinatedOmissionAccountedFor)
 TEST(OpenLoopTest, ErrorsCounted)
 {
     OpenLoopLoadGen::Options options;
-    options.qps = 2000;
+    options.shape = loadgen::LoadShape::constant(2000);
     options.durationNs = 200'000'000;
     OpenLoopLoadGen generator(options);
     const LoadResult result = generator.run(
         [](uint64_t seq, std::function<void(bool)> done) {
             done(seq % 4 != 0);
-        });
+        }).front();
     EXPECT_GT(result.errors, 0u);
     EXPECT_NEAR(result.errorRate(), 0.25, 0.08);
-}
-
-TEST(OpenLoopTest, MaxRequestsCap)
-{
-    OpenLoopLoadGen::Options options;
-    options.qps = 100000;
-    options.durationNs = 2'000'000'000;
-    options.maxRequests = 500;
-    OpenLoopLoadGen generator(options);
-    const LoadResult result = generator.run(
-        [](uint64_t, std::function<void(bool)> done) { done(true); });
-    EXPECT_EQ(result.issued, 500u);
 }
 
 TEST(OpenLoopTest, AsyncCompletionFromAnotherThread)
@@ -133,13 +125,13 @@ TEST(OpenLoopTest, AsyncCompletionFromAnotherThread)
     });
 
     OpenLoopLoadGen::Options options;
-    options.qps = 3000;
+    options.shape = loadgen::LoadShape::constant(3000);
     options.durationNs = 200'000'000;
     OpenLoopLoadGen generator(options);
     const LoadResult result = generator.run(
         [&](uint64_t, std::function<void(bool)> done) {
             pending.push(std::move(done));
-        });
+        }).front();
     pending.close();
     completer.join();
 

@@ -1,138 +1,168 @@
 /**
  * @file
- * Tests for time-varying load profiles: interpolation, factory
- * shapes, non-homogeneous Poisson generation matching the curve,
- * per-phase accounting, and flash-crowd surge behaviour.
+ * Tests for time-varying load profiles: the LoadShape library
+ * (constant, flash-crowd, diurnal), the seeded arrival schedule drawn
+ * from a shape, and OpenLoopLoadGen's per-phase replay of that
+ * schedule (exact phase bucketing, per-phase shed and error
+ * accounting, late completions after the drain, crowd latency).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
+#include <vector>
 
 #include "base/time_util.h"
-#include "loadgen/profile.h"
+#include "loadgen/loadgen.h"
+#include "loadgen/scenario.h"
 
 namespace musuite {
 namespace {
 
-TEST(LoadProfileTest, InterpolatesLinearly)
+TEST(OpenLoopTest, PhasesReplayTheScheduleExactly)
 {
-    LoadProfile profile({{0, 100.0}, {1'000'000'000, 300.0}});
-    EXPECT_DOUBLE_EQ(profile.qpsAt(0), 100.0);
-    EXPECT_DOUBLE_EQ(profile.qpsAt(500'000'000), 200.0);
-    EXPECT_DOUBLE_EQ(profile.qpsAt(1'000'000'000), 300.0);
-    EXPECT_DOUBLE_EQ(profile.peakQps(), 300.0);
-}
-
-TEST(LoadProfileTest, ClampsOutsideRange)
-{
-    LoadProfile profile({{1000, 50.0}, {2000, 150.0}});
-    EXPECT_DOUBLE_EQ(profile.qpsAt(0), 50.0);
-    EXPECT_DOUBLE_EQ(profile.qpsAt(99999), 150.0);
-}
-
-TEST(LoadProfileTest, ConstantFactory)
-{
-    const auto profile = LoadProfile::constant(42.0, 5'000'000);
-    EXPECT_DOUBLE_EQ(profile.qpsAt(0), 42.0);
-    EXPECT_DOUBLE_EQ(profile.qpsAt(2'500'000), 42.0);
-    EXPECT_EQ(profile.durationNs(), 5'000'000);
-}
-
-TEST(LoadProfileTest, FlashCrowdShape)
-{
-    const auto profile = LoadProfile::flashCrowd(
-        100.0, 5.0, 1'000'000'000, 400'000'000, 200'000'000);
-    EXPECT_DOUBLE_EQ(profile.qpsAt(100'000'000), 100.0);
-    EXPECT_DOUBLE_EQ(profile.qpsAt(500'000'000), 500.0);
-    EXPECT_DOUBLE_EQ(profile.qpsAt(900'000'000), 100.0);
-    EXPECT_DOUBLE_EQ(profile.peakQps(), 500.0);
-}
-
-TEST(LoadProfileTest, DiurnalPeaksMidWindow)
-{
-    const auto profile =
-        LoadProfile::diurnal(100.0, 1000.0, 2'000'000'000);
-    EXPECT_DOUBLE_EQ(profile.qpsAt(0), 100.0);
-    EXPECT_DOUBLE_EQ(profile.qpsAt(1'000'000'000), 1000.0);
-    EXPECT_NEAR(profile.qpsAt(500'000'000), 550.0, 1e-6);
-}
-
-TEST(ProfiledLoadGenTest, PhaseRatesTrackTheCurve)
-{
-    // 3 phases at 500 / 2500 / 500 QPS: the measured per-phase
-    // arrival counts must track the curve.
-    const int64_t duration = 900'000'000;
-    const auto profile = LoadProfile::flashCrowd(
-        500.0, 5.0, duration, 300'000'000, 300'000'000);
-
-    ProfiledLoadGen::Options options;
+    // 3 phases at 500 / 2500 / 500 QPS: each phase issues exactly the
+    // schedule offsets that fall inside its window.
+    const int64_t phase_ns = 300'000'000;
+    OpenLoopLoadGen::Options options;
+    options.shape =
+        loadgen::LoadShape::flashCrowd(500.0, 2500.0, phase_ns, phase_ns);
+    options.durationNs = 3 * phase_ns;
     options.seed = 5;
-    options.phaseBounds = {0, 300'000'000, 600'000'000};
-    options.phaseNames = {"before", "spike", "after"};
-    ProfiledLoadGen generator(profile, options);
+    options.phaseBounds = {0, phase_ns, 2 * phase_ns};
+    const std::vector<int64_t> schedule = loadgen::arrivalSchedule(
+        options.shape, options.durationNs, options.seed);
+    uint64_t expected[3] = {0, 0, 0};
+    for (int64_t offset : schedule)
+        expected[offset / phase_ns]++;
 
-    const auto phases = generator.run(
+    OpenLoopLoadGen generator(options);
+    const std::vector<LoadResult> phases = generator.run(
         [](uint64_t, std::function<void(bool)> done) { done(true); });
 
     ASSERT_EQ(phases.size(), 3u);
-    EXPECT_EQ(phases[0].name, "before");
-    // 0.3 s at 500 QPS ~ 150 arrivals; at 2500 ~ 750.
-    EXPECT_NEAR(double(phases[0].load.issued), 150.0, 60.0);
-    EXPECT_NEAR(double(phases[1].load.issued), 750.0, 140.0);
-    EXPECT_NEAR(double(phases[2].load.issued), 150.0, 60.0);
-    for (const PhaseResult &phase : phases) {
-        EXPECT_EQ(phase.load.completed, phase.load.issued);
-        EXPECT_EQ(phase.load.errors, 0u);
+    uint64_t total = 0;
+    for (size_t i = 0; i < phases.size(); ++i) {
+        EXPECT_EQ(phases[i].issued, expected[i]) << "phase " << i;
+        EXPECT_EQ(phases[i].completed, phases[i].issued);
+        EXPECT_EQ(phases[i].errors, 0u);
+        total += phases[i].issued;
     }
+    EXPECT_EQ(total, schedule.size());
+    EXPECT_DOUBLE_EQ(phases[0].offeredQps, 500.0);
+    EXPECT_DOUBLE_EQ(phases[1].offeredQps, 2500.0);
+    EXPECT_DOUBLE_EQ(phases[2].offeredQps, 500.0);
 }
 
-TEST(ProfiledLoadGenTest, SinglePhaseByDefault)
+TEST(OpenLoopTest, SinglePhaseByDefault)
 {
-    ProfiledLoadGen generator(
-        LoadProfile::constant(2000.0, 300'000'000), {});
-    const auto phases = generator.run(
+    OpenLoopLoadGen::Options options;
+    options.shape = loadgen::LoadShape::constant(2000.0);
+    options.durationNs = 100'000'000;
+    const size_t scheduled =
+        loadgen::arrivalSchedule(options.shape, options.durationNs,
+                                 options.seed)
+            .size();
+    OpenLoopLoadGen generator(options);
+    const std::vector<LoadResult> phases = generator.run(
         [](uint64_t, std::function<void(bool)> done) { done(true); });
     ASSERT_EQ(phases.size(), 1u);
-    EXPECT_NEAR(double(phases[0].load.issued), 600.0, 150.0);
+    EXPECT_EQ(phases[0].issued, scheduled);
+    EXPECT_DOUBLE_EQ(phases[0].offeredQps, 2000.0);
 }
 
-TEST(ProfiledLoadGenTest, ErrorsCountedPerPhase)
+TEST(OpenLoopTest, ShedsAndErrorsCountedPerPhase)
 {
-    ProfiledLoadGen::Options options;
-    options.phaseBounds = {0, 150'000'000};
-    ProfiledLoadGen generator(
-        LoadProfile::constant(1000.0, 300'000'000), options);
-    std::atomic<uint64_t> n{0};
-    const auto phases = generator.run(
-        [&](uint64_t, std::function<void(bool)> done) {
-            done(n.fetch_add(1) % 2 == 0);
+    // seq % 3: 0 completes, 1 fails, 2 is shed. Sheds are errors too,
+    // and breakdown() splits them back out, phase by phase.
+    const int64_t half_ns = 150'000'000;
+    OpenLoopLoadGen::Options options;
+    options.shape = loadgen::LoadShape::constant(1000.0);
+    options.durationNs = 2 * half_ns;
+    options.phaseBounds = {0, half_ns};
+    const std::vector<int64_t> schedule = loadgen::arrivalSchedule(
+        options.shape, options.durationNs, options.seed);
+    uint64_t expected[2][3] = {};
+    for (size_t seq = 0; seq < schedule.size(); ++seq)
+        expected[schedule[seq] / half_ns][seq % 3]++;
+
+    OpenLoopLoadGen generator(options);
+    const std::vector<LoadResult> phases = generator.run(
+        [](uint64_t seq, std::function<void(RequestOutcome)> done) {
+            if (seq % 3 == 0)
+                done(RequestOutcome(true));
+            else if (seq % 3 == 1)
+                done(RequestOutcome(false));
+            else
+                done(RequestOutcome::shedRequest());
         });
+
     ASSERT_EQ(phases.size(), 2u);
-    for (const PhaseResult &phase : phases) {
-        EXPECT_GT(phase.load.errors, 0u);
-        EXPECT_NEAR(phase.load.errorRate(), 0.5, 0.15);
+    for (size_t i = 0; i < phases.size(); ++i) {
+        const LoadResult &phase = phases[i];
+        EXPECT_GT(phase.shed, 0u) << "phase " << i;
+        EXPECT_EQ(phase.completed, expected[i][0]);
+        EXPECT_EQ(phase.errors, expected[i][1] + expected[i][2]);
+        EXPECT_EQ(phase.shed, expected[i][2]);
+        EXPECT_NEAR(phase.errorRate(), 2.0 / 3.0, 0.1);
+
+        const ShedAcceptBreakdown breakdown = phase.breakdown(0);
+        EXPECT_EQ(breakdown.offered, phase.issued);
+        EXPECT_EQ(breakdown.completed, expected[i][0]);
+        EXPECT_EQ(breakdown.shed, expected[i][2]);
+        EXPECT_EQ(breakdown.failed, expected[i][1]);
+        EXPECT_EQ(breakdown.goodput, expected[i][0]);
     }
 }
 
-TEST(ProfiledLoadGenTest, SpikeLatencyVisibleInPhaseHistograms)
+TEST(OpenLoopTest, LateCompletionsAfterTheDrainAreSafe)
 {
-    // A fake service whose latency rises with concurrent load: the
-    // spike phase must show worse recorded latency than baseline.
-    const int64_t duration = 600'000'000;
-    const auto profile = LoadProfile::flashCrowd(
-        300.0, 8.0, duration, 200'000'000, 200'000'000);
-    ProfiledLoadGen::Options options;
+    // Completions that arrive after the drain timeout, once the
+    // caller has dropped the results, must not touch freed memory
+    // (the ASan build runs this).
+    std::vector<std::function<void(RequestOutcome)>> stashed;
+    OpenLoopLoadGen::Options options;
+    options.shape = loadgen::LoadShape::constant(2000.0);
+    options.durationNs = 100'000'000;
+    options.drainTimeoutNs = 1'000'000;
+    options.phaseBounds = {0, 50'000'000};
+    {
+        OpenLoopLoadGen generator(options);
+        const std::vector<LoadResult> phases = generator.run(
+            [&](uint64_t, std::function<void(RequestOutcome)> done) {
+                stashed.push_back(std::move(done));
+            });
+        ASSERT_EQ(phases.size(), 2u);
+        for (const LoadResult &phase : phases) {
+            EXPECT_GT(phase.issued, 0u);
+            EXPECT_EQ(phase.completed + phase.errors, 0u);
+        }
+    }
+    ASSERT_FALSE(stashed.empty());
+    for (size_t i = 0; i < stashed.size(); ++i) {
+        stashed[i](i % 2 == 0 ? RequestOutcome(true)
+                              : RequestOutcome::shedRequest());
+    }
+}
+
+TEST(OpenLoopTest, SpikeLatencyVisibleInPhaseHistograms)
+{
+    // A fake service whose latency rises with arrival density: the
+    // crowd phase must record worse latency than the calm one.
+    const int64_t phase_ns = 200'000'000;
+    OpenLoopLoadGen::Options options;
+    options.shape =
+        loadgen::LoadShape::flashCrowd(300.0, 2400.0, phase_ns, phase_ns);
+    options.durationNs = 3 * phase_ns;
     options.seed = 9;
-    options.phaseBounds = {0, 200'000'000, 400'000'000};
-    options.phaseNames = {"calm", "crowd", "recovery"};
-    ProfiledLoadGen generator(profile, options);
+    options.phaseBounds = {0, phase_ns, 2 * phase_ns};
+    OpenLoopLoadGen generator(options);
 
     std::atomic<int64_t> last_call_ns{0};
-    const auto phases = generator.run(
+    const std::vector<LoadResult> phases = generator.run(
         [&](uint64_t, std::function<void(bool)> done) {
-            // Service slows under burst: busy-wait proportional to
-            // arrival proximity.
             const int64_t now = nowNanos();
             const int64_t gap = now - last_call_ns.exchange(now);
             if (gap < 1'000'000)
@@ -141,9 +171,66 @@ TEST(ProfiledLoadGenTest, SpikeLatencyVisibleInPhaseHistograms)
         });
 
     ASSERT_EQ(phases.size(), 3u);
-    const auto calm_p99 = phases[0].load.latency.valueAtQuantile(0.99);
-    const auto crowd_p99 = phases[1].load.latency.valueAtQuantile(0.99);
-    EXPECT_GT(crowd_p99, calm_p99);
+    EXPECT_GT(phases[1].latency.valueAtQuantile(0.99),
+              phases[0].latency.valueAtQuantile(0.99));
+}
+
+TEST(LoadShapeTest, Constant)
+{
+    const auto shape = loadgen::LoadShape::constant(42.0);
+    EXPECT_DOUBLE_EQ(shape.qpsAt(0), 42.0);
+    EXPECT_DOUBLE_EQ(shape.qpsAt(2'500'000'000), 42.0);
+    EXPECT_DOUBLE_EQ(shape.maxQps(), 42.0);
+}
+
+TEST(LoadShapeTest, FlashCrowdWindowIsHalfOpen)
+{
+    const auto shape = loadgen::LoadShape::flashCrowd(
+        100.0, 500.0, 400'000'000, 200'000'000);
+    EXPECT_DOUBLE_EQ(shape.qpsAt(0), 100.0);
+    EXPECT_DOUBLE_EQ(shape.qpsAt(399'999'999), 100.0);
+    EXPECT_DOUBLE_EQ(shape.qpsAt(400'000'000), 500.0);
+    EXPECT_DOUBLE_EQ(shape.qpsAt(599'999'999), 500.0);
+    EXPECT_DOUBLE_EQ(shape.qpsAt(600'000'000), 100.0);
+    EXPECT_DOUBLE_EQ(shape.maxQps(), 500.0);
+}
+
+TEST(LoadShapeTest, DiurnalTroughAtZeroCrestAtHalfPeriod)
+{
+    const int64_t period = 2'000'000'000;
+    const auto shape = loadgen::LoadShape::diurnal(100.0, 1000.0, period);
+    EXPECT_DOUBLE_EQ(shape.qpsAt(0), 100.0);
+    EXPECT_DOUBLE_EQ(shape.qpsAt(period / 2), 1000.0);
+    EXPECT_NEAR(shape.qpsAt(period / 4), 550.0, 1e-6);
+    EXPECT_DOUBLE_EQ(shape.qpsAt(period), 100.0);
+    EXPECT_DOUBLE_EQ(shape.maxQps(), 1000.0);
+}
+
+TEST(LoadShapeTest, MaxQpsIsTheLargerRate)
+{
+    // A "crowd" below the baseline still keeps the baseline envelope.
+    EXPECT_DOUBLE_EQ(
+        loadgen::LoadShape::flashCrowd(300.0, 50.0, 0, 1000).maxQps(),
+        300.0);
+    EXPECT_DOUBLE_EQ(
+        loadgen::LoadShape::diurnal(10.0, 90.0, 1000).maxQps(), 90.0);
+}
+
+TEST(LoadShapeTest, ArrivalScheduleIsSeededSortedAndInRange)
+{
+    const auto shape = loadgen::LoadShape::diurnal(200.0, 2000.0,
+                                                   500'000'000);
+    const int64_t duration = 1'000'000'000;
+    const auto first = loadgen::arrivalSchedule(shape, duration, 3);
+    const auto again = loadgen::arrivalSchedule(shape, duration, 3);
+    const auto other = loadgen::arrivalSchedule(shape, duration, 4);
+
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(first, again);
+    EXPECT_NE(first, other);
+    EXPECT_TRUE(std::is_sorted(first.begin(), first.end()));
+    EXPECT_GE(first.front(), 0);
+    EXPECT_LT(first.back(), duration);
 }
 
 } // namespace

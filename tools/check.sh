@@ -6,6 +6,7 @@
 #   1. -Werror release build            (warning-clean tree)
 #      + bench/micro_rpc smoke -> BENCH_rpc.json (rpc bench trajectory)
 #      + bench/overload_storm smoke -> BENCH_overload.json (goodput)
+#      + bench/flash_crowd smoke (multi-phase real-mode load, no loss)
 #      + bench/dag_storm smoke -> BENCH_dag.json (deep-DAG goodput)
 #      + bench/chaos_storm smoke -> BENCH_chaos.json (gray failures)
 #        (both byte-identical to the committed copies, or the gate fails)
@@ -112,6 +113,22 @@ if cmake --build build-check-werror --target overload_storm -j "$jobs" \
 else
     echo "BENCH SMOKE FAILED"
     failures+=("bench-smoke: overload_storm")
+fi
+
+# ---- stage 1c1: flash_crowd bench smoke ----------------------------------
+# Baseline -> 6x surge -> recovery against a real Router deployment on
+# the werror build: the one multi-phase real-mode open-loop user. Its
+# exit gate is weak on purpose: it fails only when a phase loses a
+# request (issued != completed + errors), never on latency. ~1s.
+banner "bench smoke: flash_crowd"
+if cmake --build build-check-werror --target flash_crowd -j "$jobs" \
+        >>build-check-werror/build.log 2>&1 \
+        && build-check-werror/bench/flash_crowd \
+            --baseline=150 --phase-ms=300; then
+    :
+else
+    echo "BENCH SMOKE FAILED"
+    failures+=("bench-smoke: flash_crowd")
 fi
 
 # ---- stage 1c2: dag_storm bench smoke ------------------------------------
