@@ -151,7 +151,7 @@ class RealClock final : public Clock
 Clock &realClock();
 
 /**
- * The ambient clock new channels/servers/breakers bind at
+ * The ambient clock new channels/servers/trackers bind at
  * construction: realClock() unless overridden. The override exists so
  * a test or sim scenario can build an entire object graph on a
  * SimClock without threading a clock parameter through every

@@ -34,7 +34,6 @@ lockRankName(LockRank rank)
       case LockRank::graphNode:       return "graph.node";
       case LockRank::fanout:          return "fanout";
       case LockRank::call:            return "rpc.call";
-      case LockRank::overload:        return "rpc.overload";
       case LockRank::ejection:        return "rpc.ejection";
       case LockRank::peerHealth:      return "rpc.health";
       case LockRank::faultInjector:   return "rpc.fault";

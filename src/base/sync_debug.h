@@ -54,9 +54,6 @@ enum class LockRank : int {
                          //!< under its own lock, then fans out.
     fanout = 20,         //!< Fan-out merge state (services/common).
     call = 30,           //!< Per-call retry/hedge state (rpc/channel).
-    overload = 32,       //!< Breaker / retry-throttle state (rpc/overload)
-                         //!< — taken inside the attempt path, never
-                         //!< while another overload lock is held.
     ejection = 33,       //!< Outlier-ejection policy state (rpc/health)
                          //!< — held while reading peer trackers, so it
                          //!< ranks below peerHealth.

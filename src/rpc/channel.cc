@@ -22,7 +22,6 @@
 #include "ostrace/sync.h"
 #include "rpc/fault.h"
 #include "rpc/health.h"
-#include "rpc/overload.h"
 #include "serde/wire.h"
 #include "stats/counters.h"
 
@@ -202,29 +201,20 @@ onAttemptDone(const std::shared_ptr<CallState> &state, int attempt,
 
         if (isRetryable(status) && !state->retryPending &&
             state->attemptsIssued < state->options.maxAttempts) {
-            RetryThrottle *throttle = state->channel->retryThrottle();
-            if (throttle && !throttle->allowRetry()) {
-                globalCounters()
-                    .counter("overload.retry_throttled")
-                    .add();
-            } else {
-                retry_delay =
-                    backoffDelayNs(*state, state->attemptsIssued);
-                // An explicit server pacing hint (RESOURCE_EXHAUSTED
-                // retry-after) acts as a floor under the backoff: the
-                // server knows its queue better than our exponential
-                // schedule does. The hint is a *relative* duration, so
-                // it is meaningful whatever clock the server ran on.
-                retry_delay =
-                    std::max(retry_delay, status.retryAfterNs());
-                const bool within_budget =
-                    state->totalDeadlineAt == 0 ||
-                    state->channel->clock().nowNanos() + retry_delay <
-                        state->totalDeadlineAt;
-                if (within_budget) {
-                    state->retryPending = true;
-                    schedule_retry = true;
-                }
+            retry_delay = backoffDelayNs(*state, state->attemptsIssued);
+            // An explicit server pacing hint (RESOURCE_EXHAUSTED
+            // retry-after) acts as a floor under the backoff: the
+            // server knows its queue better than our exponential
+            // schedule does. The hint is a *relative* duration, so it
+            // is meaningful whatever clock the server ran on.
+            retry_delay = std::max(retry_delay, status.retryAfterNs());
+            const bool within_budget =
+                state->totalDeadlineAt == 0 ||
+                state->channel->clock().nowNanos() + retry_delay <
+                    state->totalDeadlineAt;
+            if (within_budget) {
+                state->retryPending = true;
+                schedule_retry = true;
             }
         }
         if (!schedule_retry && state->outstanding == 0 &&
@@ -358,11 +348,11 @@ issueAttempt(const std::shared_ptr<CallState> &state)
                 // The attempt settles locally: the transport has gone
                 // silent past the deadline, and for a blackholed
                 // request its own outcome recorder never runs. Feed
-                // the breaker/throttle here or a blackholed half-open
-                // probe wedges the breaker (see recordAttemptOutcome).
-                // The deadline doubles as the latency observation: a
-                // zombie peer took at least this long, and the health
-                // tracker's EWMA must feel it.
+                // the health tracker here or a peer that swallows
+                // every request is never recorded at all (see
+                // recordAttemptOutcome). The deadline doubles as the
+                // latency observation: a zombie peer took at least
+                // this long, and the tracker's EWMA must feel it.
                 state->channel->recordAttemptOutcome(expired,
                                                      deadline_ns);
                 onAttemptDone(state, attempt, expired, {});
@@ -402,16 +392,6 @@ issueAttempt(const std::shared_ptr<CallState> &state)
 Channel::Channel() : boundClock(&currentClock()) {}
 
 void
-Channel::setCircuitBreaker(std::shared_ptr<CircuitBreaker> breaker_in)
-{
-    MUSUITE_CHECK(!breaker_in || &breaker_in->clock() == boundClock)
-        << "circuit breaker bound to a different clock than its "
-           "channel: cooldown instants would be compared across "
-           "clock domains";
-    breaker = std::move(breaker_in);
-}
-
-void
 Channel::setPeerHealth(std::shared_ptr<PeerHealth> health_in)
 {
     MUSUITE_CHECK(!health_in || &health_in->clock() == boundClock)
@@ -426,22 +406,6 @@ Channel::recordAttemptOutcome(const Status &status, int64_t latency_ns)
 {
     if (health)
         health->recordOutcome(status, latency_ns);
-    const StatusCode code = status.code();
-    const bool transport_failure =
-        code == StatusCode::Unavailable ||
-        code == StatusCode::DeadlineExceeded;
-    if (breaker) {
-        if (transport_failure)
-            breaker->recordFailure();
-        else
-            breaker->recordSuccess();
-    }
-    if (throttle) {
-        if (transport_failure || code == StatusCode::ResourceExhausted)
-            throttle->onFailure();
-        else
-            throttle->onSuccess();
-    }
 }
 
 void
@@ -455,37 +419,19 @@ Channel::attemptCall(uint32_t method, std::string body,
                      int64_t budget_ns, Callback callback,
                      std::shared_ptr<std::atomic<bool>> settled)
 {
-    // Circuit-breaker gate: while the leaf is presumed down, fail fast
-    // without touching the transport. The rejection is not recorded as
-    // a breaker failure (it never reached the wire), it must not
-    // drain the retry throttle, and it must not count against the
-    // peer-health tracker either (the peer was never consulted), so
-    // it bypasses the outcome recorder below entirely.
-    if (breaker && !breaker->allowRequest()) {
-        callback(Status(StatusCode::Unavailable,
-                        "circuit breaker open"),
-                 {});
-        return;
-    }
-
-    if (breaker || throttle || health) {
+    if (health) {
         // Record the outcome the transport (or injector) reports —
         // unless the attempt already settled locally via its deadline
         // timer (the `settled` flag), which recorded DEADLINE_EXCEEDED
         // for it; one attempt yields exactly one outcome record, or a
         // gray peer whose every answer overshoots its deadline would
         // keep feeding "successes" to the health tracker and bounce
-        // out of ejection forever. UNAVAILABLE and DEADLINE_EXCEEDED
-        // mean the leaf is absent or drowning: all machines count
-        // them. RESOURCE_EXHAUSTED means the leaf is alive and
-        // shedding on purpose: the throttle backs off, but the breaker
-        // must stay closed (and the tracker counts a non-failure) or
-        // controlled shedding would blind the client. Anything else is
-        // an application-level answer from a healthy server. The issue
-        // instant is captured so the tracker's EWMA sees the attempt's
-        // real round trip, injected delays included — that latency
-        // signal is how gray (slow but successful) peers become
-        // ejectable at all.
+        // out of ejection forever. The tracker classifies the status
+        // (rpc/health.h): a shedding peer is alive, not failing. The
+        // issue instant is captured so the tracker's EWMA sees the
+        // attempt's real round trip, injected delays included — that
+        // latency signal is how gray (slow but successful) peers
+        // become ejectable at all.
         const int64_t issued_at_ns = boundClock->nowNanos();
         callback = [this, issued_at_ns, settled,
                     inner = std::move(callback)](
@@ -544,14 +490,6 @@ Channel::call(uint32_t method, std::string body,
                             state->options.maxAttempts) {
                         return;
                     }
-                }
-                RetryThrottle *throttle =
-                    state->channel->retryThrottle();
-                if (throttle && !throttle->allowRetry()) {
-                    globalCounters()
-                        .counter("overload.hedge_throttled")
-                        .add();
-                    return;
                 }
                 globalCounters().counter("rpc.hedge.fired").add();
                 issueAttempt(state);

@@ -17,10 +17,9 @@
  *    server's RESOURCE_EXHAUSTED retry-after hints,
  *  - hedged second requests for tail-tolerant reads,
  *  - deterministic fault injection (rpc/fault.h),
- *  - client-side overload cooperation (rpc/overload.h): a per-channel
- *    circuit breaker consulted before every attempt, and a retry
- *    throttle that stops retries/hedges while recent calls keep
- *    failing, so a saturated leaf is not hammered into the ground.
+ *  - per-attempt outcome recording into an attached peer-health
+ *    tracker (rpc/health.h), which outlier ejection reads to stop
+ *    sending legs to a bad peer.
  *
  * THREADING CONTRACT: a callback may run on a completion thread, on
  * the bound clock's timer-dispatch context (the shared timer thread
@@ -57,8 +56,6 @@ class Clock;
 namespace rpc {
 
 class FaultInjector;
-class CircuitBreaker;
-class RetryThrottle;
 class PeerHealth;
 
 /**
@@ -143,8 +140,8 @@ class Channel
     /**
      * Rebind the channel to another clock. Not synchronized against
      * in-flight calls: rebind before traffic, like setFaultInjector.
-     * Attached overload controllers must live in the same clock domain
-     * (setCircuitBreaker checks).
+     * An attached peer-health tracker must live in the same clock
+     * domain (setPeerHealth checks).
      */
     void bindClock(Clock &clock_in) { boundClock = &clock_in; }
 
@@ -199,33 +196,6 @@ class Channel
     FaultInjector *faultInjector() const { return injector.get(); }
 
     /**
-     * Attach (or clear) a circuit breaker consulted before every
-     * attempt through this channel. While the breaker refuses, calls
-     * complete immediately with UNAVAILABLE and never reach the
-     * transport. Install before traffic, like the fault injector.
-     * The breaker must be bound to the same Clock as the channel —
-     * its cooldown deadlines are compared against this channel's
-     * timeline — so mixing domains aborts.
-     */
-    void setCircuitBreaker(std::shared_ptr<CircuitBreaker> breaker_in);
-
-    CircuitBreaker *circuitBreaker() const { return breaker.get(); }
-
-    /**
-     * Attach (or clear) a retry throttle. Every attempt outcome feeds
-     * the token bucket; retries and hedges are suppressed while it is
-     * below half. May be shared across the channels of one client to
-     * bound aggregate retry amplification.
-     */
-    void
-    setRetryThrottle(std::shared_ptr<RetryThrottle> throttle_in)
-    {
-        throttle = std::move(throttle_in);
-    }
-
-    RetryThrottle *retryThrottle() const { return throttle.get(); }
-
-    /**
      * Attach (or clear) a per-peer health tracker (rpc/health.h) fed
      * every attempt outcome through this channel, with the measured
      * attempt latency when one is available. Usually installed by
@@ -239,9 +209,8 @@ class Channel
     PeerHealth *peerHealth() const { return health.get(); }
 
     /**
-     * One attempt through the overload gate: circuit-breaker check,
-     * fault injection, transport, then breaker/throttle outcome
-     * recording around the callback. budget_ns is the remaining
+     * One attempt: fault injection, transport, then peer-health
+     * outcome recording around the callback. budget_ns is the remaining
      * deadline this attempt grants the server (0 = unlimited); it is
      * carried in the request header so downstream queues can shed the
      * request once it expires. The retry/hedging layer funnels every
@@ -260,16 +229,15 @@ class Channel
                      std::shared_ptr<std::atomic<bool>> settled = nullptr);
 
     /**
-     * Feed one attempt outcome to the breaker/retry throttle without
+     * Feed one attempt outcome to the peer-health tracker without
      * issuing a call. The retry layer uses this when an attempt
      * settles *locally* — its deadline timer fires while the
      * transport is still silent — because a blackholed attempt would
-     * otherwise never be recorded at all: a half-open probe that is
-     * blackholed would leave the breaker wedged (probe slot occupied
-     * forever, every later call rejected). The transport's own late
-     * outcome, if it ever arrives, is suppressed by attemptCall's
-     * wrapper (via the `settled` flag), so each attempt yields
-     * exactly one outcome record. A late success after a deadline
+     * otherwise never be recorded at all, and a peer that swallows
+     * every request would look perfectly idle to outlier ejection.
+     * The transport's own late outcome, if it ever arrives, is
+     * suppressed by attemptCall's wrapper (via the `settled` flag), so
+     * each attempt yields exactly one outcome record. A late success after a deadline
      * expiry is per-call trivia, not peer-health evidence: counting
      * it would let a peer whose every answer overshoots its deadline
      * keep "succeeding" its way out of ejection forever.
@@ -312,8 +280,6 @@ class Channel
                       int64_t budget_ns, Callback callback);
 
     std::shared_ptr<FaultInjector> injector;
-    std::shared_ptr<CircuitBreaker> breaker;
-    std::shared_ptr<RetryThrottle> throttle;
     std::shared_ptr<PeerHealth> health;
     Clock *boundClock; //!< Never null; see clock().
 };

@@ -79,7 +79,7 @@ struct FaultSpec
      * Slow-ramp: each delayed *request* pays an extra
      * (ordinal - 1) * delayRampPerCallNs on top of delayNs, so the
      * peer degrades gradually — successful but ever slower, the gray
-     * shape a circuit breaker never sees.
+     * shape no per-call failure check ever sees.
      */
     int64_t delayRampPerCallNs = 0;
     /**

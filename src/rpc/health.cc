@@ -19,7 +19,7 @@ namespace rpc {
 
 namespace {
 
-/** The breaker's failure taxonomy: transport-level evidence only. */
+/** Failure taxonomy: transport-level evidence only. */
 bool
 isTransportFailure(const Status &status)
 {

@@ -3,10 +3,11 @@
  * Per-peer health tracking and statistical outlier ejection for
  * fan-outs — the gray-failure layer.
  *
- * The circuit breaker (rpc/overload.h) only sees hard transport
- * failures: a leaf that answers slowly-but-successfully never trips it
- * and silently drags the whole fan-out's p99 forever. This file adds
- * the complementary machinery:
+ * Deadlines and retries (rpc/channel.h) only answer hard transport
+ * failures one call at a time: a leaf that answers slowly-but-
+ * successfully, or swallows every request, keeps receiving legs and
+ * silently drags the whole fan-out's p99 forever. This file adds the
+ * machinery that fast-fails a bad peer across calls:
  *
  *  - PeerHealth: a per-channel tracker fed every attempt outcome —
  *    EWMA latency, error/timeout rate over a sliding window, and the
@@ -19,10 +20,10 @@
  *    deterministic low-rate probe traffic, and are reintroduced
  *    through a half-duty slow-start once probes succeed.
  *
- * Ejection COMPOSES with the breaker/retry/hedge stack rather than
- * replacing it: an ejected leg is skipped before the channel is
- * touched at all, so neither the breaker nor the health tracker ever
- * records the skip — the two machines never double-count one failure.
+ * Ejection COMPOSES with the retry/hedge stack rather than replacing
+ * it: an ejected leg is skipped before the channel is touched at all,
+ * so the health tracker never records the skip — one failure is never
+ * counted twice.
  * Quorum math stays sound because ejections are bounded by
  * maxEjectedFraction (see DESIGN.md "Gray failures & outlier
  * ejection" for the proof sketch: pick maxEjectedFraction <=
@@ -65,10 +66,9 @@ struct PeerHealthOptions
  * Health ledger of one peer. Fed by Channel::recordAttemptOutcome on
  * every attempt; read by EjectionPolicy when resolving a fan-out.
  * Failure means "transport-level evidence the peer is absent or
- * drowning" — UNAVAILABLE or DEADLINE_EXCEEDED, matching the breaker's
- * taxonomy. RESOURCE_EXHAUSTED is a healthy peer shedding on purpose
- * and counts as a non-failure, so controlled shedding never causes
- * ejection (the same reason it never opens the breaker).
+ * drowning" — UNAVAILABLE or DEADLINE_EXCEEDED. RESOURCE_EXHAUSTED is
+ * a healthy peer shedding on purpose and counts as a non-failure, so
+ * controlled shedding never causes ejection.
  */
 class PeerHealth
 {

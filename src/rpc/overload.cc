@@ -1,15 +1,11 @@
 /**
  * @file
- * Implementation of the overload-control primitives.
+ * Implementation of the gradient admission controller.
  */
 
 #include "rpc/overload.h"
 
 #include <algorithm>
-
-#include "base/clock.h"
-#include "base/logging.h"
-#include "stats/counters.h"
 
 namespace musuite {
 namespace rpc {
@@ -103,146 +99,6 @@ GradientAdmission::inflight() const
 {
     MutexLock guard(mutex);
     return inflightCount;
-}
-
-// ---------------------------------------------------------------------
-// CircuitBreaker
-// ---------------------------------------------------------------------
-
-CircuitBreaker::CircuitBreaker(Options options_in, Clock *clock_in)
-    : options(options_in),
-      boundClock(clock_in ? clock_in : &currentClock())
-{
-    MUSUITE_CHECK(options.failureThreshold >= 1)
-        << "breaker needs a positive failure threshold";
-    MUSUITE_CHECK(options.halfOpenProbes >= 1)
-        << "breaker needs >= 1 half-open probe";
-}
-
-bool
-CircuitBreaker::allowRequest()
-{
-    MutexLock guard(mutex);
-    switch (current) {
-      case State::Closed:
-        return true;
-      case State::Open:
-        if (boundClock->nowNanos() < reopenAtNs) {
-            globalCounters().counter("overload.breaker_rejected").add();
-            return false;
-        }
-        // Cooldown elapsed: this attempt becomes the first probe.
-        current = State::HalfOpen;
-        probesInFlight = 1;
-        probeSuccesses = 0;
-        globalCounters().counter("overload.breaker_probe").add();
-        return true;
-      case State::HalfOpen:
-        if (probesInFlight >= options.halfOpenProbes) {
-            globalCounters().counter("overload.breaker_rejected").add();
-            return false;
-        }
-        probesInFlight++;
-        globalCounters().counter("overload.breaker_probe").add();
-        return true;
-    }
-    return true; // Unreachable.
-}
-
-void
-CircuitBreaker::recordSuccess()
-{
-    MutexLock guard(mutex);
-    switch (current) {
-      case State::Closed:
-        consecutiveFailures = 0;
-        break;
-      case State::HalfOpen:
-        if (probesInFlight > 0)
-            probesInFlight--;
-        if (++probeSuccesses >= options.closeThreshold) {
-            current = State::Closed;
-            consecutiveFailures = 0;
-            probeSuccesses = 0;
-            globalCounters().counter("overload.breaker_closed").add();
-        }
-        break;
-      case State::Open:
-        // A late response from before the trip; the cooldown stands.
-        break;
-    }
-}
-
-void
-CircuitBreaker::recordFailure()
-{
-    MutexLock guard(mutex);
-    switch (current) {
-      case State::Closed:
-        if (++consecutiveFailures >= options.failureThreshold) {
-            current = State::Open;
-            reopenAtNs = boundClock->nowNanos() + options.openCooldownNs;
-            openedCount.fetch_add(1, std::memory_order_relaxed);
-            globalCounters().counter("overload.breaker_opened").add();
-        }
-        break;
-      case State::HalfOpen:
-        // The probe failed: back to open for a fresh cooldown.
-        current = State::Open;
-        probesInFlight = 0;
-        probeSuccesses = 0;
-        reopenAtNs = boundClock->nowNanos() + options.openCooldownNs;
-        openedCount.fetch_add(1, std::memory_order_relaxed);
-        globalCounters().counter("overload.breaker_opened").add();
-        break;
-      case State::Open:
-        break;
-    }
-}
-
-CircuitBreaker::State
-CircuitBreaker::state() const
-{
-    MutexLock guard(mutex);
-    return current;
-}
-
-// ---------------------------------------------------------------------
-// RetryThrottle
-// ---------------------------------------------------------------------
-
-RetryThrottle::RetryThrottle(Options options_in)
-    : options(options_in), bucket(options_in.maxTokens)
-{
-    MUSUITE_CHECK(options.maxTokens > 0) << "throttle needs tokens";
-}
-
-void
-RetryThrottle::onSuccess()
-{
-    MutexLock guard(mutex);
-    bucket = std::min(options.maxTokens, bucket + options.tokenRatio);
-}
-
-void
-RetryThrottle::onFailure()
-{
-    MutexLock guard(mutex);
-    bucket = std::max(0.0, bucket - 1.0);
-}
-
-bool
-RetryThrottle::allowRetry() const
-{
-    MutexLock guard(mutex);
-    return bucket > options.maxTokens / 2.0;
-}
-
-double
-RetryThrottle::tokens() const
-{
-    MutexLock guard(mutex);
-    return bucket;
 }
 
 } // namespace rpc

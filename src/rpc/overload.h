@@ -1,18 +1,15 @@
 /**
  * @file
- * Overload-control primitives for the murpc fabric.
+ * Server-side admission control for the murpc fabric.
  *
  * µSuite's central experiment drives the mid-tier through saturation;
  * past the knee an uncontrolled dispatch queue grows without bound and
  * every queued request eventually misses its deadline, so throughput
- * survives while *goodput* (in-deadline responses) collapses. This
- * header holds the pieces that keep goodput near peak instead:
- *
- * Server side (consulted by rpc::Server on the poller thread, before
- * a request is copied or queued):
+ * survives while *goodput* (in-deadline responses) collapses. The
+ * server consults an admission policy on the poller thread, before a
+ * request is copied or queued:
  *
  *  - AdmissionController — pluggable admit/reject policy.
- *  - QueueLimitAdmission — static bound on the dispatch-queue depth.
  *  - GradientAdmission   — adaptive concurrency limit, AIMD on the
  *    observed request residence time against a windowed minimum RTT
  *    (the no-queueing service time). The limit shrinks multiplicatively
@@ -20,43 +17,22 @@
  *    additively while it does not, so the queue hovers near empty at
  *    any service rate without manual tuning.
  *
- * Client side (attached to an rpc::Channel, layered *under* the
- * retry/hedging policies of rpc/channel.h):
- *
- *  - CircuitBreaker — per-leaf closed → open → half-open machine. A
- *    run of transport-level failures opens the breaker; while open,
- *    calls fail fast with UNAVAILABLE without touching the transport,
- *    so fanoutCall degrades through its quorum path instead of
- *    hammering a dead leaf. After a cooldown a limited number of
- *    half-open probes test the leaf; success re-closes the breaker.
- *    Explicit RESOURCE_EXHAUSTED rejections do NOT trip the breaker:
- *    they prove the server is alive and shedding, which the retry
- *    throttle (not the breaker) must answer.
- *
- *  - RetryThrottle — token bucket in the style of the gRPC retry
- *    design: successes drip tokens in, retryable failures drain them,
- *    and retries/hedges are allowed only while the bucket is above
- *    half. Under a sustained failure rate the bucket empties and the
- *    client stops amplifying the overload with retries.
- *
- * Everything here is deterministic given a deterministic stimulus
- * (e.g. rpc/fault.h counter rules), which is how the tests script the
- * state machines.
+ * The rest of the overload layer lives with the code it gates: the
+ * bounded dispatch queue (ServerOptions::queueCapacity) and in-queue
+ * expiry in rpc/server.h, and the client's half — deadlines, retry
+ * budgets paced by the server's retry-after hints — in rpc/channel.h.
+ * Fast-failing a bad peer is outlier ejection's job (rpc/health.h).
  */
 
 #ifndef MUSUITE_RPC_OVERLOAD_H
 #define MUSUITE_RPC_OVERLOAD_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
 #include "base/threading.h"
 
 namespace musuite {
-
-class Clock;
-
 namespace rpc {
 
 /**
@@ -87,24 +63,6 @@ class AdmissionController
      * the response header (0 = let the server pick its default).
      */
     virtual int64_t retryAfterHintNs() const { return 0; }
-};
-
-/** Static policy: admit while the dispatch queue is below a bound. */
-class QueueLimitAdmission : public AdmissionController
-{
-  public:
-    explicit QueueLimitAdmission(size_t max_queue_depth)
-        : maxDepth(max_queue_depth)
-    {}
-
-    bool
-    admit(size_t queue_depth) override
-    {
-        return queue_depth < maxDepth;
-    }
-
-  private:
-    const size_t maxDepth;
 };
 
 /**
@@ -157,105 +115,6 @@ class GradientAdmission : public AdmissionController
     int64_t minRtt GUARDED_BY(mutex) = 0;        //!< Committed estimate.
     int64_t windowMin GUARDED_BY(mutex) = 0;     //!< Min of current window.
     uint64_t windowSamples GUARDED_BY(mutex) = 0;
-};
-
-/**
- * Per-leaf circuit breaker: closed → open on a run of consecutive
- * transport failures, open → half-open after a cooldown, half-open →
- * closed on a successful probe (or back to open on a failed one).
- * allowRequest() is consulted per attempt; record{Success,Failure}()
- * must be called for every attempt that was allowed through.
- */
-class CircuitBreaker
-{
-  public:
-    enum class State { Closed, Open, HalfOpen };
-
-    struct Options
-    {
-        /** Consecutive failures that open the breaker. */
-        uint32_t failureThreshold = 5;
-        /** How long the breaker stays open before probing. */
-        int64_t openCooldownNs = 100'000'000;
-        /** Concurrent probes allowed while half-open. */
-        uint32_t halfOpenProbes = 1;
-        /** Probe successes required to re-close. */
-        uint32_t closeThreshold = 1;
-    };
-
-    /**
-     * `clock` is the Clock the cooldown runs on — null binds the
-     * ambient clock (base/clock.h). A breaker attached to a channel
-     * must share the channel's clock; Channel::setCircuitBreaker
-     * checks, because an open-until instant pinned on one clock is
-     * meaningless against another clock's now.
-     */
-    CircuitBreaker() : CircuitBreaker(Options()) {} // See GradientAdmission.
-    explicit CircuitBreaker(Options options, Clock *clock = nullptr);
-
-    /** The clock cooldown deadlines are pinned to. */
-    Clock &clock() const { return *boundClock; }
-
-    /**
-     * True if the attempt may proceed. While open this fails fast
-     * (and flips to half-open once the cooldown has elapsed); while
-     * half-open only `halfOpenProbes` attempts pass at a time.
-     * A rejected attempt must NOT be recorded as a failure.
-     */
-    bool allowRequest();
-
-    /** Outcome of an allowed attempt. */
-    void recordSuccess();
-    void recordFailure();
-
-    State state() const;
-    uint64_t timesOpened() const { return openedCount.load(); }
-
-  private:
-    const Options options;
-    Clock *boundClock; //!< Never null; see clock().
-    mutable Mutex mutex{LockRank::overload, "rpc.breaker"};
-    State current GUARDED_BY(mutex) = State::Closed;
-    uint32_t consecutiveFailures GUARDED_BY(mutex) = 0;
-    uint32_t probesInFlight GUARDED_BY(mutex) = 0;
-    uint32_t probeSuccesses GUARDED_BY(mutex) = 0;
-    int64_t reopenAtNs GUARDED_BY(mutex) = 0;
-    std::atomic<uint64_t> openedCount{0};
-};
-
-/**
- * Retry-throttle token bucket (gRPC-style): starts full at maxTokens;
- * every success adds tokenRatio (capped), every retryable failure
- * subtracts 1 (floored at 0). Retries and hedges are permitted only
- * while the bucket is above maxTokens / 2, so once more than roughly
- * tokenRatio / (1 + tokenRatio) of recent calls fail, the client
- * stops retrying until the target recovers.
- */
-class RetryThrottle
-{
-  public:
-    struct Options
-    {
-        double maxTokens = 10.0;
-        double tokenRatio = 0.1;
-    };
-
-    RetryThrottle() : RetryThrottle(Options()) {} // See GradientAdmission.
-    explicit RetryThrottle(Options options);
-
-    /** Record the outcome of one attempt. */
-    void onSuccess();
-    void onFailure();
-
-    /** True while retries/hedges are permitted. */
-    bool allowRetry() const;
-
-    double tokens() const;
-
-  private:
-    const Options options;
-    mutable Mutex mutex{LockRank::overload, "rpc.retry_throttle"};
-    double bucket GUARDED_BY(mutex);
 };
 
 } // namespace rpc

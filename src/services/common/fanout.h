@@ -101,9 +101,9 @@ struct FanoutOptions
      * Optional outlier-ejection gate (rpc/health.h), consulted per
      * leg before the call is issued. A refused leg is skipped: it
      * completes instantly as an UNAVAILABLE failure without touching
-     * its channel (so the breaker and health tracker never see the
-     * skip), and counts under fanout.outlier_skipped. Not owned; the
-     * policy must outlive the fan-out.
+     * its channel (so the health tracker never sees the skip), and
+     * counts under fanout.outlier_skipped. Not owned; the policy must
+     * outlive the fan-out.
      */
     rpc::EjectionPolicy *ejection = nullptr;
 };
@@ -321,7 +321,7 @@ fanoutCall(uint32_t method, std::vector<FanoutRequest> requests,
 
     // Outlier ejection: consult the policy per leg before anything is
     // issued. A refused leg never touches its channel in-band — no
-    // transport traffic, no breaker/throttle/health recording (skips
+    // transport traffic, no health recording (skips
     // are not evidence about the peer, and counting them would
     // double-book the original failures that caused the ejection).
     // The leg is pre-marked as an instant UNAVAILABLE completion so

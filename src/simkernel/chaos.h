@@ -46,7 +46,7 @@ struct ChaosEvent
         Zombie,
         /** Every request pays delayNs plus an ever-growing ramp of
          *  rampPerCallNs per call: successful but drifting away from
-         *  the pool — the shape a circuit breaker never opens on. */
+         *  the pool — the shape no per-call failure check sees. */
         SlowRamp,
         /** Alternating faulty/healthy windows of flapPeriod calls;
          *  faulty windows fail every request with UNAVAILABLE. */

@@ -6,9 +6,9 @@
  * through invokeLocal() after a configurable one-way link latency, and
  * delivers the response back after another; both hops are SimClock
  * events, so a whole client -> mid-tier -> leaves topology — with real
- * Channel retry/hedge/deadline machinery, real CircuitBreaker /
- * RetryThrottle state machines, real FaultInjector schedules, and real
- * fan-out merges — executes deterministically in virtual time. This is
+ * Channel retry/hedge/deadline machinery, real PeerHealth /
+ * EjectionPolicy state machines, real FaultInjector schedules, and
+ * real fan-out merges — executes deterministically in virtual time. This is
  * how the wall-clock resilience tests become exact replays and how the
  * seed-sweep scenarios flush timing races (the FoundationDB-style
  * methodology; see DESIGN.md "Deterministic clock seam").

@@ -10,10 +10,10 @@
  * check.sh seed sweep assert.
  *
  * SINGLE-THREADED BY CONTRACT: a SimClock and every object bound to it
- * (channels, unstarted servers, breakers) must be driven from one
- * thread. That is what makes determinism cheap — no mutex, no ordering
- * ambiguity. Real threads (started servers, RpcClient pollers) must
- * never share a SimClock; Channel::setCircuitBreaker and the sim
+ * (channels, unstarted servers, health trackers) must be driven from
+ * one thread. That is what makes determinism cheap — no mutex, no
+ * ordering ambiguity. Real threads (started servers, RpcClient pollers) must
+ * never share a SimClock; Channel::setPeerHealth and the sim
  * transport check clock domains to keep that from happening silently.
  *
  * Driving the loop:

@@ -4,9 +4,8 @@
  * window / streak arithmetic, the EjectionPolicy state machine pinned
  * step by step (eject -> probe -> slow-start -> reinstate, re-eject
  * on a slow-start failure), the max-ejection-fraction quorum bound,
- * the ejection/CircuitBreaker no-double-count contract in both
- * directions, and an end-to-end scripted-fault cycle over sim
- * channels in virtual time.
+ * the no-double-count contract for skipped legs, and an end-to-end
+ * scripted-fault cycle over sim channels in virtual time.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +18,6 @@
 #include "rpc/channel.h"
 #include "rpc/fault.h"
 #include "rpc/health.h"
-#include "rpc/overload.h"
 #include "rpc/server.h"
 #include "services/common/fanout.h"
 #include "simkernel/sim_transport.h"
@@ -30,7 +28,6 @@ namespace musuite {
 namespace {
 
 using rpc::Channel;
-using rpc::CircuitBreaker;
 using rpc::EjectionPolicy;
 using rpc::FaultInjector;
 using rpc::FaultSpec;
@@ -125,9 +122,8 @@ TEST(PeerHealthTest, WindowRateSlidesAndStreakResets)
 
 TEST(PeerHealthTest, ResourceExhaustedIsNotAFailure)
 {
-    // Controlled shedding is a healthy peer protecting itself — the
-    // same taxonomy the breaker uses. Only UNAVAILABLE and
-    // DEADLINE_EXCEEDED are transport evidence.
+    // Controlled shedding is a healthy peer protecting itself. Only
+    // UNAVAILABLE and DEADLINE_EXCEEDED are transport evidence.
     SimClock clock;
     ScopedClock ambient(clock);
     PeerHealth health;
@@ -263,23 +259,17 @@ TEST(EjectionPolicyTest, SlowStartFailureReEjectsImmediately)
 }
 
 // --------------------------------------------------------------------
-// No-double-count contract, both directions.
+// No-double-count contract.
 // --------------------------------------------------------------------
 
-TEST(EjectionPolicyTest, SkippedLegNeverTouchesBreakerOrTracker)
+TEST(EjectionPolicyTest, SkippedLegNeverTouchesTracker)
 {
     PolicyRig rig;
-    auto breaker = std::make_shared<CircuitBreaker>();
-    rig.a.setCircuitBreaker(breaker);
     rig.warm();
     feed(rig.a, 5, kDown, -1);
 
     const uint64_t outcomes_before = 13; // 8 warm + 5 failures.
     ASSERT_EQ(rig.a.peerHealth()->outcomes(), outcomes_before);
-    // The setup failures legitimately fed the breaker too (both
-    // machines observe real outcomes); what the skip must not do is
-    // move either of them further.
-    const uint64_t opened_before = breaker->timesOpened();
     const CounterSnapshot before = globalCounters().snapshot();
 
     std::vector<FanoutRequest> requests;
@@ -299,39 +289,11 @@ TEST(EjectionPolicyTest, SkippedLegNeverTouchesBreakerOrTracker)
     EXPECT_EQ(got.okLegs, 2u);
     EXPECT_TRUE(got.degraded);
     // ...but its channel was never consulted: no outcome recorded,
-    // breaker untouched, and only the skip counter moved.
+    // and only the skip counter moved.
     EXPECT_EQ(rig.a.peerHealth()->outcomes(), outcomes_before);
-    EXPECT_EQ(breaker->timesOpened(), opened_before);
     const CounterSnapshot delta =
         CounterSet::diff(before, globalCounters().snapshot());
     EXPECT_EQ(counted(delta, "fanout.outlier_skipped"), 1u);
-}
-
-TEST(EjectionPolicyTest, BreakerFastFailNeverTouchesTracker)
-{
-    SimClock clock;
-    ScopedClock ambient(clock);
-    StubChannel channel;
-    CircuitBreaker::Options breaker_options;
-    breaker_options.failureThreshold = 1;
-    channel.setCircuitBreaker(
-        std::make_shared<CircuitBreaker>(breaker_options));
-    EjectionPolicy policy;
-    policy.watch(channel);
-
-    channel.recordAttemptOutcome(kDown, -1); // Opens the breaker.
-    const uint64_t outcomes_before = channel.peerHealth()->outcomes();
-
-    // The breaker-open rejection fails fast without reaching the
-    // wire; it must not count against the peer's health (the peer
-    // was never consulted) — the mirror image of the skip case.
-    Status got = Status::ok();
-    channel.attemptCall(kEcho, "x", 0,
-                        [&](const Status &status, std::string_view) {
-                            got = status;
-                        });
-    EXPECT_EQ(got.code(), StatusCode::Unavailable);
-    EXPECT_EQ(channel.peerHealth()->outcomes(), outcomes_before);
 }
 
 // --------------------------------------------------------------------

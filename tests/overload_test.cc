@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests for the overload-control layer: circuit-breaker state machine,
- * retry-throttle token bucket, admission controllers, bounded-queue
- * shedding, and in-queue deadline expiry. The client-side state
- * machines are driven both directly and through a real channel with
- * rpc/fault.h counter rules, so every transition is deterministic.
+ * Tests for the overload-control layer: the gradient admission
+ * controller, bounded-queue shedding, admission rejects with their
+ * retry-after hint, in-queue deadline expiry, and the goodput
+ * accounting the overload bench reports.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +16,8 @@
 #include "base/time_util.h"
 #include "loadgen/loadgen.h"
 #include "rpc/client.h"
-#include "rpc/fault.h"
 #include "rpc/overload.h"
 #include "rpc/server.h"
-#include "simkernel/simclock.h"
 #include "stats/counters.h"
 #include "stats/histogram.h"
 
@@ -33,156 +30,8 @@ constexpr uint32_t kSlow = 2;
 constexpr uint32_t kCounted = 3;
 
 // ---------------------------------------------------------------------
-// Circuit breaker: state machine driven directly.
-// ---------------------------------------------------------------------
-
-CircuitBreaker::Options
-fastBreaker(uint32_t threshold, int64_t cooldown_ns)
-{
-    CircuitBreaker::Options options;
-    options.failureThreshold = threshold;
-    options.openCooldownNs = cooldown_ns;
-    return options;
-}
-
-TEST(CircuitBreakerTest, OpensAfterConsecutiveFailures)
-{
-    CircuitBreaker breaker(fastBreaker(3, 10'000'000'000));
-    for (int i = 0; i < 2; ++i) {
-        ASSERT_TRUE(breaker.allowRequest());
-        breaker.recordFailure();
-        EXPECT_EQ(breaker.state(), CircuitBreaker::State::Closed);
-    }
-    ASSERT_TRUE(breaker.allowRequest());
-    breaker.recordFailure();
-    EXPECT_EQ(breaker.state(), CircuitBreaker::State::Open);
-    EXPECT_EQ(breaker.timesOpened(), 1u);
-    EXPECT_FALSE(breaker.allowRequest());
-}
-
-TEST(CircuitBreakerTest, SuccessResetsTheFailureStreak)
-{
-    CircuitBreaker breaker(fastBreaker(3, 10'000'000'000));
-    breaker.recordFailure();
-    breaker.recordFailure();
-    breaker.recordSuccess(); // Streak broken.
-    breaker.recordFailure();
-    breaker.recordFailure();
-    EXPECT_EQ(breaker.state(), CircuitBreaker::State::Closed);
-    breaker.recordFailure();
-    EXPECT_EQ(breaker.state(), CircuitBreaker::State::Open);
-}
-
-// The cooldown tests run on a SimClock: the cooldown elapses by
-// advancing virtual time exactly, so each is a precise replay instead
-// of a sleep with slack.
-
-TEST(CircuitBreakerTest, HalfOpenProbeRecloses)
-{
-    sim::SimClock clock;
-    CircuitBreaker breaker(fastBreaker(1, 5'000'000), &clock);
-    breaker.recordFailure(); // Opens at t=0; cooldown ends at t=5ms.
-    ASSERT_EQ(breaker.state(), CircuitBreaker::State::Open);
-    EXPECT_FALSE(breaker.allowRequest()); // Cooldown still running.
-
-    clock.runFor(5'000'000); // Exactly the cooldown boundary.
-    EXPECT_TRUE(breaker.allowRequest()); // First probe passes...
-    EXPECT_EQ(breaker.state(), CircuitBreaker::State::HalfOpen);
-    EXPECT_FALSE(breaker.allowRequest()); // ...concurrent probe capped.
-
-    breaker.recordSuccess();
-    EXPECT_EQ(breaker.state(), CircuitBreaker::State::Closed);
-    EXPECT_TRUE(breaker.allowRequest());
-}
-
-TEST(CircuitBreakerTest, FailedProbeReopens)
-{
-    sim::SimClock clock;
-    CircuitBreaker breaker(fastBreaker(1, 5'000'000), &clock);
-    breaker.recordFailure();
-    clock.runFor(5'000'000);
-    ASSERT_TRUE(breaker.allowRequest());
-    breaker.recordFailure(); // The probe fails at t=5ms.
-    EXPECT_EQ(breaker.state(), CircuitBreaker::State::Open);
-    EXPECT_EQ(breaker.timesOpened(), 2u);
-    EXPECT_FALSE(breaker.allowRequest()); // Fresh cooldown to t=10ms.
-    clock.runFor(4'999'999);
-    EXPECT_FALSE(breaker.allowRequest()); // One ns short: still open.
-    clock.runFor(1);
-    EXPECT_TRUE(breaker.allowRequest()); // Re-probes exactly on time.
-}
-
-TEST(CircuitBreakerTest, CloseThresholdNeedsMultipleProbeSuccesses)
-{
-    sim::SimClock clock;
-    CircuitBreaker::Options options = fastBreaker(1, 5'000'000);
-    options.halfOpenProbes = 2;
-    options.closeThreshold = 2;
-    CircuitBreaker breaker(options, &clock);
-    breaker.recordFailure();
-    clock.runFor(5'000'000);
-    ASSERT_TRUE(breaker.allowRequest());
-    breaker.recordSuccess(); // One of two required.
-    EXPECT_EQ(breaker.state(), CircuitBreaker::State::HalfOpen);
-    ASSERT_TRUE(breaker.allowRequest());
-    breaker.recordSuccess();
-    EXPECT_EQ(breaker.state(), CircuitBreaker::State::Closed);
-}
-
-// ---------------------------------------------------------------------
-// Retry throttle: token-bucket arithmetic.
-// ---------------------------------------------------------------------
-
-TEST(RetryThrottleTest, StartsFullAndAllowsRetries)
-{
-    RetryThrottle throttle;
-    EXPECT_TRUE(throttle.allowRetry());
-    EXPECT_DOUBLE_EQ(throttle.tokens(), 10.0);
-}
-
-TEST(RetryThrottleTest, FailuresDrainPastTheHalfwayMark)
-{
-    RetryThrottle::Options options;
-    options.maxTokens = 4.0;
-    RetryThrottle throttle(options);
-    throttle.onFailure(); // 3 tokens: still above 2.
-    EXPECT_TRUE(throttle.allowRetry());
-    throttle.onFailure(); // 2 tokens: at the mark, retries stop.
-    EXPECT_FALSE(throttle.allowRetry());
-    throttle.onFailure();
-    throttle.onFailure();
-    throttle.onFailure(); // Floored at zero, no underflow.
-    EXPECT_DOUBLE_EQ(throttle.tokens(), 0.0);
-}
-
-TEST(RetryThrottleTest, SuccessesRefillSlowlyAndCapAtMax)
-{
-    RetryThrottle::Options options;
-    options.maxTokens = 4.0;
-    options.tokenRatio = 0.5;
-    RetryThrottle throttle(options);
-    throttle.onFailure();
-    throttle.onFailure(); // 2 tokens: throttled.
-    ASSERT_FALSE(throttle.allowRetry());
-    throttle.onSuccess(); // 2.5: one success per tokenRatio failures.
-    EXPECT_TRUE(throttle.allowRetry());
-    for (int i = 0; i < 100; ++i)
-        throttle.onSuccess();
-    EXPECT_DOUBLE_EQ(throttle.tokens(), 4.0); // Capped.
-}
-
-// ---------------------------------------------------------------------
 // Admission controllers.
 // ---------------------------------------------------------------------
-
-TEST(AdmissionTest, QueueLimitAdmitsBelowTheBound)
-{
-    QueueLimitAdmission admission(4);
-    EXPECT_TRUE(admission.admit(0));
-    EXPECT_TRUE(admission.admit(3));
-    EXPECT_FALSE(admission.admit(4));
-    EXPECT_FALSE(admission.admit(100));
-}
 
 TEST(AdmissionTest, GradientTracksInflightAndLimit)
 {
@@ -316,8 +165,8 @@ TEST(GoodputStatsTest, LoadResultSeparatesShedsFromFailures)
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: breaker and throttle on a real channel, scripted with
-// rpc/fault.h counter rules.
+// Server-side shedding: admission rejects, bounded-queue overflow,
+// and in-queue deadline expiry.
 // ---------------------------------------------------------------------
 
 std::unique_ptr<Server>
@@ -331,139 +180,17 @@ makeEchoServer(ServerOptions options = {})
     return server;
 }
 
-TEST(BreakerChannelTest, InjectedFailuresTripTheBreakerAndFastFail)
+/** Sheds every request: drives the poller's admission-reject path. */
+class RejectAllAdmission : public AdmissionController
 {
-    auto server = makeEchoServer();
-    RpcClient client(server->port());
-
-    FaultSpec faults;
-    faults.errorFirstN = 3;
-    faults.errorCode = StatusCode::Unavailable;
-    auto injector = std::make_shared<FaultInjector>(faults);
-    client.setFaultInjector(injector);
-    auto breaker =
-        std::make_shared<CircuitBreaker>(fastBreaker(3, 10'000'000'000));
-    client.setCircuitBreaker(breaker);
-
-    for (int i = 0; i < 3; ++i) {
-        auto result = client.callSync(kEcho, "x");
-        ASSERT_FALSE(result.isOk());
-        EXPECT_EQ(result.status().code(), StatusCode::Unavailable);
-    }
-    EXPECT_EQ(breaker->state(), CircuitBreaker::State::Open);
-
-    // While open: fail fast without touching the transport (the
-    // injector sees no further requests).
-    const uint64_t seen = injector->requestsSeen();
-    auto result = client.callSync(kEcho, "x");
-    ASSERT_FALSE(result.isOk());
-    EXPECT_EQ(result.status().code(), StatusCode::Unavailable);
-    EXPECT_NE(result.status().message().find("circuit breaker"),
-              std::string::npos);
-    EXPECT_EQ(injector->requestsSeen(), seen);
-}
-
-TEST(BreakerChannelTest, RecoversThroughAHalfOpenProbe)
-{
-    auto server = makeEchoServer();
-    RpcClient client(server->port());
-
-    FaultSpec faults;
-    faults.errorFirstN = 2;
-    faults.errorCode = StatusCode::Unavailable;
-    client.setFaultInjector(std::make_shared<FaultInjector>(faults));
-    auto breaker =
-        std::make_shared<CircuitBreaker>(fastBreaker(2, 20'000'000));
-    client.setCircuitBreaker(breaker);
-
-    for (int i = 0; i < 2; ++i)
-        ASSERT_FALSE(client.callSync(kEcho, "x").isOk());
-    ASSERT_EQ(breaker->state(), CircuitBreaker::State::Open);
-
-    sleepForNanos(40'000'000); // Cooldown elapses; faults exhausted.
-    auto result = client.callSync(kEcho, "probe");
-    ASSERT_TRUE(result.isOk());
-    EXPECT_EQ(result.value(), "probe");
-    EXPECT_EQ(breaker->state(), CircuitBreaker::State::Closed);
-}
-
-TEST(BreakerChannelTest, ResourceExhaustedDoesNotTripTheBreaker)
-{
-    // A server that sheds everything is alive: the breaker must stay
-    // closed so the quorum/retry layers (not the breaker) respond.
-    ServerOptions options;
-    options.admission = std::make_shared<QueueLimitAdmission>(0);
-    auto server = makeEchoServer(options);
-    RpcClient client(server->port());
-    auto breaker =
-        std::make_shared<CircuitBreaker>(fastBreaker(2, 10'000'000'000));
-    client.setCircuitBreaker(breaker);
-
-    for (int i = 0; i < 6; ++i) {
-        auto result = client.callSync(kEcho, "x");
-        ASSERT_FALSE(result.isOk());
-        EXPECT_EQ(result.status().code(), StatusCode::ResourceExhausted);
-    }
-    EXPECT_EQ(breaker->state(), CircuitBreaker::State::Closed);
-    EXPECT_EQ(breaker->timesOpened(), 0u);
-}
-
-TEST(ThrottleChannelTest, EmptyBucketSuppressesRetries)
-{
-    auto server = makeEchoServer();
-    RpcClient client(server->port());
-
-    FaultSpec faults;
-    faults.errorFirstN = 1;
-    faults.errorCode = StatusCode::Unavailable;
-    auto injector = std::make_shared<FaultInjector>(faults);
-    client.setFaultInjector(injector);
-
-    RetryThrottle::Options throttle_options;
-    throttle_options.maxTokens = 2.0;
-    auto throttle = std::make_shared<RetryThrottle>(throttle_options);
-    throttle->onFailure();
-    throttle->onFailure(); // Pre-drained: retries must not fire.
-    client.setRetryThrottle(throttle);
-
-    CallOptions call_options;
-    call_options.maxAttempts = 3;
-    call_options.backoffBaseNs = 1'000'000;
-    auto result = client.callSync(kEcho, "x", call_options);
-    ASSERT_FALSE(result.isOk());
-    EXPECT_EQ(result.status().code(), StatusCode::Unavailable);
-    EXPECT_EQ(injector->requestsSeen(), 1u); // No second attempt.
-}
-
-TEST(ThrottleChannelTest, FullBucketStillRetries)
-{
-    auto server = makeEchoServer();
-    RpcClient client(server->port());
-
-    FaultSpec faults;
-    faults.errorFirstN = 1;
-    faults.errorCode = StatusCode::Unavailable;
-    auto injector = std::make_shared<FaultInjector>(faults);
-    client.setFaultInjector(injector);
-    client.setRetryThrottle(std::make_shared<RetryThrottle>());
-
-    CallOptions call_options;
-    call_options.maxAttempts = 3;
-    call_options.backoffBaseNs = 1'000'000;
-    auto result = client.callSync(kEcho, "x", call_options);
-    ASSERT_TRUE(result.isOk());
-    EXPECT_EQ(injector->requestsSeen(), 2u); // Failed once, retried.
-}
-
-// ---------------------------------------------------------------------
-// Server-side shedding: admission rejects, bounded-queue overflow,
-// and in-queue deadline expiry.
-// ---------------------------------------------------------------------
+  public:
+    bool admit(size_t) override { return false; }
+};
 
 TEST(ServerSheddingTest, AdmissionRejectCarriesRetryAfter)
 {
     ServerOptions options;
-    options.admission = std::make_shared<QueueLimitAdmission>(0);
+    options.admission = std::make_shared<RejectAllAdmission>();
     options.rejectRetryAfterNs = 7'000'000;
     auto server = makeEchoServer(options);
     RpcClient client(server->port());

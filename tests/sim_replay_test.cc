@@ -1,8 +1,8 @@
 /**
  * @file
  * Deterministic-simulation tests for the clock seam: the real murpc
- * resilience stack (channels, retries, hedges, deadlines, breakers,
- * throttles, fault injection, fan-out) driven entirely by SimClock.
+ * resilience stack (channels, retries, hedges, deadlines, peer-health
+ * tracking, fault injection, fan-out) driven entirely by SimClock.
  *
  * Three families:
  *  - pinned regressions for timing bugs the sim flushed out of the
@@ -32,7 +32,7 @@
 #include "loadgen/scenario.h"
 #include "rpc/channel.h"
 #include "rpc/fault.h"
-#include "rpc/overload.h"
+#include "rpc/health.h"
 #include "rpc/server.h"
 #include "services/common/fanout.h"
 #include "services/graph/proto.h"
@@ -47,10 +47,10 @@ namespace musuite {
 namespace {
 
 using rpc::CallOptions;
-using rpc::CircuitBreaker;
 using rpc::FaultInjector;
 using rpc::FaultSpec;
-using rpc::RetryThrottle;
+using rpc::PeerHealth;
+using rpc::PeerHealthOptions;
 using rpc::Server;
 using rpc::ServerCallPtr;
 using rpc::ServerOptions;
@@ -104,18 +104,18 @@ TEST(SimClockTest, RunForAdvancesTimeEvenWhenIdle)
 }
 
 // ====================================================================
-// Pinned regression: a blackholed half-open probe must not wedge the
-// circuit breaker.
+// Pinned regression: a blackholed attempt must still be recorded, once,
+// by its deadline timer.
 //
 // Bug: an attempt that settles via its deadline timer (transport
-// silent — blackholed request) was never recorded with the breaker.
-// The half-open probe slot stayed occupied forever, so every later
-// call was rejected and the breaker could never re-probe a recovered
-// leaf. Fixed by recording the locally settled outcome
+// silent — blackholed request) was never recorded with the channel's
+// outcome recorder, so a peer that swallows every request looked
+// perfectly idle to the health tracker and could never be ejected.
+// Fixed by recording the locally settled outcome
 // (Channel::recordAttemptOutcome) from the deadline timer.
 // ====================================================================
 
-TEST(SimReplayTest, BlackholedHalfOpenProbeDoesNotWedgeBreaker)
+TEST(SimReplayTest, BlackholedAttemptIsRecordedOnceByItsDeadlineTimer)
 {
     SimClock clock;
     ScopedClock ambient(clock);
@@ -130,54 +130,27 @@ TEST(SimReplayTest, BlackholedHalfOpenProbeDoesNotWedgeBreaker)
     auto injector = std::make_shared<FaultInjector>(
         FaultSpec{.dropEveryNth = 1});
     channel.setFaultInjector(injector);
-
-    CircuitBreaker::Options breaker_options;
-    breaker_options.failureThreshold = 1;
-    breaker_options.openCooldownNs = 100 * kMs;
-    auto breaker =
-        std::make_shared<CircuitBreaker>(breaker_options, &clock);
-    channel.setCircuitBreaker(breaker);
+    auto health = std::make_shared<PeerHealth>();
+    channel.setPeerHealth(health);
 
     CallOptions options;
     options.deadlineNs = 50 * kMs;
 
-    // Call 1: blackholed, settles via the deadline timer at t=50ms.
-    // The local settlement must reach the breaker and open it.
-    auto result = simCallSync(clock, channel, 1, "x", options);
-    ASSERT_FALSE(result.isOk());
-    EXPECT_EQ(result.status().code(), StatusCode::DeadlineExceeded);
-    EXPECT_EQ(clock.nowNanos(), 50 * kMs);
-    EXPECT_EQ(injector->requestsSeen(), 1u);
-    EXPECT_EQ(breaker->state(), CircuitBreaker::State::Open);
-
-    // Past the cooldown: call 2 is the half-open probe. It is
-    // blackholed too, so only the deadline-timer recording path can
-    // resolve the probe.
-    clock.runFor(150 * kMs);
-    result = simCallSync(clock, channel, 1, "x", options);
-    ASSERT_FALSE(result.isOk());
-    EXPECT_EQ(result.status().code(), StatusCode::DeadlineExceeded);
-    EXPECT_EQ(injector->requestsSeen(), 2u);
-
-    // The failed probe must have re-opened the breaker (pre-fix it
-    // stayed HalfOpen with the probe slot leaked forever)...
-    EXPECT_EQ(breaker->state(), CircuitBreaker::State::Open);
-
-    // ...so a call inside the new cooldown is rejected fast without
-    // touching the transport...
-    result = simCallSync(clock, channel, 1, "x", options);
-    ASSERT_FALSE(result.isOk());
-    EXPECT_EQ(result.status().code(), StatusCode::Unavailable);
-    EXPECT_EQ(injector->requestsSeen(), 2u);
-
-    // ...and once the cooldown elapses the breaker probes again —
-    // the wedge is what this test pins against.
-    clock.runFor(150 * kMs);
-    result = simCallSync(clock, channel, 1, "x", options);
-    ASSERT_FALSE(result.isOk());
-    EXPECT_EQ(result.status().code(), StatusCode::DeadlineExceeded);
-    EXPECT_EQ(injector->requestsSeen(), 3u);
-    EXPECT_EQ(clock.pendingTimers(), 0u);
+    // The transport never answers, so the deadline timer is the only
+    // path that can record these outcomes: one failure per call, with
+    // the deadline as the latency observation.
+    for (uint64_t calls = 1; calls <= 3; ++calls) {
+        auto result = simCallSync(clock, channel, 1, "x", options);
+        ASSERT_FALSE(result.isOk());
+        EXPECT_EQ(result.status().code(), StatusCode::DeadlineExceeded);
+        EXPECT_EQ(clock.nowNanos(), int64_t(calls) * 50 * kMs);
+        EXPECT_EQ(injector->requestsSeen(), calls);
+        EXPECT_EQ(health->outcomes(), calls);
+        EXPECT_EQ(health->failures(), calls);
+        EXPECT_EQ(health->consecutiveFailures(), calls);
+        EXPECT_DOUBLE_EQ(health->ewmaLatencyNs(), double(50 * kMs));
+        EXPECT_EQ(clock.pendingTimers(), 0u);
+    }
 }
 
 // ====================================================================
@@ -231,26 +204,25 @@ TEST(SimReplayTest, HedgeRetryRaceCannotExceedAttemptBudget)
 // timing bug.
 // ====================================================================
 
-TEST(SimReplayDeathTest, BreakerOnForeignClockIsRejected)
+TEST(SimReplayDeathTest, PeerHealthOnForeignClockIsRejected)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     SimClock clock;
     ScopedClock ambient(clock);
     auto server = makeSimServer("leaf");
     SimChannel channel(clock, *server, SimLink{}, "leaf");
-    // Bound to the real clock: its cooldown instants would be compared
+    // Bound to the real clock: its outcome instants would be compared
     // against sim time.
-    auto breaker = std::make_shared<CircuitBreaker>(
-        CircuitBreaker::Options{}, &realClock());
-    EXPECT_DEATH(channel.setCircuitBreaker(breaker),
-                 "different clock");
+    auto health = std::make_shared<PeerHealth>(PeerHealthOptions{},
+                                               &realClock());
+    EXPECT_DEATH(channel.setPeerHealth(health), "different clock");
 }
 
 // ====================================================================
 // The seeded fan-out + fault + overload scenario: a 3-deep tree
 // (client -> root -> 2 mids -> 2 leaves each) of real servers and
-// channels with per-leg resilience, seeded fault schedules, breakers
-// and throttles — all in virtual time.
+// channels with per-leg deadlines, retries, hedges and seeded fault
+// schedules — all in virtual time.
 // ====================================================================
 
 constexpr uint32_t kLeafMethod = 1;
@@ -293,7 +265,6 @@ runFanoutFaultScenario(uint64_t seed)
     std::vector<std::unique_ptr<Server>> mids;
     std::vector<std::shared_ptr<SimChannel>> leafChannels;
     std::vector<std::shared_ptr<FaultInjector>> injectors;
-    auto throttle = std::make_shared<RetryThrottle>();
     for (int m = 0; m < 2; ++m) {
         auto mid = makeSimServer("mid");
         auto legs = std::make_shared<std::vector<rpc::Channel *>>();
@@ -314,13 +285,6 @@ runFanoutFaultScenario(uint64_t seed)
             auto injector = std::make_shared<FaultInjector>(faults);
             channel->setFaultInjector(injector);
             injectors.push_back(injector);
-
-            CircuitBreaker::Options breaker_options;
-            breaker_options.failureThreshold = 3;
-            breaker_options.openCooldownNs = 40 * kMs;
-            channel->setCircuitBreaker(std::make_shared<CircuitBreaker>(
-                breaker_options, &clock));
-            channel->setRetryThrottle(throttle);
 
             legs->push_back(channel.get());
             leafChannels.push_back(std::move(channel));

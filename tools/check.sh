@@ -101,9 +101,10 @@ fi
 # ---- stage 1c: overload_storm bench smoke --------------------------------
 # Shortened goodput-under-saturation storm against the werror build;
 # emits BENCH_overload.json (vanilla vs controlled goodput at 0.5x/1x/2x
-# of peak). The binary's own gate is weak on purpose: it fails only when
-# the overload layer is functionally broken, not when a loaded CI box
-# skews absolute numbers. ~5s.
+# of peak). Real time on a loaded CI box skews absolute numbers, so the
+# binary gates only wide-margin relations: every phase completes
+# something, controlled 2x goodput beats vanilla 2x (~47% vs ~2%), and
+# controlled 1x fails (not sheds) under 8% of its load (~1-3%). ~5s.
 banner "bench smoke: overload_storm"
 if cmake --build build-check-werror --target overload_storm -j "$jobs" \
         >>build-check-werror/build.log 2>&1 \
