@@ -13,7 +13,7 @@
  *
  * Flags: --service=hdsearch|router|setalgebra|recommend
  *        --qps=N --phase-ms=N --quorum=F --leg-deadline-ms=N
- *        --retries=N --hedge-ms=N
+ *        --retries=N
  *        --drop=P --delay=P --delay-ms=N --error=P --seed=N
  */
 
@@ -71,8 +71,6 @@ main(int argc, char **argv)
         int64_t(flags.num("leg-deadline-ms", 150)) * 1'000'000;
     options.midTierFanout.leg.maxAttempts =
         int(flags.num("retries", 1)) + 1;
-    options.midTierFanout.leg.hedgeDelayNs =
-        int64_t(flags.num("hedge-ms", 0)) * 1'000'000;
 
     auto deployment = ServiceDeployment::create(kind, options);
     rpc::RpcClient client(deployment->midTierPort());
@@ -158,7 +156,7 @@ main(int argc, char **argv)
         }
     }
 
-    std::cout << "\nReading: under the storm, retries and hedges absorb "
+    std::cout << "\nReading: under the storm, retries absorb "
                  "transient faults (error rate stays near the "
                  "uncorrelated multi-leg loss floor); after a leaf dies "
                  "the quorum policy converts what used to be hung or "

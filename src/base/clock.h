@@ -88,7 +88,7 @@ class Clock
  *
  * Cancellation is lazy — the heap entry stays until it surfaces — but
  * bounded: when dead heap entries outnumber live timers the heap is
- * compacted in place, so a retry/hedge-heavy client that cancels on
+ * compacted in place, so a deadline-heavy client that cancels on
  * fast success cannot grow the heap without bound.
  */
 class RealClock final : public Clock

@@ -53,7 +53,7 @@ enum class LockRank : int {
                          //!< — taken before fanout: a node admits
                          //!< under its own lock, then fans out.
     fanout = 20,         //!< Fan-out merge state (services/common).
-    call = 30,           //!< Per-call retry/hedge state (rpc/channel).
+    call = 30,           //!< Per-call retry state (rpc/channel).
     ejection = 33,       //!< Outlier-ejection policy state (rpc/health)
                          //!< — held while reading peer trackers, so it
                          //!< ranks below peerHealth.

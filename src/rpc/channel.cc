@@ -1,9 +1,9 @@
 /**
  * @file
  * The channel resilience layer: blocking wrappers, fault injection at
- * the request/response boundaries, and the per-call deadline / retry /
- * hedging state machine shared by every transport. All time — now,
- * deadlines, retry and hedge timers, injected delays — comes from the
+ * the request/response boundaries, and the per-call deadline / retry
+ * state machine shared by every transport. All time — now, deadlines,
+ * retry timers, injected delays — comes from the
  * channel's bound Clock, so the machine runs identically on the real
  * timer thread and on the simulated event loop.
  */
@@ -62,10 +62,16 @@ isRetryable(const Status &status)
 }
 
 /**
- * Whole-call state. Attempts (first, retries, hedges) share it; the
+ * Whole-call state. Attempts (the first, then retries) share it; the
  * mutex serializes completion decisions, and the user callback always
  * runs outside it. Kept alive by the attempt closures and timers, so
  * a late transport response after completion is harmless.
+ *
+ * At most one attempt is ever in flight: a retry is scheduled only
+ * once the previous attempt has settled (response or deadline, never
+ * both — see `settled` in issueAttempt), and only while attempts
+ * remain in the budget. So every settle finds the call still open,
+ * and the budget cannot be overrun by construction.
  */
 struct CallState : std::enable_shared_from_this<CallState>
 {
@@ -86,11 +92,7 @@ struct CallState : std::enable_shared_from_this<CallState>
 
     Mutex mutex{LockRank::call, "rpc.call"};
     bool done GUARDED_BY(mutex) = false;
-    bool retryPending GUARDED_BY(mutex) = false;
     int attemptsIssued GUARDED_BY(mutex) = 0;
-    int outstanding GUARDED_BY(mutex) = 0;
-    Status lastError GUARDED_BY(mutex);
-    Clock::TimerId hedgeTimer GUARDED_BY(mutex) = 0;
 
     /**
      * Threads currently inside transportCall() for this call. The
@@ -141,7 +143,6 @@ void
 completeCall(const std::shared_ptr<CallState> &state,
              const Status &status, std::string_view payload)
 {
-    Clock::TimerId hedge = 0;
     {
         MutexLock lock(state->mutex);
         // Quiesce: wait (microseconds) until no other thread is inside
@@ -160,11 +161,7 @@ completeCall(const std::shared_ptr<CallState> &state,
                 break;
             state->issuersQuiet.wait(lock);
         }
-        hedge = state->hedgeTimer;
-        state->hedgeTimer = 0;
     }
-    if (hedge)
-        state->channel->clock().cancel(hedge);
     state->callback(status, payload);
 }
 
@@ -172,34 +169,13 @@ void
 onAttemptDone(const std::shared_ptr<CallState> &state, int attempt,
               const Status &status, std::string_view payload)
 {
-    if (status.isOk()) {
-        {
-            MutexLock guard(state->mutex);
-            if (state->done) {
-                // A hedge raced us and won first.
-                globalCounters().counter("rpc.hedge.wasted").add();
-                return;
-            }
-            state->done = true;
-            state->outstanding--;
-        }
-        if (attempt > 1)
-            globalCounters().counter("rpc.call.secondary_won").add();
-        completeCall(state, status, payload);
-        return;
-    }
-
-    bool fire_callback = false;
     bool schedule_retry = false;
     int64_t retry_delay = 0;
     {
         MutexLock guard(state->mutex);
-        if (state->done)
-            return;
-        state->outstanding--;
-        state->lastError = status;
-
-        if (isRetryable(status) && !state->retryPending &&
+        MUSUITE_CHECK(!state->done)
+            << "attempt " << attempt << " settled a completed call";
+        if (isRetryable(status) &&
             state->attemptsIssued < state->options.maxAttempts) {
             retry_delay = backoffDelayNs(*state, state->attemptsIssued);
             // An explicit server pacing hint (RESOURCE_EXHAUSTED
@@ -208,90 +184,46 @@ onAttemptDone(const std::shared_ptr<CallState> &state, int attempt,
             // schedule does. The hint is a *relative* duration, so it
             // is meaningful whatever clock the server ran on.
             retry_delay = std::max(retry_delay, status.retryAfterNs());
-            const bool within_budget =
+            schedule_retry =
                 state->totalDeadlineAt == 0 ||
                 state->channel->clock().nowNanos() + retry_delay <
                     state->totalDeadlineAt;
-            if (within_budget) {
-                state->retryPending = true;
-                schedule_retry = true;
-            }
         }
-        if (!schedule_retry && state->outstanding == 0 &&
-            !state->retryPending) {
-            // No attempt left in flight and no retry coming: the
-            // call has failed for good.
-            state->done = true;
-            fire_callback = true;
-        }
+        // No retry coming: this attempt's outcome is the call's.
+        state->done = !schedule_retry;
     }
 
-    if (schedule_retry) {
-        globalCounters().counter("rpc.retry.scheduled").add();
-        // A shed response that lost its pacing hint somewhere along a
-        // multi-hop chain makes us retry on our own (shorter) backoff
-        // schedule — the retry-amplification signature. With hints
-        // propagated end-to-end this stays at zero.
-        if (status.code() == StatusCode::ResourceExhausted &&
-            status.retryAfterNs() == 0)
-            globalCounters().counter("rpc.call.retry_amplified").add();
-        state->channel->clock().schedule(retry_delay, [state] {
-            assertOnTimerThread();
-            {
-                MutexLock guard(state->mutex);
-                state->retryPending = false;
-                if (state->done)
-                    return;
-            }
-            issueAttempt(state);
-        });
-    } else if (fire_callback) {
-        completeCall(state, state->lastError, {});
+    if (!schedule_retry) {
+        if (status.isOk() && attempt > 1)
+            globalCounters().counter("rpc.call.secondary_won").add();
+        // A failed call reports its status only, never an error body.
+        completeCall(state, status,
+                     status.isOk() ? payload : std::string_view{});
+        return;
     }
+
+    globalCounters().counter("rpc.retry.scheduled").add();
+    // A shed response that lost its pacing hint somewhere along a
+    // multi-hop chain makes us retry on our own (shorter) backoff
+    // schedule — the retry-amplification signature. With hints
+    // propagated end-to-end this stays at zero.
+    if (status.code() == StatusCode::ResourceExhausted &&
+        status.retryAfterNs() == 0)
+        globalCounters().counter("rpc.call.retry_amplified").add();
+    state->channel->clock().schedule(retry_delay, [state] {
+        assertOnTimerThread();
+        issueAttempt(state);
+    });
 }
 
 void
 issueAttempt(const std::shared_ptr<CallState> &state)
 {
     int attempt = 0;
-    bool exhausted = false;
-    bool exhausted_complete = false;
-    Status exhausted_error;
     {
         MutexLock guard(state->mutex);
-        if (state->done)
-            return;
-        if (state->attemptsIssued >= state->options.maxAttempts) {
-            // A hedge timer and a scheduled retry race into here: the
-            // hedge checks the attempt budget, drops the lock, and a
-            // concurrently firing retry issues the last attempt first
-            // — issuing one more would overrun maxAttempts and amplify
-            // an overload with exactly the traffic the budget was
-            // meant to cap. But a bare no-op is not enough either: if
-            // the budgeted attempts have all already failed, the loser
-            // of the race is the only continuation the call has left,
-            // so it must complete the call instead of leaving it
-            // hanging forever.
-            exhausted = true;
-            if (state->outstanding == 0 && !state->retryPending) {
-                state->done = true;
-                exhausted_complete = true;
-                exhausted_error =
-                    state->lastError.isOk()
-                        ? Status(StatusCode::Unavailable,
-                                 "attempt budget exhausted")
-                        : state->lastError;
-            }
-        } else {
-            attempt = ++state->attemptsIssued;
-            state->outstanding++;
-        }
-    }
-    if (exhausted) {
-        globalCounters().counter("rpc.call.attempts_capped").add();
-        if (exhausted_complete)
-            completeCall(state, exhausted_error, {});
-        return;
+        MUSUITE_CHECK(!state->done) << "attempt issued on a completed call";
+        attempt = ++state->attemptsIssued;
     }
 
     Clock &clock = state->channel->clock();
@@ -477,35 +409,6 @@ Channel::call(uint32_t method, std::string body,
         state->totalDeadlineAt = state->startNs + options.totalDeadlineNs;
 
     issueAttempt(state);
-
-    if (options.hedgeDelayNs > 0 && options.maxAttempts >= 2) {
-        const uint64_t id = clock().schedule(
-            options.hedgeDelayNs, [state] {
-                assertOnTimerThread();
-                {
-                    MutexLock guard(state->mutex);
-                    state->hedgeTimer = 0;
-                    if (state->done ||
-                        state->attemptsIssued >=
-                            state->options.maxAttempts) {
-                        return;
-                    }
-                }
-                globalCounters().counter("rpc.hedge.fired").add();
-                issueAttempt(state);
-            });
-        bool fired_late = false;
-        {
-            MutexLock guard(state->mutex);
-            if (state->done) {
-                fired_late = true; // Completed before we armed it.
-            } else {
-                state->hedgeTimer = id;
-            }
-        }
-        if (fired_late)
-            clock().cancel(id);
-    }
 }
 
 void

@@ -14,8 +14,9 @@
  *  - per-call deadlines (attempt-level and whole-call), propagated to
  *    the server as a wire budget so queues can shed expired work,
  *  - retry budgets with exponential backoff + jitter, paced by the
- *    server's RESOURCE_EXHAUSTED retry-after hints,
- *  - hedged second requests for tail-tolerant reads,
+ *    server's RESOURCE_EXHAUSTED retry-after hints; a retry is issued
+ *    only after the previous attempt settles, so a call never has more
+ *    than one attempt in flight,
  *  - deterministic fault injection (rpc/fault.h),
  *  - per-attempt outcome recording into an attached peer-health
  *    tracker (rpc/health.h), which outlier ejection reads to stop
@@ -31,7 +32,7 @@
  * completion-thread context.
  *
  * CLOCK SEAM: every instant the resilience layer computes — attempt
- * deadlines, total-deadline cutoffs, retry fire times, hedge arming —
+ * deadlines, total-deadline cutoffs, retry fire times —
  * comes from the channel's bound Clock (base/clock.h), so the whole
  * state machine runs unmodified under the simulated clock.
  */
@@ -89,14 +90,6 @@ struct CallOptions
     double backoffJitter = 0.2;
 
     /**
-     * > 0 arms a hedged second attempt if the first has not completed
-     * after this long. The hedge consumes one attempt from
-     * maxAttempts; the first completion (either attempt) wins and the
-     * loser's response is dropped.
-     */
-    int64_t hedgeDelayNs = 0;
-
-    /**
      * Seed for the backoff jitter stream. 0 (the default) draws from a
      * process-global decorrelated stream — fine for production, where
      * cross-call decorrelation is the whole point of jitter. A nonzero
@@ -110,7 +103,7 @@ struct CallOptions
     plain() const
     {
         return deadlineNs == 0 && totalDeadlineNs == 0 &&
-               maxAttempts <= 1 && hedgeDelayNs == 0;
+               maxAttempts <= 1;
     }
 };
 
@@ -131,7 +124,7 @@ class Channel
 
     /**
      * The clock this channel reads time from and arms its deadline,
-     * retry, hedge, and fault-delay timers on. One call runs entirely
+     * retry, and fault-delay timers on. One call runs entirely
      * in one clock domain: every absolute instant the resilience layer
      * computes comes from this clock.
      */
@@ -154,9 +147,9 @@ class Channel
     void call(uint32_t method, std::string body, Callback callback);
 
     /**
-     * Issue an asynchronous unary call with per-call deadline, retry,
-     * and hedging behaviour. The channel must outlive the call,
-     * including any pending retries and hedges.
+     * Issue an asynchronous unary call with per-call deadline and
+     * retry behaviour. The channel must outlive the call, including
+     * any pending retry.
      */
     void call(uint32_t method, std::string body,
               const CallOptions &options, Callback callback);
@@ -213,7 +206,7 @@ class Channel
      * outcome recording around the callback. budget_ns is the remaining
      * deadline this attempt grants the server (0 = unlimited); it is
      * carried in the request header so downstream queues can shed the
-     * request once it expires. The retry/hedging layer funnels every
+     * request once it expires. The retry layer funnels every
      * attempt through here; services needing a bare single-shot call
      * with an explicit budget may use it directly.
      *

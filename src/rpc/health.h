@@ -20,7 +20,7 @@
  *    deterministic low-rate probe traffic, and are reintroduced
  *    through a half-duty slow-start once probes succeed.
  *
- * Ejection COMPOSES with the retry/hedge stack rather than replacing
+ * Ejection COMPOSES with the deadline/retry stack rather than replacing
  * it: an ejected leg is skipped before the channel is touched at all,
  * so the health tracker never records the skip — one failure is never
  * counted twice.

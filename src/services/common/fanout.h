@@ -15,8 +15,8 @@
  * the parent's tail):
  *
  *  - Per-leg call options (FanoutOptions::leg) give every leg a
- *    deadline, retry budget, and optional hedge, so a dead leaf turns
- *    into a fast per-leg error instead of a parent hang.
+ *    deadline and retry budget, so a dead leaf turns into a fast
+ *    per-leg error instead of a parent hang.
  *  - A quorum threshold completes the parent early with partial
  *    results once (a) that many legs have answered OK and (b) at
  *    least one leg has terminally failed — an observed failure is the
@@ -41,7 +41,7 @@
  * assume completion-thread context.
  *
  * CLOCK SEAM: the fan-out itself never reads a clock — each leg's
- * deadline/retry/hedge timers run on that leg's channel clock, and
+ * deadline and retry timers run on that leg's channel clock, and
  * the inbound budget it clamps legs by is a relative duration, so a
  * fan-out runs unmodified under the simulated clock (every leg
  * channel must share one clock domain with the parent call).

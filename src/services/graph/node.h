@@ -6,7 +6,7 @@
  * paper services — whose downstreams are always leaves — a GraphNode's
  * downstream channels can point at *other GraphNodes*, so arbitrary
  * depth-N topologies compose through the existing Channel seam with
- * the full retry/hedge/ejection machinery on every hop.
+ * the full deadline/retry/ejection machinery on every hop.
  *
  * Each node models its own compute/queue station (k workers × bounded
  * queue) explicitly in virtual time, because the simulated deployments

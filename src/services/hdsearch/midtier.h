@@ -29,7 +29,7 @@ class MidTier
     /**
      * @param index LSH tables referencing {leaf, point-id} tuples.
      * @param leaves One channel per leaf shard, indexed by leaf id.
-     * @param policy Per-leg deadline/retry/hedge and quorum policy;
+     * @param policy Per-leg deadline/retry and quorum policy;
      *               the default waits for every leg with plain calls.
      */
     MidTier(std::unique_ptr<LshIndex> index,

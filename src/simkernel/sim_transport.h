@@ -6,7 +6,7 @@
  * through invokeLocal() after a configurable one-way link latency, and
  * delivers the response back after another; both hops are SimClock
  * events, so a whole client -> mid-tier -> leaves topology — with real
- * Channel retry/hedge/deadline machinery, real PeerHealth /
+ * Channel retry/deadline machinery, real PeerHealth /
  * EjectionPolicy state machines, real FaultInjector schedules, and
  * real fan-out merges — executes deterministically in virtual time. This is
  * how the wall-clock resilience tests become exact replays and how the

@@ -1,7 +1,7 @@
 /**
  * @file
  * End-to-end tests for the hardened fan-out path: deterministic fault
- * injection, per-call retry/deadline/hedging, quorum degradation when
+ * injection, per-call retry/deadline, quorum degradation when
  * a leaf dies mid-fan-out, reconnect backoff, and late-response
  * accounting.
  */
@@ -24,6 +24,7 @@
 #include "services/hdsearch/proto.h"
 #include "simkernel/sim_transport.h"
 #include "simkernel/simclock.h"
+#include "stats/counters.h"
 
 namespace musuite {
 namespace {
@@ -166,16 +167,16 @@ TEST(FaultInjectionTest, FanoutMergesPartialResultsAtLegDeadline)
 }
 
 // --------------------------------------------------------------------
-// Hedging: a delayed first attempt loses to the hedge.
+// Attempt deadline + retry: a delayed first attempt loses to the retry.
 // --------------------------------------------------------------------
 
-TEST(FaultInjectionTest, HedgeWinsAgainstDelayedFirstAttempt)
+TEST(FaultInjectionTest, RetryAfterAttemptDeadlineBeatsDelayedFirstAttempt)
 {
-    // Sim-mode exact replay (was wall-clock asserting only
-    // "< 1s while the original was delayed 1.5s"): the hedge fires at
-    // t = 20ms and its round trip is one request plus one response
-    // link latency, so the call completes at exactly t = 20.1ms —
-    // virtual nanoseconds before the delayed original would have.
+    // Sim-mode exact replay: attempt 1 is delayed 1.5 s, its 20 ms
+    // deadline settles it at t = 20 ms, the retry fires after the
+    // 1 ms base backoff (no jitter), and its round trip is one request
+    // plus one response link latency — so the call completes at
+    // exactly t = 21.1 ms.
     sim::SimClock clock;
     ScopedClock ambient(clock);
     auto server = std::make_unique<Server>(ServerOptions{});
@@ -190,19 +191,27 @@ TEST(FaultInjectionTest, HedgeWinsAgainstDelayedFirstAttempt)
     channel.setFaultInjector(std::make_shared<FaultInjector>(spec));
 
     CallOptions options;
+    options.deadlineNs = 20'000'000; // Give up on an attempt at 20 ms.
     options.maxAttempts = 2;
-    options.hedgeDelayNs = 20'000'000; // Hedge after 20 ms.
+    options.backoffBaseNs = 1'000'000;
+    options.backoffJitter = 0.0;
 
+    const CounterSnapshot before = globalCounters().snapshot();
     auto result =
         sim::simCallSync(clock, channel, kEcho, "tail", options);
     ASSERT_TRUE(result.isOk()) << result.status().message();
     EXPECT_EQ(result.value(), "tail");
-    EXPECT_EQ(clock.nowNanos(), 20'100'000);
+    EXPECT_EQ(clock.nowNanos(), 21'100'000);
 
-    // The delayed original surfaces at t = 1.5s+ as a counted late
+    // The delayed original surfaces at t = 1.5s+ as one counted late
     // response; the world must then drain completely.
     clock.runUntilIdle();
     EXPECT_GE(clock.nowNanos(), 1'500'000'000);
+    const CounterSnapshot delta =
+        CounterSet::diff(before, globalCounters().snapshot());
+    auto late = delta.find("rpc.call.late_response");
+    ASSERT_NE(late, delta.end());
+    EXPECT_EQ(late->second, 1u);
     EXPECT_EQ(clock.pendingTimers(), 0u);
 }
 

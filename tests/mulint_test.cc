@@ -126,21 +126,6 @@ TEST(MulintFixtures, RoleOk)
     EXPECT_TRUE(lintFixture("role_ok", "thread-role").empty());
 }
 
-TEST(MulintFixtures, StatusBad)
-{
-    const auto findings =
-        lintFixture("status_bad", "unchecked-status");
-    ASSERT_EQ(findings.size(), 2u);
-    EXPECT_NE(findings[0].message.find("'doWork'"), std::string::npos);
-    EXPECT_NE(findings[1].message.find("'compute'"),
-              std::string::npos);
-}
-
-TEST(MulintFixtures, StatusOk)
-{
-    EXPECT_TRUE(lintFixture("status_ok", "unchecked-status").empty());
-}
-
 TEST(MulintFixtures, PragmaBad)
 {
     const auto findings = lintFixture("pragma_bad", "bad-pragma");

@@ -1,7 +1,7 @@
 /**
  * @file
  * Deterministic-simulation tests for the clock seam: the real murpc
- * resilience stack (channels, retries, hedges, deadlines, peer-health
+ * resilience stack (channels, retries, deadlines, peer-health
  * tracking, fault injection, fan-out) driven entirely by SimClock.
  *
  * Three families:
@@ -154,18 +154,16 @@ TEST(SimReplayTest, BlackholedAttemptIsRecordedOnceByItsDeadlineTimer)
 }
 
 // ====================================================================
-// Pinned regression: a hedge racing a scheduled retry must neither
-// exceed maxAttempts nor strand the call.
+// Retries stop at the attempt budget, and the call then completes
+// with the last attempt's error instead of hanging.
 //
-// Bug: attempt 1 fails fast and schedules a retry; the hedge timer
-// then issues attempt 2, which also fails fast. When the retry timer
-// finally fires, the old code issued attempt 3 — one more than
-// maxAttempts=2, exactly the amplification the budget caps. (And the
-// naive fix — making the exhausted retry a no-op — left the call
-// pending forever, since that retry was its only continuation.)
+// A retry is scheduled only after the previous attempt settles, so at
+// most one attempt is in flight and the budget is never overrun. This
+// pins that: every attempt fails fast, yet exactly maxAttempts reach
+// the peer and nothing stays armed.
 // ====================================================================
 
-TEST(SimReplayTest, HedgeRetryRaceCannotExceedAttemptBudget)
+TEST(SimReplayTest, RetriesStopAtTheAttemptBudget)
 {
     SimClock clock;
     ScopedClock ambient(clock);
@@ -183,14 +181,12 @@ TEST(SimReplayTest, HedgeRetryRaceCannotExceedAttemptBudget)
 
     CallOptions options;
     options.maxAttempts = 2;
-    options.hedgeDelayNs = 10 * kMs;   // Fires before the retry...
-    options.backoffBaseNs = 20 * kMs;  // ...scheduled for t=20ms.
+    options.backoffBaseNs = 20 * kMs;
     options.backoffJitter = 0.0;
 
     // t=0: attempt 1 fails inline, retry armed for t=20ms.
-    // t=10ms: hedge issues attempt 2 (the budget's last), fails.
-    // t=20ms: the retry fires with the budget exhausted — it must
-    // complete the call with the last error, not issue attempt 3.
+    // t=20ms: the retry issues attempt 2 (the budget's last), which
+    // fails too — the call completes with its error, no attempt 3.
     auto result = simCallSync(clock, channel, 1, "x", options);
     ASSERT_FALSE(result.isOk());
     EXPECT_EQ(result.status().code(), StatusCode::Unavailable);
@@ -221,7 +217,7 @@ TEST(SimReplayDeathTest, PeerHealthOnForeignClockIsRejected)
 // ====================================================================
 // The seeded fan-out + fault + overload scenario: a 3-deep tree
 // (client -> root -> 2 mids -> 2 leaves each) of real servers and
-// channels with per-leg deadlines, retries, hedges and seeded fault
+// channels with per-leg deadlines, retries and seeded fault
 // schedules — all in virtual time.
 // ====================================================================
 
@@ -302,7 +298,6 @@ runFanoutFaultScenario(uint64_t seed)
                 policy.leg.backoffBaseNs = 5 * kMs;
                 policy.leg.backoffJitter = 0.2;
                 policy.leg.backoffJitterSeed = seed * 977 + 1;
-                policy.leg.hedgeDelayNs = 15 * kMs;
                 policy.quorumFraction = 0.5;
                 fanoutCall(kLeafMethod, std::move(requests),
                            policy.resolve(legs->size(),

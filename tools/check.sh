@@ -4,14 +4,14 @@
 # Builds and runs the tier-1 ctest suite under four configurations:
 #
 #   1. -Werror release build            (warning-clean tree)
-#      + bench/micro_rpc smoke -> BENCH_rpc.json (rpc bench trajectory)
+#      + bench/micro_rpc smoke -> BENCH_rpc.json (local run artifact)
 #      + bench/overload_storm smoke -> BENCH_overload.json (goodput)
 #      + bench/flash_crowd smoke (multi-phase real-mode load, no loss)
 #      + bench/dag_storm smoke -> BENCH_dag.json (deep-DAG goodput)
 #      + bench/chaos_storm smoke -> BENCH_chaos.json (gray failures)
 #        (both byte-identical to the committed copies, or the gate fails)
 #      + tools/mulint over src/ (static lock-rank, raw-sync, thread-role,
-#        unchecked-status, rank-table, guarded-by, plus the
+#        rank-table, guarded-by, plus the
 #        interprocedural clock-seam and counter-registry rules and the
 #        CFG/dataflow lock-across-blocking, use-before-check,
 #        dangling-capture, deadline-taint and stale-pragma rules; see
@@ -84,9 +84,10 @@ run_stage "werror" build-check-werror \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMUSUITE_WERROR=ON
 
 # ---- stage 1b: micro_rpc bench smoke -------------------------------------
-# Fixed short workload against the werror build; emits BENCH_rpc.json
-# (round-trip ns, pipelined QPS, syscalls/request) so the RPC-path
-# bench trajectory is recorded on every run. ~1s, single-core friendly.
+# Fixed short workload against the werror build; the stage fails when
+# the smoke does. It writes BENCH_rpc.json (round-trip ns, pipelined
+# QPS, syscalls/request) as a gitignored local artifact: one noisy
+# sample per run, not a committed trajectory. ~1s.
 banner "bench smoke: micro_rpc"
 if cmake --build build-check-werror --target micro_rpc -j "$jobs" \
         >>build-check-werror/build.log 2>&1 \

@@ -585,7 +585,8 @@ void
 runUseBeforeCheck(const Tree &tree, std::vector<Finding> &findings)
 {
     // Names with Result evidence, minus names that also resolve to a
-    // non-Result definition (mirrors unchecked-status's conservatism).
+    // non-Result definition (conservative: an ambiguous name is
+    // never flagged).
     std::set<std::string> returners;
     std::set<std::string> conflicted;
     for (const FileModel &fm : tree.files) {

@@ -168,8 +168,8 @@ ruleNames()
 {
     static const std::set<std::string> names = {
         "lock-rank",   "rank-table",       "raw-sync",
-        "guarded-by",  "thread-role",      "unchecked-status",
-        "bad-pragma",  "clock-seam",       "deadline-taint",
+        "guarded-by",  "thread-role",      "bad-pragma",
+        "clock-seam",  "deadline-taint",
         "lock-across-blocking", "counter-registry", "stale-pragma",
         "use-before-check",     "dangling-capture",
     };

@@ -12,7 +12,6 @@
  *   raw-sync         raw std primitives / naked .lock()/.unlock()
  *   guarded-by       Mutex members never named in any annotation
  *   thread-role      blocking calls reachable from poller-role threads
- *   unchecked-status dropped base::Status / Result<T> return values
  *   bad-pragma       malformed or unjustified allow pragmas
  *   clock-seam       raw time sources reachable from rpc/services/simkernel
  *   deadline-taint   fan-out deadlines not data-derived from the budget

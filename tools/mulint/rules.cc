@@ -232,54 +232,6 @@ ruleGuardedBy(const Tree &tree, std::vector<Finding> &findings)
 }
 
 // --------------------------------------------------------------------
-// unchecked-status
-// --------------------------------------------------------------------
-
-void
-ruleUncheckedStatus(const Tree &tree, std::vector<Finding> &findings)
-{
-    // Names with Status/Result evidence, minus names that also have a
-    // definition with a different (owning) return type.
-    std::set<std::string> returners;
-    std::set<std::string> conflicted;
-    for (const FileModel &fm : tree.files) {
-        for (const auto &[name, kind] : fm.statusDeclNames)
-            returners.insert(name);
-        for (const FunctionInfo &fn : fm.functions) {
-            if (fn.returnKind == "status" || fn.returnKind == "result")
-                returners.insert(fn.name);
-            else if (fn.returnKind == "other")
-                conflicted.insert(fn.name);
-        }
-    }
-    for (const std::string &name : conflicted)
-        returners.erase(name);
-    if (returners.empty())
-        return;
-
-    for (const FileModel &fm : tree.files) {
-        Ctx c = ctxOf(fm);
-        for (size_t i = 0; i + 1 < fm.code.size(); ++i) {
-            if (!c.isIdent(i) || !returners.count(c.tok(i).text))
-                continue;
-            if (!c.isPunct(i + 1, "("))
-                continue;
-            const size_t close = fm.codeMatch[i + 1];
-            if (close == SIZE_MAX || !c.isPunct(close + 1, ";"))
-                continue;
-            const size_t start = chainStart(c, i);
-            if (start == SIZE_MAX || !atStatementStart(c, start))
-                continue;
-            findings.push_back(
-                {fm.rel, c.tok(i).line, "unchecked-status",
-                 "return value of '" + c.tok(i).text +
-                     "' (Status/Result) is dropped; check it or "
-                     "cast to void with a reason"});
-        }
-    }
-}
-
-// --------------------------------------------------------------------
 // lock-rank, cross-call half: calling into a function that (possibly
 // transitively) acquires a rank <= the max rank held at the call site.
 // --------------------------------------------------------------------
@@ -809,8 +761,6 @@ runRules(const Tree &tree, const std::vector<std::string> &designLines,
         ruleRawSync(tree, findings);
     if (enabled("guarded-by"))
         ruleGuardedBy(tree, findings);
-    if (enabled("unchecked-status"))
-        ruleUncheckedStatus(tree, findings);
     if (enabled("lock-rank") || enabled("thread-role") ||
         enabled("clock-seam") || enabled("lock-across-blocking")) {
         const CallGraph g = buildCallGraph(tree);
