@@ -168,7 +168,7 @@ runPhase(const DagConfig &config, const PhaseSpec &spec)
                            : 0.0;
     const CounterSnapshot delta =
         CounterSet::diff(before, globalCounters().snapshot());
-    phase.nodeSheds = counterDelta(delta, "graph.node.shed");
+    phase.nodeSheds = counterDelta(delta, "overload.queue_rejected");
     phase.retriesScheduled = counterDelta(delta, "rpc.retry.scheduled");
     phase.retryAmplified =
         counterDelta(delta, "rpc.call.retry_amplified");

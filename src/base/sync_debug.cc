@@ -31,7 +31,7 @@ lockRankName(LockRank rank)
       case LockRank::unranked:        return "unranked";
       case LockRank::loadgen:         return "loadgen";
       case LockRank::harness:         return "harness";
-      case LockRank::graphNode:       return "graph.node";
+      case LockRank::station:         return "rpc.station";
       case LockRank::fanout:          return "fanout";
       case LockRank::call:            return "rpc.call";
       case LockRank::ejection:        return "rpc.ejection";

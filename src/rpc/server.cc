@@ -5,6 +5,7 @@
 
 #include "rpc/server.h"
 
+#include <algorithm>
 #include <climits>
 #include <unordered_map>
 #include <vector>
@@ -174,11 +175,13 @@ struct Server::PollerShard
 
 Server::Server(ServerOptions options_in)
     : options(std::move(options_in)), boundClock(&currentClock()),
-      taskQueue(options.queueCapacity)
+      taskQueue(options.queueCapacity),
+      slotFreeAtNs(size_t(std::max(options.workerThreads, 1)), 0)
 {
     MUSUITE_CHECK(options.pollerThreads >= 1) << "need >= 1 poller";
     MUSUITE_CHECK(!options.dispatchToWorkers || options.workerThreads >= 1)
         << "dispatch mode needs >= 1 worker";
+    MUSUITE_CHECK(options.serviceNs >= 0) << "negative service time";
 }
 
 Server::~Server()
@@ -528,7 +531,59 @@ Server::invokeLocal(uint32_t method, std::string body,
                                              local_ids.fetch_add(1),
                                              std::move(responder),
                                              deadline_at, boundClock);
-    execute(call);
+    if (options.serviceNs > 0 && boundClock->isSimulated())
+        enterStation(std::move(call));
+    else
+        execute(call);
+}
+
+void
+Server::enterStation(ServerCallPtr call)
+{
+    // Tier 3 on arrival. A 1 ns budget is the sentinel an expired
+    // caller forwards (ServerCall::remainingBudgetNs), so it counts as
+    // spent too.
+    if (options.enforceQueueDeadline && call->deadlineNanos() != 0 &&
+        call->remainingBudgetNs() <= 1) {
+        globalCounters().counter("overload.expired_in_queue").add();
+        call->respond(StatusCode::DeadlineExceeded, "");
+        return;
+    }
+
+    // Tier 2. The hint is the real drain time, so upstream backoff is
+    // paced by actual load.
+    const int64_t now_ns = boundClock->nowNanos();
+    bool shed = false;
+    int64_t delay_ns = 0;
+    int64_t retry_after_ns = 0;
+    {
+        MutexLock guard(stationMutex);
+        auto slot = std::min_element(slotFreeAtNs.begin(),
+                                     slotFreeAtNs.end());
+        if (stationOccupancy >=
+            size_t(options.workerThreads) + options.queueCapacity) {
+            shed = true;
+            retry_after_ns =
+                std::max<int64_t>(*slot - now_ns, 0) + options.serviceNs;
+        } else {
+            *slot = std::max(now_ns, *slot) + options.serviceNs;
+            delay_ns = *slot - now_ns;
+            ++stationOccupancy;
+        }
+    }
+    if (shed) {
+        globalCounters().counter("overload.queue_rejected").add();
+        call->respond(StatusCode::ResourceExhausted, "", retry_after_ns);
+        return;
+    }
+
+    boundClock->schedule(delay_ns, [this, call = std::move(call)] {
+        {
+            MutexLock guard(stationMutex);
+            --stationOccupancy;
+        }
+        execute(call);
+    });
 }
 
 } // namespace rpc

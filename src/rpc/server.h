@@ -31,6 +31,10 @@
  *     expired request answers DEADLINE_EXCEEDED without running the
  *     handler (overload.expired_in_queue), so a saturated queue sheds
  *     the work nobody is waiting for anymore.
+ *
+ * VIRTUAL TIME: simulated deployments never start() their servers.
+ * On a SimClock with ServerOptions::serviceNs > 0, invokeLocal runs
+ * tiers 3 and 2 on virtual worker slots instead (see invokeLocal).
  */
 
 #ifndef MUSUITE_RPC_SERVER_H
@@ -93,6 +97,10 @@ struct ServerOptions
      * the admission policy offers none (0 = send no hint).
      */
     int64_t rejectRetryAfterNs = 1'000'000;
+
+    /** Virtual service time per request on a simulated clock; 0 runs
+     *  invokeLocal handlers inline (see Server::invokeLocal). */
+    int64_t serviceNs = 0;
 };
 
 /**
@@ -249,8 +257,18 @@ class Server
 
     /**
      * Run a handler directly for in-process (transport-less) calls;
-     * used by LocalChannel. The handler executes on the calling
-     * thread; completion may still be asynchronous.
+     * used by LocalChannel and SimChannel. The handler executes on
+     * the calling thread; completion may still be asynchronous.
+     *
+     * On a simulated clock with serviceNs > 0 the call first passes
+     * the virtual-time station. An arrival whose budget is already
+     * spent gets DEADLINE_EXCEEDED (tier 3, under
+     * enforceQueueDeadline). An arrival that finds workerThreads +
+     * queueCapacity requests in the station is shed (tier 2) with a
+     * retry-after of the drain time: when the earliest slot frees,
+     * plus one service time. Otherwise it claims the earliest-free
+     * of workerThreads slots, and the handler runs from a clock
+     * timer after the queue wait plus serviceNs.
      */
     void invokeLocal(uint32_t method, std::string body,
                      ServerCall::Responder responder);
@@ -278,6 +296,8 @@ class Server
     void dispatchBatch(std::vector<ServerCallPtr> batch);
     /** Reject a dispatched call with RESOURCE_EXHAUSTED + retry-after. */
     void shedCall(const ServerCallPtr &call);
+    /** invokeLocal's virtual-time station in front of execute(). */
+    void enterStation(ServerCallPtr call);
 
     ServerOptions options;
     Clock *boundClock; //!< Never null; see clock().
@@ -294,6 +314,12 @@ class Server
     std::atomic<bool> stopping{false};
     std::atomic<uint64_t> served{0};
     std::atomic<size_t> nextShard{0};
+
+    Mutex stationMutex{LockRank::station, "rpc.server.station"};
+    /** Virtual instant each worker slot next becomes free. */
+    std::vector<int64_t> slotFreeAtNs GUARDED_BY(stationMutex);
+    /** Requests queued or in service in the station. */
+    size_t stationOccupancy GUARDED_BY(stationMutex) = 0;
 };
 
 } // namespace rpc

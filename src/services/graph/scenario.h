@@ -66,7 +66,9 @@ struct StageSpec
     /** Children per parent node (tier width multiplier). */
     uint32_t fanout = 3;
 
-    // --- per-node compute/queue model (GraphNode::Options) -----------
+    // --- per-node compute/queue model: the hosting server's station
+    // (ServerOptions serviceNs / workerThreads / queueCapacity), plus
+    // the node's cache share (NodeOptions::cacheHitRatio) -------------
     int64_t computeNs = 100'000;
     uint32_t workers = 4;
     uint32_t queueCapacity = 64;
@@ -94,8 +96,9 @@ struct StageSpec
 struct GraphScenario
 {
     std::string name = "dag";
-    /** Master seed: node RNGs, link samplers, and fault injectors all
-     *  derive from it, so (spec, seed) fully determines a replay. */
+    /** Master seed: node cache draws, link samplers, and fault
+     *  injectors all derive from it, so (spec, seed) fully
+     *  determines a replay. */
     uint64_t seed = 1;
     std::vector<StageSpec> stages;
 

@@ -91,25 +91,23 @@ buildTopology(SimClock &clock, const graph::GraphScenario &scenario,
             rpc::ServerOptions server_options;
             server_options.name =
                 "g" + std::to_string(d) + "." + std::to_string(i);
-            host->server =
-                std::make_unique<rpc::Server>(server_options);
-
             graph::NodeOptions node_options;
-            node_options.name = server_options.name;
             node_options.seed = mixSeed(scenario.seed, 100 + d, i);
             if (d == 0) {
-                node_options.computeNs = scenario.rootComputeNs;
-                node_options.workers = scenario.rootWorkers;
-                node_options.queueCapacity =
+                server_options.serviceNs = scenario.rootComputeNs;
+                server_options.workerThreads = int(scenario.rootWorkers);
+                server_options.queueCapacity =
                     scenario.rootQueueCapacity;
             } else {
                 const graph::StageSpec &stage =
                     scenario.stages[d - 1];
-                node_options.computeNs = stage.computeNs;
-                node_options.workers = stage.workers;
-                node_options.queueCapacity = stage.queueCapacity;
+                server_options.serviceNs = stage.computeNs;
+                server_options.workerThreads = int(stage.workers);
+                server_options.queueCapacity = stage.queueCapacity;
                 node_options.cacheHitRatio = stage.cacheHitRatio;
             }
+            host->server =
+                std::make_unique<rpc::Server>(server_options);
 
             std::vector<std::shared_ptr<rpc::Channel>> children;
             if (d < depth) {
@@ -175,7 +173,7 @@ buildTopology(SimClock &clock, const graph::GraphScenario &scenario,
             }
 
             host->node = std::make_unique<graph::GraphNode>(
-                clock, std::move(children), std::move(node_options));
+                std::move(children), std::move(node_options));
             host->node->registerWith(*host->server);
             topo.tiers[d][i] = std::move(host);
         }

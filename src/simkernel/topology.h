@@ -8,13 +8,16 @@
  * scenario). buildTopology() turns a GraphScenario — tiers of fan-out
  * widths, compute models, link latency *distributions*, and fault
  * shapes — into a tree of unstarted rpc::Servers hosting GraphNodes,
- * wired parent-to-child through SimChannels on one SimClock. The
- * returned Topology owns everything; callers drive traffic through
+ * wired parent-to-child through SimChannels on one SimClock. Each
+ * tier's compute model (computeNs, workers, queueCapacity) becomes its
+ * servers' ServerOptions (serviceNs, workerThreads, queueCapacity), so
+ * every host queues and sheds in the server's virtual-time station.
+ * The returned Topology owns everything; callers drive traffic through
  * `root` (a client-side SimChannel to the root node) and pump the
  * clock.
  *
  * Determinism: all per-entity randomness (link jitter samplers, node
- * cache RNGs, fault injectors) derives from scenario.seed mixed with
+ * cache draws, fault injectors) derives from scenario.seed mixed with
  * the entity's tier/index, so (spec, seed) fully determines a replay.
  */
 

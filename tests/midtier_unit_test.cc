@@ -732,13 +732,13 @@ TEST(RecommendMidTierTest, AllLegsGarbledIsUnavailable)
     EXPECT_EQ(out.code, StatusCode::Unavailable);
 }
 
-/** Serve one GraphNode request on a SimClock, draining its compute
- *  timer; returns the node's degraded-reply count. */
+/** Serve one GraphNode request on a SimClock, draining any timers
+ *  it armed; returns the node's degraded-reply count. */
 uint64_t
 serveGraphRequest(std::vector<std::shared_ptr<rpc::Channel>> downstream,
                   sim::SimClock &clock, CapturedResponse &out)
 {
-    graph::GraphNode node(clock, std::move(downstream));
+    graph::GraphNode node(std::move(downstream));
     rpc::Server host;
     node.registerWith(host);
     graph::GraphRequest request;

@@ -2,15 +2,18 @@
  * @file
  * Tests for the overload-control layer: the gradient admission
  * controller, bounded-queue shedding, admission rejects with their
- * retry-after hint, in-queue deadline expiry, and the goodput
- * accounting the overload bench reports.
+ * retry-after hint, in-queue deadline expiry, the same station on
+ * virtual worker slots under a SimClock, and the goodput accounting
+ * the overload bench reports.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <vector>
 
+#include "base/clock.h"
 #include "base/queue.h"
 #include "base/threading.h"
 #include "base/time_util.h"
@@ -18,6 +21,7 @@
 #include "rpc/client.h"
 #include "rpc/overload.h"
 #include "rpc/server.h"
+#include "simkernel/simclock.h"
 #include "stats/counters.h"
 #include "stats/histogram.h"
 
@@ -309,6 +313,134 @@ TEST(ServerSheddingTest, BudgetPropagatesAndFreshRequestsExecute)
     auto result = client.callSync(kCounted, "", call_options);
     ASSERT_TRUE(result.isOk());
     EXPECT_EQ(counted_runs.load(), 1);
+}
+
+// ---------------------------------------------------------------------
+// The virtual-time station: an unstarted server on a SimClock, driven
+// through invokeLocal the way SimChannel delivers requests.
+// ---------------------------------------------------------------------
+
+/** What one invokeLocal caller saw, and when. */
+struct StationReply
+{
+    bool done = false;
+    StatusCode code = StatusCode::Ok;
+    int64_t retryAfterNs = 0;
+    int64_t atNs = -1;
+};
+
+class StationTest : public ::testing::Test
+{
+  protected:
+    /** One worker, one queue slot, 100 us of service per request;
+     *  records the virtual instant each handler runs. */
+    std::unique_ptr<Server>
+    makeStation(int64_t service_ns = 100'000,
+                bool enforce_queue_deadline = true)
+    {
+        ServerOptions options;
+        options.workerThreads = 1;
+        options.queueCapacity = 1;
+        options.serviceNs = service_ns;
+        options.enforceQueueDeadline = enforce_queue_deadline;
+        auto server = std::make_unique<Server>(options);
+        server->registerHandler(kCounted, [this](ServerCallPtr call) {
+            handlerRanAt.push_back(clock.nowNanos());
+            call->respondOk("");
+        });
+        return server;
+    }
+
+    void
+    arrive(Server &server, StationReply &reply, int64_t budget_ns = 0)
+    {
+        server.invokeLocal(kCounted, "", budget_ns,
+                           [this, &reply](StatusCode code,
+                                          std::string_view,
+                                          int64_t retry_after_ns) {
+                               reply = {true, code, retry_after_ns,
+                                        clock.nowNanos()};
+                           });
+    }
+
+    sim::SimClock clock;
+    ScopedClock ambient{clock};
+    std::vector<int64_t> handlerRanAt;
+};
+
+TEST_F(StationTest, QueuesOnTheSlotThenShedsWithTheDrainTime)
+{
+    auto server = makeStation();
+    const uint64_t rejected_before =
+        globalCounters().counter("overload.queue_rejected").get();
+    StationReply first, second, third;
+    arrive(*server, first);
+    arrive(*server, second);
+    arrive(*server, third);
+
+    // The third arrival finds the worker and the queue slot taken: it
+    // is shed at t=0, and its hint is when the slot drains (200 us)
+    // plus one service time.
+    ASSERT_TRUE(third.done);
+    EXPECT_EQ(third.code, StatusCode::ResourceExhausted);
+    EXPECT_EQ(third.retryAfterNs, 300'000);
+    EXPECT_EQ(third.atNs, 0);
+    EXPECT_EQ(globalCounters().counter("overload.queue_rejected").get(),
+              rejected_before + 1);
+    EXPECT_FALSE(first.done);
+    EXPECT_TRUE(handlerRanAt.empty());
+
+    clock.runUntilIdle();
+    EXPECT_EQ(handlerRanAt, (std::vector<int64_t>{100'000, 200'000}));
+    EXPECT_EQ(first.code, StatusCode::Ok);
+    EXPECT_EQ(first.atNs, 100'000);
+    EXPECT_EQ(second.code, StatusCode::Ok);
+    EXPECT_EQ(second.atNs, 200'000);
+    EXPECT_EQ(clock.pendingTimers(), 0u);
+}
+
+TEST_F(StationTest, ExpiredArrivalIsRefusedWithoutTakingASlot)
+{
+    auto server = makeStation();
+    const uint64_t expired_before =
+        globalCounters().counter("overload.expired_in_queue").get();
+    // A 1 ns budget is the sentinel an expired caller forwards.
+    StationReply expired, fresh;
+    arrive(*server, expired, 1);
+    ASSERT_TRUE(expired.done);
+    EXPECT_EQ(expired.code, StatusCode::DeadlineExceeded);
+    EXPECT_EQ(expired.atNs, 0);
+    EXPECT_EQ(globalCounters().counter("overload.expired_in_queue").get(),
+              expired_before + 1);
+
+    // The worker is still free: the next arrival is served at once.
+    arrive(*server, fresh);
+    clock.runUntilIdle();
+    EXPECT_EQ(handlerRanAt, (std::vector<int64_t>{100'000}));
+    EXPECT_EQ(fresh.code, StatusCode::Ok);
+}
+
+TEST_F(StationTest, ExpiredArrivalRunsWhenQueueDeadlinesAreOff)
+{
+    auto server = makeStation(100'000, false);
+    StationReply expired;
+    arrive(*server, expired, 1);
+    EXPECT_FALSE(expired.done);
+    clock.runUntilIdle();
+    EXPECT_EQ(handlerRanAt, (std::vector<int64_t>{100'000}));
+    EXPECT_EQ(expired.code, StatusCode::Ok);
+}
+
+TEST_F(StationTest, ZeroServiceTimeRunsTheHandlerInline)
+{
+    auto server = makeStation(0);
+    StationReply reply;
+    arrive(*server, reply);
+    // Answered before invokeLocal returned: no station, no timer.
+    ASSERT_TRUE(reply.done);
+    EXPECT_EQ(reply.code, StatusCode::Ok);
+    EXPECT_EQ(handlerRanAt, (std::vector<int64_t>{0}));
+    EXPECT_EQ(clock.pendingTimers(), 0u);
 }
 
 } // namespace

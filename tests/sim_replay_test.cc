@@ -620,7 +620,7 @@ TEST(SimDagTest, RetryStormShedsWithHintsAndNoAmplification)
         const DagRun run = runDagScenario(graph::retryStormDag(seed),
                                           5'000.0, 40 * kMs, 50 * kMs);
         // The storm actually sheds and actually retries...
-        EXPECT_GT(run.counterDelta("graph.node.shed"), 0u);
+        EXPECT_GT(run.counterDelta("overload.queue_rejected"), 0u);
         EXPECT_GT(run.counterDelta("rpc.retry.scheduled"), 0u);
         // ...yet every root-visible RESOURCE_EXHAUSTED carries the
         // propagated pacing hint (retry-after fix), so not one retry

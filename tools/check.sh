@@ -20,6 +20,7 @@
 #        tools/mulint/baseline.json (lost findings fail the gate)
 #      + deterministic sim replay suite under 8 distinct seeds
 #   2. MUSUITE_DEBUG_SYNC debug build   (lock-rank + thread-role checks)
+#      + dag_storm / chaos_storm replays, byte-compared to the commit
 #   3. ThreadSanitizer                  (data races, lock-order inversions)
 #   4. AddressSanitizer + UBSan         (memory errors, undefined behavior)
 #
@@ -260,6 +261,26 @@ fi
 # ---- stage 2: debug-sync (lock-rank + role checks) -----------------------
 run_stage "debug-sync" build-check-debug-sync \
     -DCMAKE_BUILD_TYPE=Debug -DMUSUITE_WERROR=ON -DMUSUITE_DEBUG_SYNC=ON
+
+# ---- stage 2b: storm replays under debug-sync ----------------------------
+# dag_storm and chaos_storm again, on the lock-rank/thread-role checked
+# Debug build: a full storm drives the server's virtual-time station
+# lock through every queue, shed and fan-out path. Both must still
+# reproduce the committed (indexed) JSON byte for byte. ~40s.
+banner "debug-sync storm replays"
+for storm in dag chaos; do
+    out="build-check-debug-sync/BENCH_${storm}.json"
+    if cmake --build build-check-debug-sync --target "${storm}_storm" \
+            -j "$jobs" >>build-check-debug-sync/build.log 2>&1 \
+            && "build-check-debug-sync/bench/${storm}_storm" \
+                --smoke-json="$out" >/dev/null \
+            && cmp <(git show ":BENCH_${storm}.json") "$out"; then
+        :
+    else
+        echo "DEBUG-SYNC ${storm}_storm REPLAY FAILED"
+        failures+=("debug-sync replay: ${storm}_storm")
+    fi
+done
 
 if [[ "$quick" -eq 0 ]]; then
     # ---- stage 3: ThreadSanitizer ----------------------------------------
