@@ -68,7 +68,7 @@ RealClock::cancel(TimerId id)
 {
     // Lazy cancellation: the heap entry stays and is skipped when it
     // surfaces, so cancel never has to search the heap — but a
-    // cancel-heavy workload (fast successes under hedging) must not
+    // cancel-heavy workload (fast successes under deadlines) must not
     // accumulate dead entries, so compact once they are the majority.
     MutexLock guard(mutex);
     const bool live = armed.erase(id) > 0;

@@ -91,8 +91,8 @@ struct DeploymentOptions
     size_t prepopulateKeys = 5000;
 
     /**
-     * Mid-tier fan-out resilience policy (per-leg deadline / retries /
-     * hedging plus the quorum fraction). Defaults keep the historical
+     * Mid-tier fan-out resilience policy (per-leg deadline and
+     * retries plus the quorum fraction). Defaults keep the historical
      * behaviour: wait for every leg, no per-leg deadline. Router also
      * picks this up unless routerMidTier.fanout was set explicitly.
      */

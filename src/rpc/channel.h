@@ -7,9 +7,10 @@
  * calls asynchronously and merge responses on completion threads
  * (paper §IV "asynchronous communication with leaf microservers").
  * Channel is the seam between service logic and transport: the TCP
- * client (rpc/client.h) and the in-process channel (rpc/local_channel.h)
- * both implement transportCall(), so services and tests share one code
- * path — including the resilience features layered on top here:
+ * client (rpc/client.h), the in-process channel (rpc/local_channel.h)
+ * and the simulated link (simkernel/sim_transport.h) each implement
+ * transportCall(), so services and tests share one code path —
+ * including the resilience features layered on top here:
  *
  *  - per-call deadlines (attempt-level and whole-call), propagated to
  *    the server as a wire budget so queues can shed expired work,
@@ -60,17 +61,17 @@ class FaultInjector;
 class PeerHealth;
 
 /**
- * Per-call resilience options (replaces reliance on the client-wide
- * ClientOptions::defaultDeadlineNs for new code). The defaults are
- * "one attempt, wait forever": exactly the historical behaviour.
+ * Per-call resilience options, the one deadline mechanism on every
+ * transport. The defaults are "one attempt, wait forever".
  */
 struct CallOptions
 {
     /**
      * Per-attempt deadline; 0 = none. An attempt still pending when it
      * expires completes with DEADLINE_EXCEEDED (and may be retried). A
-     * transport response arriving later is dropped and counted under
-     * the rpc.call.late_response counter.
+     * transport completion arriving after that is dropped and counted
+     * under the rpc.call.late_response counter; on TCP that includes
+     * the failure a dropped connection or a destroyed client delivers.
      */
     int64_t deadlineNs = 0;
 
@@ -247,25 +248,14 @@ class Channel
 
   protected:
     /**
-     * Transport implementation of one attempt. Must invoke the
-     * callback exactly once, from any thread (inline included).
+     * Transport implementation of one attempt. budget_ns is the
+     * attempt's remaining deadline (0 = unlimited), for the transport
+     * to hand to the server; enforcing it client-side is this layer's
+     * job, not the transport's. Must invoke the callback exactly once,
+     * from any thread (inline included).
      */
     virtual void transportCall(uint32_t method, std::string body,
-                               Callback callback) = 0;
-
-    /**
-     * Budget-carrying variant. Transports that can put the deadline
-     * budget on the wire override this one; the default discards the
-     * budget and delegates, so existing transports and test doubles
-     * keep working unchanged.
-     */
-    virtual void
-    transportCall(uint32_t method, std::string body, int64_t budget_ns,
-                  Callback callback)
-    {
-        (void)budget_ns;
-        transportCall(method, std::move(body), std::move(callback));
-    }
+                               int64_t budget_ns, Callback callback) = 0;
 
   private:
     /** One attempt with fault injection at both boundaries. */

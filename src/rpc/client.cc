@@ -6,7 +6,6 @@
 #include "rpc/client.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "base/clock.h"
 #include "base/logging.h"
@@ -16,27 +15,14 @@
 namespace musuite {
 namespace rpc {
 
-/** One in-flight call. */
-struct PendingCall
-{
-    rpc::Channel::Callback callback;
-    int64_t deadlineNs = 0; //!< 0 = none.
-};
-
 /** One connection and its in-flight call table. */
 struct RpcClient::ClientConn
 {
     Mutex mutex{LockRank::clientConn, "rpc.client.conn"};
     /** Null/dead when down. */
     std::shared_ptr<FramedConnection> fc GUARDED_BY(mutex);
-    std::unordered_map<uint64_t, PendingCall> pending GUARDED_BY(mutex);
-    /**
-     * Request ids failed by sweepExpired whose response may still
-     * arrive; lets a late response be told apart from a garbled or
-     * raced one. Cleared when the connection drops (the response can
-     * no longer arrive), so it stays small.
-     */
-    std::unordered_set<uint64_t> expiredIds GUARDED_BY(mutex);
+    /** In-flight calls by request id. */
+    std::unordered_map<uint64_t, Callback> pending GUARDED_BY(mutex);
     /** Reconnect backoff: no dial before this monotonic instant. */
     int64_t nextDialAllowedNs GUARDED_BY(mutex) = 0;
     /** 0 until the first failed dial. */
@@ -49,7 +35,6 @@ struct RpcClient::ClientConn
      */
     bool awaitingFirstResponse GUARDED_BY(mutex) = false;
     CompletionShard *shard = nullptr;
-    RpcClient *owner = nullptr;
 
     bool
     healthy()
@@ -63,7 +48,6 @@ struct RpcClient::ClientConn
 struct RpcClient::CompletionShard
 {
     Poller poller;
-    std::vector<ClientConn *> conns; //!< Connections swept here.
 };
 
 RpcClient::RpcClient(uint16_t port, ClientOptions options_in)
@@ -78,9 +62,7 @@ RpcClient::RpcClient(uint16_t port, ClientOptions options_in)
 
     for (int i = 0; i < options.connections; ++i) {
         auto conn = std::make_unique<ClientConn>();
-        conn->owner = this;
         conn->shard = shards[size_t(i) % shards.size()].get();
-        conn->shard->conns.push_back(conn.get());
         conns.push_back(std::move(conn));
     }
     for (auto &conn : conns)
@@ -219,13 +201,6 @@ RpcClient::isHealthy() const
 
 void
 RpcClient::transportCall(uint32_t method, std::string body,
-                         Callback callback)
-{
-    transportCall(method, std::move(body), 0, std::move(callback));
-}
-
-void
-RpcClient::transportCall(uint32_t method, std::string body,
                          int64_t budget_ns, Callback callback)
 {
     ClientConn *conn =
@@ -253,13 +228,7 @@ RpcClient::transportCall(uint32_t method, std::string body,
             fc = nullptr;
         } else {
             fc = conn->fc;
-            PendingCall pending_call;
-            pending_call.callback = std::move(callback);
-            if (options.defaultDeadlineNs > 0) {
-                pending_call.deadlineNs =
-                    clock().nowNanos() + options.defaultDeadlineNs;
-            }
-            conn->pending.emplace(request_id, std::move(pending_call));
+            conn->pending.emplace(request_id, std::move(callback));
         }
     }
     if (!fc) {
@@ -275,7 +244,7 @@ RpcClient::transportCall(uint32_t method, std::string body,
             MutexLock guard(conn->mutex);
             auto it = conn->pending.find(request_id);
             if (it != conn->pending.end()) {
-                reclaimed = std::move(it->second.callback);
+                reclaimed = std::move(it->second);
                 conn->pending.erase(it);
             }
         }
@@ -289,17 +258,10 @@ RpcClient::completionMain(size_t index)
 {
     setCurrentThreadRole(ThreadRole::completion);
     CompletionShard &shard = *shards[index];
-    // With deadlines armed, a blocked completion thread must still
-    // wake periodically to sweep expired calls.
-    const int timeout_ms =
-        options.blockingPoll
-            ? (options.defaultDeadlineNs > 0 ? 10 : -1)
-            : 0;
+    const int timeout_ms = options.blockingPoll ? -1 : 0;
 
     while (!stopping.load(std::memory_order_acquire)) {
         auto events = shard.poller.wait(timeout_ms);
-        if (options.defaultDeadlineNs > 0)
-            sweepExpired(shard);
         for (const PollEvent &event : events) {
             if (event.isWakeup)
                 continue;
@@ -351,34 +313,13 @@ RpcClient::onConnReadable(ClientConn *conn)
                 conn->nextDialAllowedNs = 0;
             }
             auto it = conn->pending.find(header.requestId);
-            if (it == conn->pending.end()) {
-                // Already failed. If the deadline sweep beat this
-                // response, account for it: late responses are the
-                // signal that a deadline is tuned too tight.
-                if (conn->expiredIds.erase(header.requestId) > 0) {
-                    conn->owner->lateResponseCount.fetch_add(
-                        1, std::memory_order_relaxed);
-                    globalCounters()
-                        .counter("rpc.client.late_response")
-                        .add();
-                }
-                return; // Otherwise: races with disconnect.
-            }
-            callback = std::move(it->second.callback);
+            if (it == conn->pending.end())
+                return; // Already failed by a racing disconnect.
+            callback = std::move(it->second);
             conn->pending.erase(it);
         }
-        if (header.status == StatusCode::Ok) {
-            callback(Status::ok(), payload);
-        } else {
-            Status status(header.status, "remote error");
-            // A shed server suggests when to come back; the retry
-            // layer uses it as a floor under its backoff.
-            if (header.status == StatusCode::ResourceExhausted &&
-                header.budgetNs > 0) {
-                status.setRetryAfterNs(header.budgetNs);
-            }
-            callback(status, payload);
-        }
+        // A response's budget slot is the server's retry-after hint.
+        callback(responseStatus(header.status, header.budgetNs), payload);
     });
 
     if (!alive) {
@@ -390,42 +331,13 @@ RpcClient::onConnReadable(ClientConn *conn)
 void
 RpcClient::failPending(ClientConn *conn, const Status &status)
 {
-    std::unordered_map<uint64_t, PendingCall> orphaned;
+    std::unordered_map<uint64_t, Callback> orphaned;
     {
         MutexLock guard(conn->mutex);
         orphaned.swap(conn->pending);
-        // Responses for swept calls can no longer arrive on this
-        // connection; drop the late-response watch list.
-        conn->expiredIds.clear();
     }
-    for (auto &[id, pending_call] : orphaned)
-        pending_call.callback(status, {});
-}
-
-void
-RpcClient::sweepExpired(CompletionShard &shard)
-{
-    assertOnCompletionThread();
-    const int64_t now = clock().nowNanos();
-    std::vector<Callback> expired;
-    for (ClientConn *conn : shard.conns) {
-        MutexLock guard(conn->mutex);
-        for (auto it = conn->pending.begin();
-             it != conn->pending.end();) {
-            if (it->second.deadlineNs != 0 &&
-                now >= it->second.deadlineNs) {
-                expired.push_back(std::move(it->second.callback));
-                conn->expiredIds.insert(it->first);
-                it = conn->pending.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
-    const Status timed_out(StatusCode::DeadlineExceeded,
-                           "call deadline expired");
-    for (Callback &callback : expired)
-        callback(timed_out, {});
+    for (auto &[id, callback] : orphaned)
+        callback(status, {});
 }
 
 } // namespace rpc

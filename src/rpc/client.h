@@ -9,7 +9,8 @@
  * by request id (one shared connection per destination, per the
  * paper's Router). Dead connections fail their in-flight calls with
  * UNAVAILABLE and are re-dialed lazily, which is what Router's
- * replication pools route around.
+ * replication pools route around. Call deadlines live in the Channel
+ * layer (rpc::CallOptions), as on every other transport.
  */
 
 #ifndef MUSUITE_RPC_CLIENT_H
@@ -38,16 +39,6 @@ struct ClientOptions
     bool blockingPoll = true;  //!< false: busy-poll completions.
     std::string name = "cli";
     /**
-     * Client-wide per-call deadline; 0 disables. Superseded by the
-     * per-call rpc::CallOptions layer (rpc/channel.h) for new code,
-     * but kept as a transport-level backstop: calls still pending when
-     * it expires complete with DEADLINE_EXCEEDED (a late server
-     * response is then dropped and counted). Expiry is swept by the
-     * completion threads, so enforcement granularity is ~the sweep
-     * interval (10 ms).
-     */
-    int64_t defaultDeadlineNs = 0;
-    /**
      * Reconnect backoff after a failed dial: the first failure holds
      * further dial attempts on that connection for
      * reconnectBackoffNs, doubling per consecutive failure up to
@@ -72,26 +63,11 @@ class RpcClient : public Channel
     /** True if at least one connection is up. */
     bool isHealthy() const override;
 
-    uint64_t
-    callsIssued() const
-    {
-        return nextRequestId.load(std::memory_order_relaxed) - 1;
-    }
-
     /** TCP dial attempts made so far (reconnect-storm regression). */
     uint64_t
     connectAttempts() const
     {
         return dialAttempts.load(std::memory_order_relaxed);
-    }
-
-    /** Responses that arrived after their call had already been
-     *  failed (deadline expiry); also counted process-wide under the
-     *  rpc.client.late_response counter. */
-    uint64_t
-    lateResponses() const
-    {
-        return lateResponseCount.load(std::memory_order_relaxed);
     }
 
     /**
@@ -110,9 +86,7 @@ class RpcClient : public Channel
     void uncorkWrites() override;
 
   protected:
-    void transportCall(uint32_t method, std::string body,
-                       Callback callback) override;
-    /** Budget-carrying attempt: the deadline rides the wire header. */
+    /** The deadline budget rides the wire header. */
     void transportCall(uint32_t method, std::string body,
                        int64_t budget_ns, Callback callback) override;
 
@@ -124,8 +98,6 @@ class RpcClient : public Channel
     void onConnReadable(ClientConn *conn);
     void failPending(ClientConn *conn, const Status &status);
     bool ensureConnected(ClientConn *conn);
-    /** Fail calls whose deadline passed (completion threads). */
-    void sweepExpired(CompletionShard &shard);
 
     ClientOptions options;
     uint16_t targetPort;
@@ -149,7 +121,6 @@ class RpcClient : public Channel
     std::atomic<size_t> nextConn{0};
     std::atomic<bool> stopping{false};
     std::atomic<uint64_t> dialAttempts{0};
-    std::atomic<uint64_t> lateResponseCount{0};
 };
 
 } // namespace rpc

@@ -114,17 +114,6 @@ FaultInjector::decideResponse(uint64_t ordinal)
         ordinal % spec.delayResponseEveryNth == 0) {
         decision.kind = FaultDecision::Kind::Delay;
         decision.delayNs = delay_ns;
-        return decision;
-    }
-
-    MutexLock guard(mutex);
-    if (spec.dropResponseProb > 0 &&
-        rng.nextBool(spec.dropResponseProb)) {
-        decision.kind = FaultDecision::Kind::Drop;
-    } else if (spec.delayResponseProb > 0 &&
-               rng.nextBool(spec.delayResponseProb)) {
-        decision.kind = FaultDecision::Kind::Delay;
-        decision.delayNs = delay_ns;
     }
     return decision;
 }

@@ -51,7 +51,7 @@ struct FaultDecision
  * lifetime; requests and responses keep independent ordinals) are
  * evaluated before probabilistic rules, so a test can script "fail
  * calls 1-2, then behave" while a storm uses the seeded
- * probabilities.
+ * probabilities. Responses have counter rules only.
  *
  * The gray-failure shapes compose from the response-side and shaping
  * rules: a *zombie* (accepts, never answers) is dropResponseEveryNth
@@ -90,13 +90,11 @@ struct FaultSpec
      */
     uint64_t flapPeriod = 0;
 
-    // --- seeded probabilistic rules ----------------------------------
+    // --- seeded probabilistic request rules --------------------------
     double errorProb = 0.0;        //!< Fail a request outright.
     double dropRequestProb = 0.0;  //!< Blackhole a request.
-    double dropResponseProb = 0.0; //!< Blackhole a response.
     double delayRequestProb = 0.0; //!< Delay a request...
-    double delayResponseProb = 0.0; //!< ...or a response...
-    int64_t delayNs = 0;            //!< ...by this much.
+    int64_t delayNs = 0;           //!< ...by this much.
     /** Response-side delay duration; 0 falls back to delayNs, so the
      *  two directions can be shaped independently (asymmetric
      *  partition) without breaking existing specs. */

@@ -5,15 +5,10 @@
 
 #include "rpc/local_channel.h"
 
+#include "rpc/message.h"
+
 namespace musuite {
 namespace rpc {
-
-void
-LocalChannel::transportCall(uint32_t method, std::string body,
-                            Callback callback)
-{
-    transportCall(method, std::move(body), 0, std::move(callback));
-}
 
 void
 LocalChannel::transportCall(uint32_t method, std::string body,
@@ -24,17 +19,7 @@ LocalChannel::transportCall(uint32_t method, std::string body,
         [callback = std::move(callback)](StatusCode code,
                                          std::string_view payload,
                                          int64_t retry_after_ns) {
-            if (code == StatusCode::Ok) {
-                callback(Status::ok(), payload);
-            } else {
-                Status status(code, "remote error");
-                // Surface the server's pacing hint exactly like the
-                // TCP client maps the response header's budget slot.
-                if (code == StatusCode::ResourceExhausted &&
-                    retry_after_ns > 0)
-                    status.setRetryAfterNs(retry_after_ns);
-                callback(status, payload);
-            }
+            callback(responseStatus(code, retry_after_ns), payload);
         });
 }
 

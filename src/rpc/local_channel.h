@@ -27,9 +27,7 @@ class LocalChannel : public Channel
     explicit LocalChannel(Server &server) : server(server) {}
 
   protected:
-    void transportCall(uint32_t method, std::string body,
-                       Callback callback) override;
-    /** Budget-carrying attempt: propagated via invokeLocal. */
+    /** The budget is propagated via invokeLocal. */
     void transportCall(uint32_t method, std::string body,
                        int64_t budget_ns, Callback callback) override;
 

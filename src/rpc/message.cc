@@ -57,5 +57,16 @@ decodeFrame(std::string_view frame, MessageHeader &header,
     return true;
 }
 
+Status
+responseStatus(StatusCode code, int64_t retry_after_ns)
+{
+    if (code == StatusCode::Ok)
+        return Status::ok();
+    Status status(code, "remote error");
+    if (code == StatusCode::ResourceExhausted)
+        status.setRetryAfterNs(retry_after_ns);
+    return status;
+}
+
 } // namespace rpc
 } // namespace musuite

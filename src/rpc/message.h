@@ -66,6 +66,14 @@ std::string encodeFrame(const MessageHeader &header,
 bool decodeFrame(std::string_view frame, MessageHeader &header,
                  std::string_view &payload);
 
+/**
+ * The client-side Status for a server's response code, shared by every
+ * transport. A RESOURCE_EXHAUSTED shed keeps the server's retry-after
+ * hint (the retry layer uses it as a floor under its backoff); every
+ * other code drops it.
+ */
+Status responseStatus(StatusCode code, int64_t retry_after_ns);
+
 } // namespace rpc
 } // namespace musuite
 

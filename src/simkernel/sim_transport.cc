@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "base/logging.h"
+#include "rpc/message.h"
 
 namespace musuite {
 namespace sim {
@@ -23,13 +24,6 @@ SimChannel::SimChannel(SimClock &clock_in, rpc::Server &server_in,
         << "' not bound to this SimClock: construct it under "
            "ScopedClock";
     bindClock(clock_in);
-}
-
-void
-SimChannel::transportCall(uint32_t method, std::string body,
-                          Callback callback)
-{
-    transportCall(method, std::move(body), 0, std::move(callback));
 }
 
 int64_t
@@ -79,20 +73,9 @@ SimChannel::transportCall(uint32_t method, std::string body,
                             sim.traceEvent(
                                 label + " recv code=" +
                                 std::to_string(int(code)));
-                            if (code == StatusCode::Ok) {
-                                callback(Status::ok(), payload);
-                            } else {
-                                Status status(code, "remote error");
-                                // Map the pacing hint exactly like
-                                // the TCP client maps the response
-                                // header's budget slot.
-                                if (code ==
-                                        StatusCode::ResourceExhausted &&
-                                    retry_after_ns > 0)
-                                    status.setRetryAfterNs(
-                                        retry_after_ns);
-                                callback(status, payload);
-                            }
+                            callback(
+                                rpc::responseStatus(code, retry_after_ns),
+                                payload);
                         });
                 });
         });

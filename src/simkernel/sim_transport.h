@@ -83,8 +83,6 @@ class SimChannel final : public rpc::Channel
 
   protected:
     void transportCall(uint32_t method, std::string body,
-                       Callback callback) override;
-    void transportCall(uint32_t method, std::string body,
                        int64_t budget_ns, Callback callback) override;
 
   private:

@@ -28,7 +28,8 @@ class InlineChannel : public rpc::Channel
 
   protected:
     void
-    transportCall(uint32_t, std::string body, Callback callback) override
+    transportCall(uint32_t, std::string body, int64_t,
+                  Callback callback) override
     {
         callback(Status::ok(), prefix + body);
     }
@@ -42,7 +43,8 @@ class FailingChannel : public rpc::Channel
 {
   protected:
     void
-    transportCall(uint32_t, std::string, Callback callback) override
+    transportCall(uint32_t, std::string, int64_t,
+                  Callback callback) override
     {
         callback(Status(StatusCode::Unavailable, "down"), {});
     }
@@ -63,7 +65,8 @@ class DeferredChannel : public rpc::Channel
 
   protected:
     void
-    transportCall(uint32_t, std::string body, Callback callback) override
+    transportCall(uint32_t, std::string body, int64_t,
+                  Callback callback) override
     {
         queue.push([body = std::move(body),
                     callback = std::move(callback)] {
@@ -228,7 +231,7 @@ class BlackholeChannel : public rpc::Channel
 {
   protected:
     void
-    transportCall(uint32_t, std::string, Callback) override
+    transportCall(uint32_t, std::string, int64_t, Callback) override
     {
     }
 };

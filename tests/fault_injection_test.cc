@@ -255,10 +255,11 @@ TEST(FaultInjectionTest, ReconnectBackoffLimitsDialStorm)
 }
 
 // --------------------------------------------------------------------
-// Late responses after a deadline sweep are counted, not lost.
+// A TCP response that arrives after its attempt's deadline is dropped
+// and counted by the Channel layer, as on every other transport.
 // --------------------------------------------------------------------
 
-TEST(FaultInjectionTest, LateResponseAfterSweepIsCounted)
+TEST(FaultInjectionTest, LateTcpResponseAfterDeadlineIsCounted)
 {
     auto server = std::make_unique<Server>(ServerOptions{});
     constexpr uint32_t kSlow = 7;
@@ -268,21 +269,28 @@ TEST(FaultInjectionTest, LateResponseAfterSweepIsCounted)
     });
     server->start();
 
-    ClientOptions options;
-    options.defaultDeadlineNs = 30'000'000; // 30 ms.
-    RpcClient client(server->port(), options);
+    RpcClient client(server->port());
+    CallOptions options;
+    options.deadlineNs = 30'000'000; // 30 ms.
 
-    auto result = client.callSync(kSlow, "tardy");
+    const CounterSnapshot before = globalCounters().snapshot();
+    auto result = client.callSync(kSlow, "tardy", options);
     ASSERT_FALSE(result.isOk());
     EXPECT_EQ(result.status().code(), StatusCode::DeadlineExceeded);
 
     // Wait for the server's (now useless) response to arrive. The cap
     // only bounds a genuinely lost response; sanitizer builds may need
     // several seconds.
+    const auto late_responses = [&before] {
+        const CounterSnapshot delta =
+            CounterSet::diff(before, globalCounters().snapshot());
+        auto late = delta.find("rpc.call.late_response");
+        return late == delta.end() ? uint64_t(0) : late->second;
+    };
     const int64_t deadline = nowNanos() + 10'000'000'000;
-    while (client.lateResponses() == 0 && nowNanos() < deadline)
+    while (late_responses() == 0 && nowNanos() < deadline)
         sleepForNanos(5'000'000);
-    EXPECT_EQ(client.lateResponses(), 1u);
+    EXPECT_EQ(late_responses(), 1u);
 }
 
 // --------------------------------------------------------------------
@@ -420,8 +428,9 @@ TEST(GrayFaultTest, ZombieDoesTheWorkButNeverAnswers)
 TEST(GrayFaultTest, SlowRampDelaysGrowLinearly)
 {
     // delayRampPerCallNs: the k-th delayed request pays an extra
-    // (k-1) * ramp — successful but ever slower, the shape a breaker
-    // never sees. Byte-identical across runs (no RNG in the rule).
+    // (k-1) * ramp — successful but ever slower, the shape no
+    // per-call failure check ever sees. Byte-identical across runs
+    // (no RNG in the rule).
     const auto run = [] {
         GrayRig rig;
         FaultSpec spec;

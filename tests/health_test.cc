@@ -52,7 +52,8 @@ class StubChannel : public Channel
 {
   protected:
     void
-    transportCall(uint32_t, std::string body, Callback callback) override
+    transportCall(uint32_t, std::string body, int64_t,
+                  Callback callback) override
     {
         callback(Status::ok(), body);
     }

@@ -46,7 +46,8 @@ class ScriptedChannel : public rpc::Channel
 
   protected:
     void
-    transportCall(uint32_t, std::string, Callback callback) override
+    transportCall(uint32_t, std::string, int64_t,
+                  Callback callback) override
     {
         ++calls;
         switch (mode) {

@@ -246,7 +246,8 @@ class NullChannel : public rpc::Channel
 {
   protected:
     void
-    transportCall(uint32_t, std::string, Callback callback) override
+    transportCall(uint32_t, std::string, int64_t,
+                  Callback callback) override
     {
         callback(Status(StatusCode::Unavailable, "null"), {});
     }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the §VII-inspired RPC extensions: client-side call
- * deadlines and the adaptive block/poll server policy.
+ * deadlines (rpc::CallOptions over real TCP) and the adaptive
+ * block/poll server policy.
  */
 
 #include <gtest/gtest.h>
@@ -43,12 +44,12 @@ makeServer(ServerOptions options = {})
 TEST(DeadlineTest, HungCallTimesOut)
 {
     auto server = makeServer();
-    ClientOptions options;
-    options.defaultDeadlineNs = 50'000'000; // 50 ms.
-    RpcClient client(server->port(), options);
+    RpcClient client(server->port());
+    CallOptions options;
+    options.deadlineNs = 50'000'000; // 50 ms.
 
     const int64_t start = nowNanos();
-    auto result = client.callSync(kBlackHole, "never answered");
+    auto result = client.callSync(kBlackHole, "never answered", options);
     const int64_t elapsed = nowNanos() - start;
 
     ASSERT_FALSE(result.isOk());
@@ -60,11 +61,11 @@ TEST(DeadlineTest, HungCallTimesOut)
 TEST(DeadlineTest, FastCallsUnaffected)
 {
     auto server = makeServer();
-    ClientOptions options;
-    options.defaultDeadlineNs = 500'000'000;
-    RpcClient client(server->port(), options);
+    RpcClient client(server->port());
+    CallOptions options;
+    options.deadlineNs = 500'000'000;
     for (int i = 0; i < 20; ++i) {
-        auto result = client.callSync(kEcho, "quick");
+        auto result = client.callSync(kEcho, "quick", options);
         ASSERT_TRUE(result.isOk());
         EXPECT_EQ(result.value(), "quick");
     }
@@ -73,10 +74,10 @@ TEST(DeadlineTest, FastCallsUnaffected)
 TEST(DeadlineTest, GenerousDeadlineLetsSlowCallFinish)
 {
     auto server = makeServer();
-    ClientOptions options;
-    options.defaultDeadlineNs = 2'000'000'000;
-    RpcClient client(server->port(), options);
-    auto result = client.callSync(kSlow, "worth the wait");
+    RpcClient client(server->port());
+    CallOptions options;
+    options.deadlineNs = 2'000'000'000;
+    auto result = client.callSync(kSlow, "worth the wait", options);
     ASSERT_TRUE(result.isOk());
     EXPECT_EQ(result.value(), "worth the wait");
 }
@@ -84,15 +85,15 @@ TEST(DeadlineTest, GenerousDeadlineLetsSlowCallFinish)
 TEST(DeadlineTest, ExpiredAndLiveCallsCoexist)
 {
     auto server = makeServer();
-    ClientOptions options;
-    options.defaultDeadlineNs = 80'000'000;
-    RpcClient client(server->port(), options);
+    RpcClient client(server->port());
+    CallOptions options;
+    options.deadlineNs = 80'000'000;
 
     std::atomic<int> ok{0}, expired{0};
     CountdownLatch latch(20);
     for (int i = 0; i < 20; ++i) {
         const uint32_t method = i % 2 ? kEcho : kBlackHole;
-        client.call(method, "m",
+        client.call(method, "m", options,
                     [&](const Status &status, std::string_view) {
                         if (status.isOk())
                             ok.fetch_add(1);

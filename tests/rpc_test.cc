@@ -112,6 +112,30 @@ TEST(MessageHeaderTest, RejectsGarbageKind)
     EXPECT_FALSE(decodeFrame(frame, parsed, payload));
 }
 
+TEST(ResponseStatusTest, OnlyAShedKeepsItsRetryAfterHint)
+{
+    struct Case
+    {
+        StatusCode code;
+        int64_t hintNs;
+        int64_t wantRetryAfterNs;
+    };
+    const Case cases[] = {
+        {StatusCode::Ok, 7'000'000, 0},
+        {StatusCode::ResourceExhausted, 7'000'000, 7'000'000},
+        {StatusCode::ResourceExhausted, 0, 0},
+        {StatusCode::Unavailable, 7'000'000, 0},
+        {StatusCode::DeadlineExceeded, 7'000'000, 0},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(statusCodeName(c.code));
+        const Status status = responseStatus(c.code, c.hintNs);
+        EXPECT_EQ(status.code(), c.code);
+        EXPECT_EQ(status.isOk(), c.code == StatusCode::Ok);
+        EXPECT_EQ(status.retryAfterNs(), c.wantRetryAfterNs);
+    }
+}
+
 TEST_F(RpcTest, SyncEchoOverTcp)
 {
     startServer();

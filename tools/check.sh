@@ -22,6 +22,8 @@
 #   2. MUSUITE_DEBUG_SYNC debug build   (lock-rank + thread-role checks)
 #      + dag_storm / chaos_storm replays, byte-compared to the commit
 #   3. ThreadSanitizer                  (data races, lock-order inversions)
+#      + rpc_features_test repeated 5x (Channel deadline timer vs TCP
+#        completion thread)
 #   4. AddressSanitizer + UBSan         (memory errors, undefined behavior)
 #
 # plus, when clang tooling is on PATH:
@@ -287,6 +289,13 @@ if [[ "$quick" -eq 0 ]]; then
     export TSAN_OPTIONS="suppressions=$repo_root/tools/tsan.supp:halt_on_error=1:second_deadlock_stack=1"
     run_stage "tsan" build-check-tsan \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMUSUITE_SANITIZE=thread
+    # DeadlineTest.ExpiredAndLiveCallsCoexist races a Channel deadline
+    # timer against a TCP completion thread; one pass can miss it.
+    banner "tsan: rpc_features_test x5"
+    if ! ctest --test-dir build-check-tsan -R rpc_features_test \
+            --repeat until-fail:5 --output-on-failure; then
+        failures+=("tsan: rpc_features_test repeat")
+    fi
     unset TSAN_OPTIONS
 
     # ---- stage 4: ASan + UBSan -------------------------------------------
