@@ -55,9 +55,12 @@ struct DeploymentOptions
         options.name = "mid";
         return options;
     }();
+    /** Leaves run handlers inline on their poller, because a worker
+     *  hand-off costs more than a leaf's short lookup or scan; so a
+     *  leaf handler must not block (DESIGN.md, "Leaf threading"). */
     rpc::ServerOptions leafServer = [] {
         rpc::ServerOptions options;
-        options.workerThreads = 2;
+        options.dispatchToWorkers = false;
         options.name = "leaf";
         return options;
     }();

@@ -346,19 +346,8 @@ Server::workerMain(size_t)
         activeResponseBatch = &responses;
         for (auto &task : tasks) {
             assertOnWorkerThread();
-            // Tier 3: a request that outlived its budget while queued
-            // is dead weight — the client has already given up, so
-            // running the handler would burn worker time to produce a
-            // response nobody reads. Shed it instead.
-            if (options.enforceQueueDeadline &&
-                task->expired(boundClock->nowNanos())) {
-                globalCounters()
-                    .counter("overload.expired_in_queue")
-                    .add();
-                task->respond(StatusCode::DeadlineExceeded, "");
-                continue;
-            }
-            execute(task);
+            if (!refuseIfExpired(task))
+                execute(task);
         }
         activeResponseBatch = nullptr;
         flushResponseBatch(responses);
@@ -471,7 +460,7 @@ Server::handleFrame(Conn *conn, std::string_view frame)
                 shedCall(keep);
             }
         }
-    } else {
+    } else if (!refuseIfExpired(call)) {
         execute(call);
     }
 }
@@ -498,6 +487,19 @@ Server::shedCall(const ServerCallPtr &call)
     // server is fast precisely while it is drowning.
     call->admissionDropped();
     call->respond(StatusCode::ResourceExhausted, "");
+}
+
+bool
+Server::refuseIfExpired(const ServerCallPtr &call)
+{
+    // A request that outlived its budget is dead weight: the client
+    // has already given up, so running the handler would burn time to
+    // produce a response nobody reads.
+    if (!options.enforceQueueDeadline || !call->budgetSpent())
+        return false;
+    globalCounters().counter("overload.expired_in_queue").add();
+    call->respond(StatusCode::DeadlineExceeded, "");
+    return true;
 }
 
 void
@@ -540,15 +542,9 @@ Server::invokeLocal(uint32_t method, std::string body,
 void
 Server::enterStation(ServerCallPtr call)
 {
-    // Tier 3 on arrival. A 1 ns budget is the sentinel an expired
-    // caller forwards (ServerCall::remainingBudgetNs), so it counts as
-    // spent too.
-    if (options.enforceQueueDeadline && call->deadlineNanos() != 0 &&
-        call->remainingBudgetNs() <= 1) {
-        globalCounters().counter("overload.expired_in_queue").add();
-        call->respond(StatusCode::DeadlineExceeded, "");
+    // Tier 3 on arrival.
+    if (refuseIfExpired(call))
         return;
-    }
 
     // Tier 2. The hint is the real drain time, so upstream backoff is
     // paced by actual load.

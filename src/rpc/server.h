@@ -11,7 +11,8 @@
  *     (the futex hot spot the paper measures), and
  *   - M worker threads that pull dispatched requests and run handlers
  *     (dispatch design), unless inline mode runs handlers directly on
- *     the poller thread (§VII in-line ablation).
+ *     the poller thread (deployment leaves; the §VII in-line ablation
+ *     for the mid-tier).
  *
  * Handlers receive a shared ServerCall and may respond from any
  * thread, which is how mid-tiers respond from leaf-response completion
@@ -30,7 +31,8 @@
  *     budget in the wire header; a worker that dequeues an already
  *     expired request answers DEADLINE_EXCEEDED without running the
  *     handler (overload.expired_in_queue), so a saturated queue sheds
- *     the work nobody is waiting for anymore.
+ *     the work nobody is waiting for anymore. An inline server makes
+ *     the same check on the poller before running the handler.
  *
  * VIRTUAL TIME: simulated deployments never start() their servers.
  * On a SimClock with ServerOptions::serviceNs > 0, invokeLocal runs
@@ -141,11 +143,15 @@ class ServerCall
     /** Absolute monotonic deadline from the wire budget; 0 = none. */
     int64_t deadlineNanos() const { return deadlineAtNs; }
 
-    /** True once the request's budget has run out. */
+    /**
+     * True once the request's budget has run out. A 1 ns budget is
+     * the sentinel an expired caller forwards (remainingBudgetNs), so
+     * it counts as spent too.
+     */
     bool
-    expired(int64_t now_ns) const
+    budgetSpent() const
     {
-        return deadlineAtNs != 0 && now_ns >= deadlineAtNs;
+        return deadlineAtNs != 0 && remainingBudgetNs() <= 1;
     }
 
     /**
@@ -298,6 +304,13 @@ class Server
     void shedCall(const ServerCallPtr &call);
     /** invokeLocal's virtual-time station in front of execute(). */
     void enterStation(ServerCallPtr call);
+    /**
+     * Tier 3, shared by the worker dequeue, the inline poller and the
+     * virtual-time station: under enforceQueueDeadline, answer a call
+     * whose budget is spent with DEADLINE_EXCEEDED instead of running
+     * its handler. Returns true if the call was completed here.
+     */
+    bool refuseIfExpired(const ServerCallPtr &call);
 
     ServerOptions options;
     Clock *boundClock; //!< Never null; see clock().

@@ -218,7 +218,7 @@ struct FanoutPolicy
 inline bool
 failFastIfExpired(const rpc::ServerCallPtr &call)
 {
-    if (call->deadlineNanos() == 0 || call->remainingBudgetNs() > 1)
+    if (!call->budgetSpent())
         return false;
     globalCounters().counter("fanout.expired_before_fanout").add();
     call->respond(StatusCode::DeadlineExceeded, "");

@@ -10,6 +10,8 @@
 
 #include "harness/deployment.h"
 #include "harness/experiment.h"
+#include "ostrace/sync.h"
+#include "services/router/proto.h"
 
 namespace musuite {
 namespace {
@@ -142,6 +144,30 @@ TEST(DeploymentTest2, KillLeafDegradesButDoesNotCrash)
     }
     // Set Algebra merges whatever shards respond: all queries answer.
     EXPECT_EQ(ok, 10);
+}
+
+TEST(DeploymentTest2, LeafLegsWakeNoThread)
+{
+    // Leaves answer inline on their poller, so a Router get wakes at
+    // most two sleeping threads: a mid-tier worker (the Fig. 8
+    // dispatch hand-off) and this thread's callSync rendezvous. A
+    // leaf worker pool would add one wake per leg.
+    auto deployment =
+        ServiceDeployment::create(ServiceKind::Router, tinyOptions());
+    rpc::RpcClient client(deployment->midTierPort());
+    router::KvRequest request;
+    request.op = router::Op::Get;
+
+    constexpr uint64_t kGets = 50;
+    const uint64_t before = contentionStats().futexWakes.load();
+    for (uint64_t q = 0; q < kGets; ++q) {
+        request.key = "key" + std::to_string(q);
+        auto result =
+            client.callSync(router::kRoute, encodeMessage(request));
+        ASSERT_TRUE(result.isOk()) << result.status().toString();
+    }
+    const uint64_t wakes = contentionStats().futexWakes.load() - before;
+    EXPECT_LE(wakes, 2 * kGets);
 }
 
 TEST(SaturationTest2, MeasuresPositiveThroughput)

@@ -315,6 +315,48 @@ TEST(ServerSheddingTest, BudgetPropagatesAndFreshRequestsExecute)
     EXPECT_EQ(counted_runs.load(), 1);
 }
 
+TEST(ServerSheddingTest, InlineServerRefusesASpentBudgetWithoutExecuting)
+{
+    // An inline server has no queue, so tier 3 runs on the poller: a
+    // request whose wire budget is already spent never reaches the
+    // handler, exactly as a dispatch worker or the sim station would.
+    ServerOptions options;
+    options.dispatchToWorkers = false;
+    auto server = std::make_unique<Server>(options);
+    std::atomic<int> counted_runs{0};
+    server->registerHandler(kCounted, [&](ServerCallPtr call) {
+        counted_runs.fetch_add(1);
+        call->respondOk("");
+    });
+    server->start();
+    RpcClient client(server->port());
+
+    const uint64_t before =
+        globalCounters().counter("overload.expired_in_queue").get();
+
+    // A 1 ns budget is the sentinel an expired caller forwards. The
+    // bare attempt sets no client-side timer, so the answer is the
+    // server's.
+    std::atomic<StatusCode> code{StatusCode::Ok};
+    CountdownLatch done(1);
+    client.attemptCall(kCounted, "", /*budget_ns=*/1,
+                       [&](const Status &status, std::string_view) {
+                           code.store(status.code());
+                           done.countDown();
+                       });
+    done.wait();
+    EXPECT_EQ(code.load(), StatusCode::DeadlineExceeded);
+    EXPECT_EQ(counted_runs.load(), 0);
+    EXPECT_EQ(globalCounters().counter("overload.expired_in_queue").get(),
+              before + 1);
+
+    // A live budget on the same connection still runs the handler.
+    CallOptions call_options;
+    call_options.deadlineNs = 100'000'000;
+    ASSERT_TRUE(client.callSync(kCounted, "", call_options).isOk());
+    EXPECT_EQ(counted_runs.load(), 1);
+}
+
 // ---------------------------------------------------------------------
 // The virtual-time station: an unstarted server on a SimClock, driven
 // through invokeLocal the way SimChannel delivers requests.

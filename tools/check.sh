@@ -24,6 +24,8 @@
 #   3. ThreadSanitizer                  (data races, lock-order inversions)
 #      + rpc_features_test repeated 5x (Channel deadline timer vs TCP
 #        completion thread)
+#      + bench/fault_storm short run (inline leaf handlers on poller
+#        threads; killLeaf on a leaf with live connections)
 #   4. AddressSanitizer + UBSan         (memory errors, undefined behavior)
 #
 # plus, when clang tooling is on PATH:
@@ -295,6 +297,21 @@ if [[ "$quick" -eq 0 ]]; then
     if ! ctest --test-dir build-check-tsan -R rpc_features_test \
             --repeat until-fail:5 --output-on-failure; then
         failures+=("tsan: rpc_features_test repeat")
+    fi
+    # Leaf servers run handlers on their poller threads, and the
+    # leaf-death phase stops an inline leaf that still has live
+    # connections (killLeaf); tier-1 exercises neither under load.
+    # Fails on any TSAN report or a nonzero exit.
+    banner "tsan: fault_storm"
+    storm_log=build-check-tsan/fault_storm.log
+    if build-check-tsan/bench/fault_storm --phase-ms=300 \
+            >"$storm_log" 2>&1 \
+            && ! grep -q 'ThreadSanitizer' "$storm_log"; then
+        :
+    else
+        grep -A20 'ThreadSanitizer' "$storm_log" | head -40 || true
+        echo "TSAN fault_storm FAILED (see $storm_log)"
+        failures+=("tsan: fault_storm")
     fi
     unset TSAN_OPTIONS
 
