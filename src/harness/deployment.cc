@@ -50,6 +50,16 @@ ServiceDeployment::killLeaf(size_t i)
     leafServers[i]->stop();
 }
 
+void
+ServiceDeployment::shutdownTiers()
+{
+    if (midTier)
+        midTier->stop();
+    leafChannels.clear();
+    for (auto &server : leafServers)
+        server->stop();
+}
+
 namespace {
 
 /** Shared wiring: start leaf servers and dial them. */
@@ -155,16 +165,6 @@ class HdSearchDeployment : public ServiceDeployment
     }
 
   private:
-    void
-    shutdownTiers()
-    {
-        if (midTier)
-            midTier->stop();
-        leafChannels.clear();
-        for (auto &server : leafServers)
-            server->stop();
-    }
-
     DeploymentOptions options;
     GmmDataset dataset;
     std::vector<std::unique_ptr<hdsearch::Leaf>> leaves;
@@ -194,14 +194,8 @@ class RouterDeployment : public ServiceDeployment
             },
             leafServers, leafChannels);
 
-        router::MidTierOptions router_options = options.routerMidTier;
-        if (router_options.fanout.leg.plain() &&
-            router_options.fanout.quorumFraction >= 1.0) {
-            // Not customised — inherit the deployment-wide policy.
-            router_options.fanout = options.midTierFanout;
-        }
-        logic = std::make_unique<router::MidTier>(leafChannels,
-                                                 router_options);
+        logic = std::make_unique<router::MidTier>(
+            leafChannels, options.routerMidTier, options.midTierFanout);
         midTier = TierWiring::buildMidTier(options);
         logic->registerWith(*midTier);
         midTier->start();
@@ -258,16 +252,6 @@ class RouterDeployment : public ServiceDeployment
             for (uint32_t leaf : logic->replicaPool(key))
                 leaves[leaf]->cache().set(key, value);
         }
-    }
-
-    void
-    shutdownTiers()
-    {
-        if (midTier)
-            midTier->stop();
-        leafChannels.clear();
-        for (auto &server : leafServers)
-            server->stop();
     }
 
     DeploymentOptions options;
@@ -350,16 +334,6 @@ class SetAlgebraDeployment : public ServiceDeployment
     const TextCorpus &textCorpus() const { return corpus; }
 
   private:
-    void
-    shutdownTiers()
-    {
-        if (midTier)
-            midTier->stop();
-        leafChannels.clear();
-        for (auto &server : leafServers)
-            server->stop();
-    }
-
     DeploymentOptions options;
     TextCorpus corpus;
     std::vector<std::unique_ptr<setalgebra::Leaf>> leaves;
@@ -432,16 +406,6 @@ class RecommendDeployment : public ServiceDeployment
     }
 
   private:
-    void
-    shutdownTiers()
-    {
-        if (midTier)
-            midTier->stop();
-        leafChannels.clear();
-        for (auto &server : leafServers)
-            server->stop();
-    }
-
     DeploymentOptions options;
     RatingsDataset dataset;
     std::vector<std::unique_ptr<recommend::Leaf>> leaves;

@@ -89,15 +89,15 @@ struct DeploymentOptions
     KvWorkloadOptions kv{/*numKeys=*/20000, /*valueBytes=*/128,
                          /*zipfExponent=*/0.99, /*getFraction=*/0.5,
                          /*seed=*/19};
-    router::MidTierOptions routerMidTier{/*replicas=*/3, /*seed=*/23,
-                                         /*fanout=*/{}};
+    router::MidTierOptions routerMidTier{/*replicas=*/3, /*seed=*/23};
     size_t prepopulateKeys = 5000;
 
     /**
      * Mid-tier fan-out resilience policy (per-leg deadline and
-     * retries plus the quorum fraction). Defaults keep the historical
-     * behaviour: wait for every leg, no per-leg deadline. Router also
-     * picks this up unless routerMidTier.fanout was set explicitly.
+     * retries, the quorum fraction and optional outlier ejection), for
+     * every service. Defaults keep the historical behaviour: wait for
+     * every leg, no per-leg deadline. An ejection policy judges one
+     * peer pool, so give each deployment its own.
      */
     FanoutPolicy midTierFanout;
 
@@ -157,6 +157,14 @@ class ServiceDeployment
     void killLeaf(size_t i);
 
   protected:
+    /**
+     * Stop the mid-tier server, drop the leaf channels and stop the
+     * leaf servers. Every derived destructor calls this first, so no
+     * server thread is still running a handler when the service
+     * logic it calls into is destroyed.
+     */
+    void shutdownTiers();
+
     ServiceKind serviceKind;
     std::unique_ptr<rpc::Server> midTier;
     std::vector<std::unique_ptr<rpc::Server>> leafServers;

@@ -20,9 +20,8 @@ GradientAdmission::GradientAdmission(Options options_in)
 }
 
 bool
-GradientAdmission::admit(size_t queue_depth)
+GradientAdmission::admit()
 {
-    (void)queue_depth; // The concurrency limit subsumes queue depth.
     MutexLock guard(mutex);
     if (double(inflightCount) >= limit)
         return false;

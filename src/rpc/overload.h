@@ -50,7 +50,7 @@ class AdmissionController
     virtual ~AdmissionController() = default;
 
     /** True to accept the request, false to shed it. */
-    virtual bool admit(size_t queue_depth) = 0;
+    virtual bool admit() = 0;
 
     /** An admitted request completed; latency is arrival→respond. */
     virtual void onAdmittedComplete(int64_t latency_ns) { (void)latency_ns; }
@@ -95,7 +95,7 @@ class GradientAdmission : public AdmissionController
     GradientAdmission() : GradientAdmission(Options()) {}
     explicit GradientAdmission(Options options);
 
-    bool admit(size_t queue_depth) override;
+    bool admit() override;
     void onAdmittedComplete(int64_t latency_ns) override;
     void onAdmittedDropped() override;
     int64_t retryAfterHintNs() const override;

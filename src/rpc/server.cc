@@ -404,8 +404,7 @@ Server::handleFrame(Conn *conn, std::string_view frame)
     // Tier 1: admission, decided before the body is even copied. The
     // rejection frame is produced right here on the poller thread —
     // an overloaded worker pool never sees the request at all.
-    if (options.admission &&
-        !options.admission->admit(taskQueue.size())) {
+    if (options.admission && !options.admission->admit()) {
         globalCounters().counter("overload.admission_rejected").add();
         int64_t hint = options.admission->retryAfterHintNs();
         if (hint == 0)

@@ -7,9 +7,12 @@
  * which "count down and merge" (paper §IV): every response thread
  * stashes its payload and counts down, and only the completing one
  * does real work — running the merge functor and completing the
- * parent RPC. fanoutCall() is that count-down; serveFanout() wraps it
- * into the whole mid-tier response path, so a handler only shapes its
- * per-leaf requests and supplies a fold that merges the decoded legs.
+ * parent RPC. fanoutCall() is that count-down. A mid-tier never calls
+ * it, or any channel, itself: it owns one Downstream pool, whose
+ * serve() wraps the count-down into the whole response path (the
+ * handler only shapes per-leaf legs and supplies a fold that merges
+ * the decoded replies) and whose failover() is Router's sequential
+ * replica walk.
  *
  * Resilience (the fan-out is where a single slow or dead leaf defines
  * the parent's tail):
@@ -26,11 +29,12 @@
  *    parent waits for all of them, so healthy traffic is never marked
  *    degraded. Late straggler responses are counted (fanout.late_leg)
  *    and dropped.
- *  - serveFanout() owns the multi-hop propagation contract (DESIGN.md
+ *  - Downstream owns the multi-hop propagation contract (DESIGN.md
  *    "Multi-hop propagation contract"): fail fast on an expired
  *    budget, clamp legs to the budget left at issue time, OR degraded
  *    flags through, and report the dominant failure when no leg
- *    answered.
+ *    answered. FanoutPolicy::resolve reads the budget from the
+ *    inbound call itself, so no caller can pass a stale one.
  *
  * THREADING CONTRACT: on_complete is invoked exactly once, on the
  * thread of whichever leg completes the fan-out — a completion
@@ -145,6 +149,35 @@ struct FanoutPolicy
      */
     std::shared_ptr<rpc::EjectionPolicy> ejection;
 
+    /**
+     * Options for one fan-out of `legs` legs, with every leg's
+     * deadlines clamped to the budget the inbound call has left
+     * (ServerCall::remainingBudgetNs; 0 = no inbound deadline, no
+     * clamping). A leaf is never given longer than the end-to-end
+     * caller will wait, so work the client has abandoned is not
+     * re-queued downstream, and legs with no deadline of their own
+     * inherit the inbound one.
+     *
+     * The budget is read here, at issue time, not captured at
+     * admission: the remaining budget shrinks by local queueing +
+     * service time, and each hop of a deep DAG must forward only what
+     * is actually left (the depth-3 re-promise bug).
+     */
+    FanoutOptions
+    resolve(size_t legs, const rpc::ServerCall &inbound) const
+    {
+        FanoutOptions options;
+        options.leg = leg;
+        options.ejection = ejection.get();
+        if (quorumFraction < 1.0 && legs > 0) {
+            options.quorum = std::max<uint32_t>(
+                1, uint32_t(std::ceil(quorumFraction * double(legs))));
+        }
+        clampToBudget(options.leg, inbound.remainingBudgetNs());
+        return options;
+    }
+
+  private:
     /** Clamp a call's deadlines to an inbound budget: a downstream
      *  attempt is never promised longer than the end-to-end caller
      *  will wait. 0 budget = no inbound deadline, no clamping. */
@@ -159,50 +192,6 @@ struct FanoutPolicy
         };
         clamp(options.deadlineNs);
         clamp(options.totalDeadlineNs);
-    }
-
-    /**
-     * Options for one fan-out of `legs` legs, with every leg's
-     * deadlines clamped to the budget the mid-tier's own caller has
-     * left (ServerCall::remainingBudgetNs; 0 = no inbound deadline, no
-     * clamping). A leaf is never given longer than the end-to-end
-     * caller will wait, so work the client has abandoned is not
-     * re-queued downstream, and legs with no deadline of their own
-     * inherit the inbound one.
-     *
-     * The budget must be read at issue time, not captured at
-     * admission: the remaining budget shrinks by local queueing +
-     * service time, and each hop of a deep DAG must forward only what
-     * is actually left (the depth-3 re-promise bug). serveFanout()
-     * does exactly that.
-     */
-    FanoutOptions
-    resolve(size_t legs, int64_t inbound_budget_ns) const
-    {
-        FanoutOptions options;
-        options.leg = leg;
-        options.ejection = ejection.get();
-        if (quorumFraction < 1.0 && legs > 0) {
-            options.quorum = std::max<uint32_t>(
-                1, uint32_t(std::ceil(quorumFraction * double(legs))));
-        }
-        clampToBudget(options.leg, inbound_budget_ns);
-        return options;
-    }
-
-    /**
-     * Budget-clamped options for a *single* downstream call outside a
-     * fanoutCall (e.g. the router's sequential failover walk). Same
-     * clamp as resolve(legs, budget); mulint's deadline-taint rule
-     * accepts either as evidence that a services call site propagates
-     * its inbound deadline.
-     */
-    rpc::CallOptions
-    legOptions(int64_t inbound_budget_ns) const
-    {
-        rpc::CallOptions options = leg;
-        clampToBudget(options, inbound_budget_ns);
-        return options;
     }
 };
 
@@ -365,7 +354,6 @@ fanoutCall(uint32_t method, std::vector<FanoutRequest> requests,
             }
         }
         for (size_t i : probes) {
-            // mulint: allow(deadline-taint): probes reuse the caller-resolved leg options; the budget was applied in serveFanout's resolve() call
             requests[i].channel->call(
                 method, std::move(requests[i].body), options.leg,
                 [](const Status &, std::string_view) {
@@ -404,7 +392,6 @@ fanoutCall(uint32_t method, std::vector<FanoutRequest> requests,
         FanoutRequest &request = requests[i];
         if (!skip.empty() && skip[i])
             continue; // Ejected: pre-completed above, channel untouched.
-        // mulint: allow(deadline-taint): legs carry the caller-resolved FanoutOptions; the budget was applied in serveFanout's resolve() call
         request.channel->call(
             method, std::move(request.body), options.leg,
             [state, i](const Status &status, std::string_view payload) {
@@ -467,62 +454,181 @@ fanoutCall(uint32_t method, std::vector<FanoutRequest> requests,
     }
 }
 
-/**
- * The mid-tier response path, one implementation for every service:
- * fail fast on an expired inbound budget, clamp the legs to the budget
- * left *now* and issue them, then merge on the completing leg's thread
- * (fanoutCall threading contract: possibly this very thread).
- *
- * A leg counts as answered only when it is OK, its payload decodes as
- * a LegReply, and `fold.add(tag, reply)` accepts it (e.g. a replica
- * that really stored a set). `fold.finish()` then builds the response
- * message, whose `degraded` flag is set here: the OR of this hop's
- * partial merge (a failed, abandoned, garbled or refused leg) and
- * every answered reply's own flag. When no leg answered, the dominant
- * failure — with the largest shed retry-after — goes upstream instead.
- *
- * @param degraded The service's degraded-response counter; must
- *                 outlive the call, like the service itself.
- */
-template <typename LegReply, typename Fold>
-void
-serveFanout(const rpc::ServerCallPtr &call, uint32_t method,
-            std::vector<FanoutRequest> legs, const FanoutPolicy &policy,
-            std::atomic<uint64_t> &degraded, Fold fold)
+/** One leg a mid-tier hands its Downstream pool: which leaf, with
+ *  what body. The leaf index is also the leg's tag in the merge. */
+struct Leg
 {
-    if (failFastIfExpired(call))
-        return;
-    const FanoutOptions options =
-        policy.resolve(legs.size(), call->remainingBudgetNs());
-    fanoutCall(
-        method, std::move(legs), options,
-        [call, &degraded,
-         fold = std::move(fold)](FanoutOutcome outcome) mutable {
-            uint32_t answered = 0;
-            bool downstream_degraded = false;
-            for (const LeafResult &result : outcome.results) {
-                LegReply reply;
-                if (result.status.isOk() &&
-                    decodeMessage(result.payload, reply) &&
-                    fold.add(result.tag, reply)) {
-                    ++answered;
-                    downstream_degraded |= reply.degraded;
+    uint32_t leaf = 0;
+    std::string body;
+};
+
+/**
+ * A mid-tier's downstream pool: its leaf channels, its FanoutPolicy
+ * and its degraded-response counter. It is the only code in a service
+ * that issues leaf RPCs, through one of two skeletons — serve(), the
+ * fan-out/merge, and failover(), the sequential replica walk — and
+ * both own the multi-hop propagation contract (DESIGN.md "Multi-hop
+ * propagation contract"): fail fast on an expired inbound budget,
+ * clamp every leg or attempt to the budget left when it is issued,
+ * and report the dominant failure upstream when nothing answered. A
+ * service never builds call options of its own, so the contract holds
+ * by construction.
+ *
+ * With an ejection policy configured, the constructor watches every
+ * channel once, in pool order, so each peer gets a health tracker fed
+ * from its attempt outcomes and the policy can eject it.
+ */
+class Downstream
+{
+  public:
+    /**
+     * @param channels One channel per leaf, indexed by leaf id. Slots
+     *        may be null on a pool that never issues a leg (a
+     *        routing-only mid-tier), provided the policy has no
+     *        ejection.
+     */
+    explicit Downstream(std::vector<std::shared_ptr<rpc::Channel>> channels,
+                        FanoutPolicy policy = {})
+        : channels(std::move(channels)), policy(std::move(policy))
+    {
+        if (this->policy.ejection) {
+            for (const auto &channel : this->channels)
+                this->policy.ejection->watch(*channel);
+        }
+    }
+
+    // In-flight legs hold `this`.
+    Downstream(const Downstream &) = delete;
+    Downstream &operator=(const Downstream &) = delete;
+
+    size_t size() const { return channels.size(); }
+    bool empty() const { return channels.empty(); }
+    /** Responses merged from partial results. */
+    uint64_t degradedResponses() const { return degraded; }
+    /** failover() attempts past the first one. */
+    uint64_t failovers() const { return failoverCount; }
+
+    /**
+     * The mid-tier fan-out/merge response path: fail fast on an expired
+     * inbound budget, clamp the legs to the budget left *now* and issue
+     * them, then merge on the completing leg's thread (fanoutCall
+     * threading contract: possibly this very thread).
+     *
+     * A leg counts as answered only when it is OK, its payload decodes
+     * as a LegReply, and `fold.add(leaf, reply)` accepts it (e.g. a
+     * replica that really stored a set). `fold.finish()` then builds
+     * the response message, whose `degraded` flag is set here: the OR
+     * of this hop's partial merge (a failed, abandoned, garbled or
+     * refused leg) and every answered reply's own flag. When no leg
+     * answered, the dominant failure — with the largest shed
+     * retry-after — goes upstream instead.
+     */
+    template <typename LegReply, typename Fold>
+    void
+    serve(const rpc::ServerCallPtr &call, uint32_t method,
+          std::vector<Leg> legs, Fold fold)
+    {
+        if (failFastIfExpired(call))
+            return;
+        std::vector<FanoutRequest> requests;
+        requests.reserve(legs.size());
+        for (Leg &leg : legs) {
+            requests.push_back(FanoutRequest{channels[leg.leaf].get(),
+                                             std::move(leg.body), leg.leaf});
+        }
+        const FanoutOptions options = policy.resolve(requests.size(), *call);
+        fanoutCall(
+            method, std::move(requests), options,
+            [this, call,
+             fold = std::move(fold)](FanoutOutcome outcome) mutable {
+                uint32_t answered = 0;
+                bool downstream_degraded = false;
+                for (const LeafResult &result : outcome.results) {
+                    LegReply reply;
+                    if (result.status.isOk() &&
+                        decodeMessage(result.payload, reply) &&
+                        fold.add(result.tag, reply)) {
+                        ++answered;
+                        downstream_degraded |= reply.degraded;
+                    }
                 }
-            }
-            if (answered == 0) {
-                respondFailure(call,
-                               dominantFailure(outcome.results,
-                                               "no downstream leg answered"));
-                return;
-            }
-            auto response = fold.finish();
-            response.degraded = outcome.degraded || downstream_degraded ||
-                                answered < outcome.okLegs;
-            if (response.degraded)
-                degraded.fetch_add(1, std::memory_order_relaxed);
-            call->respondOk(encodeMessage(response));
-        });
-}
+                if (answered == 0) {
+                    respondFailure(
+                        call, dominantFailure(outcome.results,
+                                              "no downstream leg answered"));
+                    return;
+                }
+                auto response = fold.finish();
+                response.degraded = outcome.degraded ||
+                                    downstream_degraded ||
+                                    answered < outcome.okLegs;
+                if (response.degraded)
+                    degraded.fetch_add(1, std::memory_order_relaxed);
+                call->respondOk(encodeMessage(response));
+            });
+    }
+
+    /**
+     * The sequential replica walk (Router gets, paper §III-B): send
+     * `body` to leaf order[0], and on any failure fail over to the next
+     * leaf in `order`. Before every attempt an expired inbound budget
+     * fails the call fast, and each attempt is clamped to the budget
+     * left at that moment — earlier attempts have already spent part
+     * of it. The first OK payload is relayed verbatim, so a downstream
+     * mid-tier's degraded flag survives. When the walk runs out of
+     * replicas, the dominant failure goes upstream (a shedding
+     * replica's retry-after is not flattened to UNAVAILABLE).
+     */
+    void
+    failover(rpc::ServerCallPtr call, uint32_t method, std::string body,
+             std::vector<uint32_t> order)
+    {
+        attempt(std::move(call), method, std::move(body), std::move(order),
+                0, {});
+    }
+
+  private:
+    /** failover() from order[index] on; `failures` holds every
+     *  earlier attempt's failure status. */
+    void
+    attempt(rpc::ServerCallPtr call, uint32_t method, std::string body,
+            std::vector<uint32_t> order, size_t index,
+            std::vector<LeafResult> failures)
+    {
+        if (index >= order.size()) {
+            respondFailure(call, dominantFailure(
+                                     failures, "all replicas unreachable"));
+            return;
+        }
+        if (failFastIfExpired(call))
+            return;
+        if (index > 0)
+            failoverCount.fetch_add(1, std::memory_order_relaxed);
+
+        rpc::Channel *channel = channels[order[index]].get();
+        const rpc::CallOptions options = policy.resolve(1, *call).leg;
+        std::string body_copy = body;
+        channel->call(
+            method, std::move(body_copy), options,
+            [this, call, method, body = std::move(body),
+             order = std::move(order), index,
+             failures = std::move(failures)](
+                const Status &status, std::string_view payload) mutable {
+                if (status.isOk()) {
+                    call->respondOk(payload);
+                    return;
+                }
+                failures.push_back(LeafResult{status, {}, order[index]});
+                attempt(call, method, std::move(body), std::move(order),
+                        index + 1, std::move(failures));
+            });
+    }
+
+    std::vector<std::shared_ptr<rpc::Channel>> channels;
+    FanoutPolicy policy;
+    std::atomic<uint64_t> degraded{0};
+    std::atomic<uint64_t> failoverCount{0};
+};
 
 } // namespace musuite
 

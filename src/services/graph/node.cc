@@ -15,16 +15,9 @@ namespace graph {
 GraphNode::GraphNode(
     std::vector<std::shared_ptr<rpc::Channel>> downstream_in,
     NodeOptions options_in)
-    : downstream(std::move(downstream_in)), options(std::move(options_in))
+    : downstream(std::move(downstream_in), options_in.fanout),
+      options(std::move(options_in))
 {
-    // An ejection policy on the fan-out makes this node the pool
-    // owner: watch every downstream channel so each one gets a
-    // PeerHealth fed from its attempt outcomes, and the policy can
-    // judge the pool when serveFanout resolves its options.
-    if (options.fanout.ejection) {
-        for (const auto &channel : downstream)
-            options.fanout.ejection->watch(*channel);
-    }
 }
 
 void
@@ -83,21 +76,15 @@ GraphNode::handle(rpc::ServerCallPtr call)
         return;
     }
 
-    std::vector<FanoutRequest> requests;
-    requests.reserve(downstream.size());
-    for (size_t i = 0; i < downstream.size(); ++i) {
-        FanoutRequest leg;
-        leg.channel = downstream[i].get();
-        leg.body = encodeMessage(request); // Forwarded verbatim.
-        leg.tag = uint32_t(i);
-        requests.push_back(std::move(leg));
-    }
+    std::vector<Leg> legs;
+    legs.reserve(downstream.size());
+    for (uint32_t i = 0; i < downstream.size(); ++i)
+        legs.push_back({i, encodeMessage(request)}); // Forwarded verbatim.
 
     VisitFold fold;
     fold.merged.workId = work_id;
     fold.merged.nodesVisited = 1; // Self.
-    serveFanout<GraphReply>(call, kProcess, std::move(requests),
-                            options.fanout, degraded, fold);
+    downstream.serve<GraphReply>(call, kProcess, std::move(legs), fold);
 }
 
 } // namespace graph

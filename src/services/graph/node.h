@@ -20,12 +20,13 @@
  *  - answers from cache for a fixed share (cacheHitRatio) of work
  *    ids, drawn statelessly from (seed, workId) so a retry of the same
  *    item sees the same answer (`graph.node.cache_hit`);
- *  - otherwise fans out to every downstream channel through
- *    serveFanout, which resolves the policy against the budget
- *    remaining *now* — never the budget as received.
+ *  - otherwise fans out to every downstream channel through its
+ *    Downstream pool, which resolves the policy against the budget
+ *    remaining *now* — never the budget as received. The pool also
+ *    watches every downstream channel when the policy ejects outliers.
  *
  * Propagation contract (the three multi-hop fixes, tested at depth 3):
- * serveFanout re-reads the remaining budget at the forwarding point,
+ * Downstream::serve re-reads the remaining budget at the forwarding point,
  * ORs a downstream reply's degraded flag into this node's reply, and,
  * when every leg fails, sends the dominant failure — including the max
  * downstream retry-after — upstream instead of a re-minted local
@@ -35,11 +36,9 @@
 #ifndef MUSUITE_SERVICES_GRAPH_NODE_H
 #define MUSUITE_SERVICES_GRAPH_NODE_H
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
-#include "rpc/channel.h"
 #include "rpc/server.h"
 #include "services/common/fanout.h"
 
@@ -65,14 +64,13 @@ class GraphNode
 
     void registerWith(rpc::Server &server);
 
-    uint64_t degradedReplies() const { return degraded; }
+    uint64_t degradedReplies() const { return downstream.degradedResponses(); }
 
   private:
     void handle(rpc::ServerCallPtr call);
 
-    std::vector<std::shared_ptr<rpc::Channel>> downstream;
+    Downstream downstream;
     NodeOptions options;
-    std::atomic<uint64_t> degraded{0};
 };
 
 } // namespace graph

@@ -15,8 +15,7 @@ namespace hdsearch {
 MidTier::MidTier(std::unique_ptr<LshIndex> index,
                  std::vector<std::shared_ptr<rpc::Channel>> leaves_in,
                  FanoutPolicy policy)
-    : lsh(std::move(index)), leaves(std::move(leaves_in)),
-      fanoutPolicy(policy)
+    : lsh(std::move(index)), leaves(std::move(leaves_in), policy)
 {
     MUSUITE_CHECK(!leaves.empty()) << "mid-tier needs leaves";
 }
@@ -83,8 +82,8 @@ MidTier::handle(rpc::ServerCallPtr call)
     auto candidates = lsh->query(query.features);
 
     // Step 3: launch asynchronous clients to the leaf microservers.
-    std::vector<FanoutRequest> requests;
-    requests.reserve(candidates.size());
+    std::vector<Leg> legs;
+    legs.reserve(candidates.size());
     for (auto &[leaf, point_ids] : candidates) {
         if (leaf >= leaves.size()) {
             MUSUITE_WARN() << "LSH entry references unknown leaf "
@@ -95,21 +94,17 @@ MidTier::handle(rpc::ServerCallPtr call)
         leaf_request.features = query.features;
         leaf_request.candidates = std::move(point_ids);
         leaf_request.k = query.k;
-        FanoutRequest request;
-        request.channel = leaves[leaf].get();
-        request.body = encodeMessage(leaf_request);
-        request.tag = leaf;
-        requests.push_back(std::move(request));
+        legs.push_back({leaf, encodeMessage(leaf_request)});
     }
-    if (requests.empty()) {
+    if (legs.empty()) {
         // No usable bucket hits: legitimately empty result.
         call->respondOk(encodeMessage(NNResponse{}));
         return;
     }
     TopKFold fold{query.k, {}};
-    fold.lists.reserve(requests.size());
-    serveFanout<LeafNNResponse>(call, kLeafDistance, std::move(requests),
-                                fanoutPolicy, degraded, std::move(fold));
+    fold.lists.reserve(legs.size());
+    leaves.serve<LeafNNResponse>(call, kLeafDistance, std::move(legs),
+                                 std::move(fold));
 }
 
 BuiltIndex

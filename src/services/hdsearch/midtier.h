@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "index/lsh.h"
-#include "rpc/channel.h"
 #include "rpc/server.h"
 #include "services/common/fanout.h"
 
@@ -42,16 +41,14 @@ class MidTier
     const LshIndex &index() const { return *lsh; }
     uint64_t queriesServed() const { return served; }
     /** Responses merged from partial leaf results. */
-    uint64_t degradedResponses() const { return degraded; }
+    uint64_t degradedResponses() const { return leaves.degradedResponses(); }
 
   private:
     void handle(rpc::ServerCallPtr call);
 
     std::unique_ptr<LshIndex> lsh;
-    std::vector<std::shared_ptr<rpc::Channel>> leaves;
-    FanoutPolicy fanoutPolicy;
+    Downstream leaves;
     std::atomic<uint64_t> served{0};
-    std::atomic<uint64_t> degraded{0};
 };
 
 /**

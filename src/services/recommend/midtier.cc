@@ -15,7 +15,7 @@ namespace recommend {
 
 MidTier::MidTier(std::vector<std::shared_ptr<rpc::Channel>> leaves_in,
                  FanoutPolicy policy)
-    : leaves(std::move(leaves_in)), fanoutPolicy(policy)
+    : leaves(std::move(leaves_in), policy)
 {
     MUSUITE_CHECK(!leaves.empty()) << "recommend needs leaves";
 }
@@ -66,16 +66,12 @@ MidTier::handle(rpc::ServerCallPtr call)
     served.fetch_add(1, std::memory_order_relaxed);
 
     // Request path: forward the pair to every leaf.
-    std::vector<FanoutRequest> requests;
-    requests.reserve(leaves.size());
-    for (auto &leaf : leaves) {
-        FanoutRequest request;
-        request.channel = leaf.get();
-        request.body = call->body();
-        requests.push_back(std::move(request));
-    }
-    serveFanout<RatingReply>(call, kLeafPredict, std::move(requests),
-                             fanoutPolicy, degraded, MeanFold{});
+    std::vector<Leg> legs;
+    legs.reserve(leaves.size());
+    for (uint32_t leaf = 0; leaf < leaves.size(); ++leaf)
+        legs.push_back({leaf, call->body()});
+    leaves.serve<RatingReply>(call, kLeafPredict, std::move(legs),
+                              MeanFold{});
 }
 
 std::vector<SparseRatings>

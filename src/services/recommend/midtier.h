@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "ml/matrix.h"
-#include "rpc/channel.h"
 #include "rpc/server.h"
 #include "services/common/fanout.h"
 
@@ -29,15 +28,13 @@ class MidTier
 
     uint64_t queriesServed() const { return served; }
     /** Responses averaged from partial leaf results. */
-    uint64_t degradedResponses() const { return degraded; }
+    uint64_t degradedResponses() const { return leaves.degradedResponses(); }
 
   private:
     void handle(rpc::ServerCallPtr call);
 
-    std::vector<std::shared_ptr<rpc::Channel>> leaves;
-    FanoutPolicy fanoutPolicy;
+    Downstream leaves;
     std::atomic<uint64_t> served{0};
-    std::atomic<uint64_t> degraded{0};
 };
 
 /**

@@ -14,8 +14,8 @@ namespace musuite {
 namespace router {
 
 MidTier::MidTier(std::vector<std::shared_ptr<rpc::Channel>> leaves_in,
-                 MidTierOptions options_in)
-    : leaves(std::move(leaves_in)), options(options_in)
+                 MidTierOptions options_in, FanoutPolicy policy)
+    : leaves(std::move(leaves_in), std::move(policy)), options(options_in)
 {
     MUSUITE_CHECK(!leaves.empty()) << "router needs leaves";
     options.replicas =
@@ -68,7 +68,7 @@ MidTier::handle(rpc::ServerCallPtr call)
         const size_t start = size_t(salt % pool.size());
         for (size_t i = 0; i < pool.size(); ++i)
             rotated[i] = pool[(start + i) % pool.size()];
-        routeGet(call, call->body(), std::move(rotated), 0, {});
+        leaves.failover(call, kLeafOp, call->body(), std::move(rotated));
     }
 }
 
@@ -96,60 +96,11 @@ MidTier::routeSet(rpc::ServerCallPtr call, const std::string &body,
                   const std::vector<uint32_t> &pool)
 {
     // Sets go to every replica so the data survives leaf failures.
-    std::vector<FanoutRequest> requests;
-    requests.reserve(pool.size());
-    for (uint32_t leaf : pool) {
-        FanoutRequest request;
-        request.channel = leaves[leaf].get();
-        request.body = body; // Leaf understands the same KvRequest.
-        request.tag = leaf;
-        requests.push_back(std::move(request));
-    }
-    serveFanout<KvReply>(call, kLeafOp, std::move(requests),
-                         options.fanout, degraded, StoreFold{});
-}
-
-void
-MidTier::routeGet(rpc::ServerCallPtr call, std::string body,
-                  std::vector<uint32_t> pool, size_t attempt,
-                  std::vector<LeafResult> failures)
-{
-    if (attempt >= pool.size()) {
-        respondFailure(call,
-                       dominantFailure(failures,
-                                       "all replicas unreachable"));
-        return;
-    }
-    // A failover walk can outlive the caller's budget: stop promising
-    // replicas time the root no longer has.
-    if (failFastIfExpired(call))
-        return;
-    if (attempt > 0)
-        failoverCount.fetch_add(1, std::memory_order_relaxed);
-
-    rpc::Channel *channel = leaves[pool[attempt]].get();
-    std::string body_copy = body;
-    // Each failover attempt gets the per-leg resilience options
-    // clamped to the budget *remaining now* — earlier attempts have
-    // already spent part of it (budget-decrement fix).
-    channel->call(
-        kLeafOp, std::move(body_copy),
-        options.fanout.legOptions(call->remainingBudgetNs()),
-        [this, call, body = std::move(body), pool = std::move(pool),
-         attempt, failures = std::move(failures)](
-            const Status &status, std::string_view payload) mutable {
-            if (status.isOk()) {
-                // Preserve a downstream mid-tier's degraded flag: the
-                // payload is relayed verbatim, so it already carries it.
-                call->respondOk(payload);
-                return;
-            }
-            // Replica down: fall over to the next one in the pool,
-            // remembering why this one failed.
-            failures.push_back(LeafResult{status, {}, pool[attempt]});
-            routeGet(call, std::move(body), std::move(pool),
-                     attempt + 1, std::move(failures));
-        });
+    std::vector<Leg> legs;
+    legs.reserve(pool.size());
+    for (uint32_t leaf : pool)
+        legs.push_back({leaf, body}); // Leaf understands the KvRequest.
+    leaves.serve<KvReply>(call, kLeafOp, std::move(legs), StoreFold{});
 }
 
 } // namespace router

@@ -17,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "rpc/channel.h"
 #include "rpc/server.h"
 #include "services/common/fanout.h"
 
@@ -28,20 +27,20 @@ struct MidTierOptions
 {
     uint32_t replicas = 3; //!< Replication-pool size (paper: 3).
     uint64_t seed = 23;    //!< Replica-choice randomness.
-    /**
-     * Resilience policy. Sets fan out with fanout.leg options and
-     * complete early once quorumFraction of the pool stored the value
-     * (flagged degraded if any replica missed it); gets apply
-     * fanout.leg to each sequential failover attempt.
-     */
-    FanoutPolicy fanout;
 };
 
 class MidTier
 {
   public:
+    /**
+     * @param policy Resilience policy. Sets fan out with policy.leg
+     *               options and complete early once quorumFraction of
+     *               the pool stored the value (flagged degraded if any
+     *               replica missed it); gets apply policy.leg to each
+     *               sequential failover attempt.
+     */
     MidTier(std::vector<std::shared_ptr<rpc::Channel>> leaves,
-            MidTierOptions options = {});
+            MidTierOptions options = {}, FanoutPolicy policy = {});
 
     void registerWith(rpc::Server &server);
 
@@ -53,29 +52,18 @@ class MidTier
 
     uint64_t opsRouted() const { return served; }
     /** Gets that needed replica failover (fault-tolerance metric). */
-    uint64_t failovers() const { return failoverCount; }
+    uint64_t failovers() const { return leaves.failovers(); }
     /** Sets acknowledged by only part of the replica pool. */
-    uint64_t degradedResponses() const { return degraded; }
+    uint64_t degradedResponses() const { return leaves.degradedResponses(); }
 
   private:
     void handle(rpc::ServerCallPtr call);
     void routeSet(rpc::ServerCallPtr call, const std::string &body,
                   const std::vector<uint32_t> &pool);
-    /**
-     * Try pool[attempt], fail over on error. `failures` accumulates
-     * each attempt's failure status so pool exhaustion can report the
-     * dominant one (a shedding replica's retry-after survives the
-     * walk instead of being flattened to Unavailable).
-     */
-    void routeGet(rpc::ServerCallPtr call, std::string body,
-                  std::vector<uint32_t> pool, size_t attempt,
-                  std::vector<LeafResult> failures);
 
-    std::vector<std::shared_ptr<rpc::Channel>> leaves;
+    Downstream leaves;
     MidTierOptions options;
     std::atomic<uint64_t> served{0};
-    std::atomic<uint64_t> failoverCount{0};
-    std::atomic<uint64_t> degraded{0};
     std::atomic<uint64_t> replicaSalt{0};
 };
 

@@ -15,7 +15,7 @@ namespace setalgebra {
 
 MidTier::MidTier(std::vector<std::shared_ptr<rpc::Channel>> leaves_in,
                  FanoutPolicy policy)
-    : leaves(std::move(leaves_in)), fanoutPolicy(policy)
+    : leaves(std::move(leaves_in), policy)
 {
     MUSUITE_CHECK(!leaves.empty()) << "set algebra needs leaves";
 }
@@ -64,18 +64,14 @@ MidTier::handle(rpc::ServerCallPtr call)
     served.fetch_add(1, std::memory_order_relaxed);
 
     // Request path: forward the terms to every leaf shard.
-    std::vector<FanoutRequest> requests;
-    requests.reserve(leaves.size());
-    for (auto &leaf : leaves) {
-        FanoutRequest request;
-        request.channel = leaf.get();
-        request.body = call->body(); // Same SearchQuery shape.
-        requests.push_back(std::move(request));
-    }
+    std::vector<Leg> legs;
+    legs.reserve(leaves.size());
+    for (uint32_t leaf = 0; leaf < leaves.size(); ++leaf)
+        legs.push_back({leaf, call->body()}); // Same SearchQuery shape.
     UnionFold fold;
-    fold.lists.reserve(requests.size());
-    serveFanout<PostingReply>(call, kIntersect, std::move(requests),
-                              fanoutPolicy, degraded, std::move(fold));
+    fold.lists.reserve(legs.size());
+    leaves.serve<PostingReply>(call, kIntersect, std::move(legs),
+                               std::move(fold));
 }
 
 } // namespace setalgebra

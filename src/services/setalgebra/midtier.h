@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "rpc/channel.h"
 #include "rpc/server.h"
 #include "services/common/fanout.h"
 
@@ -28,15 +27,13 @@ class MidTier
 
     uint64_t queriesServed() const { return served; }
     /** Responses unioned from partial leaf results. */
-    uint64_t degradedResponses() const { return degraded; }
+    uint64_t degradedResponses() const { return leaves.degradedResponses(); }
 
   private:
     void handle(rpc::ServerCallPtr call);
 
-    std::vector<std::shared_ptr<rpc::Channel>> leaves;
-    FanoutPolicy fanoutPolicy;
+    Downstream leaves;
     std::atomic<uint64_t> served{0};
-    std::atomic<uint64_t> degraded{0};
 };
 
 } // namespace setalgebra

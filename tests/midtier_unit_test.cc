@@ -13,6 +13,7 @@
 
 #include "base/clock.h"
 #include "index/lsh.h"
+#include "rpc/health.h"
 #include "rpc/server.h"
 #include "services/graph/node.h"
 #include "services/graph/proto.h"
@@ -25,12 +26,14 @@
 #include "services/setalgebra/midtier.h"
 #include "services/setalgebra/proto.h"
 #include "simkernel/simclock.h"
+#include "stats/counters.h"
 
 namespace musuite {
 namespace {
 
 /** A scripted leaf: replies with a fixed payload, error, shed (with a
- *  retry-after pacing hint), or garbage. */
+ *  retry-after pacing hint), or garbage — inline, or `delayNs` later on
+ *  the channel's clock. */
 class ScriptedChannel : public rpc::Channel
 {
   public:
@@ -43,13 +46,28 @@ class ScriptedChannel : public rpc::Channel
     {}
 
     int calls = 0;
+    /** The wire budget of every attempt, in call order. */
+    std::vector<int64_t> budgets;
+    int64_t delayNs = 0;
 
   protected:
     void
-    transportCall(uint32_t, std::string, int64_t,
+    transportCall(uint32_t, std::string, int64_t budget_ns,
                   Callback callback) override
     {
         ++calls;
+        budgets.push_back(budget_ns);
+        if (delayNs > 0) {
+            clock().schedule(delayNs, [this, callback] { answer(callback); });
+            return;
+        }
+        answer(callback);
+    }
+
+  private:
+    void
+    answer(const Callback &callback)
+    {
         switch (mode) {
           case Mode::Reply:
             callback(Status::ok(), payload);
@@ -69,7 +87,6 @@ class ScriptedChannel : public rpc::Channel
         }
     }
 
-  private:
     Mode mode;
     std::string payload;
     int64_t retryAfterNs;
@@ -343,6 +360,60 @@ TEST(RouterMidTierTest, GetExhaustsReplicasThenFails)
         attempts += leaf->calls;
     EXPECT_EQ(attempts, 3);
     EXPECT_EQ(midtier.failovers(), 2u);
+}
+
+TEST(RouterMidTierTest, FailoverAttemptGetsOnlyTheBudgetLeft)
+{
+    // Per-hop budget decrement on the failover walk: the first replica
+    // fails kDelay into an inbound budget of kBudget, so the second
+    // replica must be promised exactly what is left, never the budget
+    // as received.
+    sim::SimClock clock;
+    ScopedClock scoped(clock);
+    constexpr int64_t kBudget = 50'000'000;
+    constexpr int64_t kDelay = 7'000'000;
+    router::MidTierOptions options;
+    options.replicas = 2;
+    options.seed = 0; // The first get starts at pool[0].
+    router::KvRequest request;
+    request.op = router::Op::Get;
+    request.key = "k";
+    // A routing-only mid-tier over placeholder channels names the
+    // replica the walk tries first.
+    const uint32_t first =
+        router::MidTier(std::vector<std::shared_ptr<rpc::Channel>>(2),
+                        options)
+            .replicaPool(request.key)[0];
+
+    auto failing =
+        std::make_shared<ScriptedChannel>(ScriptedChannel::Mode::Error);
+    failing->delayNs = kDelay;
+    auto healthy = std::make_shared<ScriptedChannel>(
+        ScriptedChannel::Mode::Reply, kvFound("v"));
+    std::vector<std::shared_ptr<rpc::Channel>> leaves(2);
+    leaves[first] = failing;
+    leaves[1 - first] = healthy;
+    router::MidTier midtier(leaves, options);
+
+    CapturedResponse out;
+    rpc::Server host;
+    midtier.registerWith(host);
+    host.invokeLocal(router::kRoute, encodeMessage(request), kBudget,
+                     [&out](StatusCode code, std::string_view payload,
+                            int64_t retry_after) {
+                         out.code = code;
+                         out.payload.assign(payload.data(),
+                                            payload.size());
+                         out.retryAfterNs = retry_after;
+                         out.responded = true;
+                     });
+    clock.runUntilIdle();
+
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Ok);
+    EXPECT_EQ(failing->budgets, std::vector<int64_t>{kBudget});
+    EXPECT_EQ(healthy->budgets, std::vector<int64_t>{kBudget - kDelay});
+    EXPECT_EQ(midtier.failovers(), 1u);
 }
 
 // --------------------------------------------------------------------
@@ -731,6 +802,61 @@ TEST(RecommendMidTierTest, AllLegsGarbledIsUnavailable)
            encodeMessage(recommend::RatingQuery{1, 2}), out);
     ASSERT_TRUE(out.responded);
     EXPECT_EQ(out.code, StatusCode::Unavailable);
+}
+
+// --------------------------------------------------------------------
+// Outlier ejection through a paper service's mid-tier.
+// --------------------------------------------------------------------
+
+TEST(SetAlgebraMidTierTest, EjectionPolicyEjectsAFailingLeaf)
+{
+    // A mid-tier handed an ejection policy (as DeploymentOptions::
+    // midTierFanout can carry one) must put its leaves under watch:
+    // an unwatched leaf is always admitted, so it could never be
+    // ejected however often it fails. Virtual time keeps every leg's
+    // latency at zero, so only the failures can single a leaf out.
+    sim::SimClock clock;
+    ScopedClock scoped(clock);
+    auto ejection = std::make_shared<rpc::EjectionPolicy>();
+    FanoutPolicy policy;
+    policy.ejection = ejection;
+    auto broken =
+        std::make_shared<ScriptedChannel>(ScriptedChannel::Mode::Error);
+    setalgebra::MidTier midtier(
+        {std::make_shared<ScriptedChannel>(ScriptedChannel::Mode::Reply,
+                                           postingPayload({1})),
+         broken,
+         std::make_shared<ScriptedChannel>(ScriptedChannel::Mode::Reply,
+                                           postingPayload({2}))},
+        policy);
+    rpc::Server host;
+    midtier.registerWith(host);
+    setalgebra::SearchQuery query;
+    query.terms = {1};
+
+    const uint32_t min_outcomes = rpc::EjectionPolicy::Options().minOutcomes;
+    for (uint32_t i = 0; i < min_outcomes; ++i) {
+        CapturedResponse out;
+        invoke(host, setalgebra::kSearch, encodeMessage(query), out);
+        ASSERT_TRUE(out.responded);
+    }
+    EXPECT_EQ(ejection->ejectedCount(), 0u);
+    EXPECT_EQ(broken->calls, int(min_outcomes));
+
+    // The leaf now has enough failed outcomes to be judged: the next
+    // fan-out ejects it and skips its leg.
+    const CounterSnapshot before = globalCounters().snapshot();
+    CapturedResponse out;
+    invoke(host, setalgebra::kSearch, encodeMessage(query), out);
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Ok);
+    EXPECT_EQ(ejection->ejectedCount(), 1u);
+    EXPECT_EQ(broken->calls, int(min_outcomes));
+    const CounterSnapshot delta =
+        CounterSet::diff(before, globalCounters().snapshot());
+    const auto skipped = delta.find("fanout.outlier_skipped");
+    ASSERT_NE(skipped, delta.end());
+    EXPECT_EQ(skipped->second, 1u);
 }
 
 /** Serve one GraphNode request on a SimClock, draining any timers

@@ -194,35 +194,6 @@ TEST(MulintFixtures, HealthClockOk)
     EXPECT_TRUE(lintFixture("health_clock_ok", "clock-seam").empty());
 }
 
-TEST(MulintFixtures, DeadlineTaintBad)
-{
-    const auto findings =
-        lintFixture("deadline_taint_bad", "deadline-taint");
-    ASSERT_EQ(findings.size(), 4u);
-    EXPECT_EQ(findings[0].line, 18);
-    EXPECT_NE(findings[0].message.find(
-                  "'resolve' called without the inbound budget"),
-              std::string::npos);
-    EXPECT_EQ(findings[1].line, 19);
-    EXPECT_NE(findings[1].message.find(
-                  "deadline argument 3 of 'fanoutCall'"),
-              std::string::npos);
-    // The flow-sensitive case: budget-derived on one path only.
-    EXPECT_EQ(findings[2].line, 28);
-    EXPECT_NE(findings[2].message.find(
-                  "not derived from the inbound budget on every path"),
-              std::string::npos);
-    EXPECT_EQ(findings[3].line, 39);
-    EXPECT_NE(findings[3].message.find("deadline argument 3 of 'call'"),
-              std::string::npos);
-}
-
-TEST(MulintFixtures, DeadlineTaintOk)
-{
-    EXPECT_TRUE(
-        lintFixture("deadline_taint_ok", "deadline-taint").empty());
-}
-
 TEST(MulintFixtures, UseBeforeCheckBad)
 {
     const auto findings =

@@ -42,13 +42,13 @@ TEST(AdmissionTest, GradientTracksInflightAndLimit)
     GradientAdmission::Options options;
     options.initialLimit = 2.0;
     GradientAdmission admission(options);
-    EXPECT_TRUE(admission.admit(0));
-    EXPECT_TRUE(admission.admit(0));
-    EXPECT_FALSE(admission.admit(0)); // Limit 2 reached.
+    EXPECT_TRUE(admission.admit());
+    EXPECT_TRUE(admission.admit());
+    EXPECT_FALSE(admission.admit()); // Limit 2 reached.
     EXPECT_EQ(admission.inflight(), 2u);
     admission.onAdmittedComplete(1000);
     EXPECT_EQ(admission.inflight(), 1u);
-    EXPECT_TRUE(admission.admit(0)); // Slot freed.
+    EXPECT_TRUE(admission.admit()); // Slot freed.
     admission.onAdmittedDropped(); // Dropped: no latency sample.
     admission.onAdmittedComplete(1000);
     EXPECT_EQ(admission.inflight(), 0u);
@@ -64,12 +64,12 @@ TEST(AdmissionTest, GradientShrinksOnQueueingGrowsWhenIdle)
 
     // Establish minRtt = 1000 ns, then feed queueing samples (far
     // above tolerance x minRtt): multiplicative decrease kicks in.
-    ASSERT_TRUE(admission.admit(0));
+    ASSERT_TRUE(admission.admit());
     admission.onAdmittedComplete(1000);
     EXPECT_EQ(admission.minRttNs(), 1000);
     const double before = admission.currentLimit();
     for (int i = 0; i < 20; ++i) {
-        ASSERT_TRUE(admission.admit(0));
+        ASSERT_TRUE(admission.admit());
         admission.onAdmittedComplete(50'000);
     }
     const double shrunk = admission.currentLimit();
@@ -77,7 +77,7 @@ TEST(AdmissionTest, GradientShrinksOnQueueingGrowsWhenIdle)
 
     // Fast samples again: additive increase creeps the limit back up.
     for (int i = 0; i < 20; ++i) {
-        ASSERT_TRUE(admission.admit(0));
+        ASSERT_TRUE(admission.admit());
         admission.onAdmittedComplete(1000);
     }
     EXPECT_GT(admission.currentLimit(), shrunk);
@@ -87,10 +87,10 @@ TEST(AdmissionTest, GradientRetryAfterScalesWithInflight)
 {
     GradientAdmission admission;
     EXPECT_EQ(admission.retryAfterHintNs(), 0); // No RTT estimate yet.
-    ASSERT_TRUE(admission.admit(0));
+    ASSERT_TRUE(admission.admit());
     admission.onAdmittedComplete(2000);
-    ASSERT_TRUE(admission.admit(0));
-    ASSERT_TRUE(admission.admit(0));
+    ASSERT_TRUE(admission.admit());
+    ASSERT_TRUE(admission.admit());
     // minRtt 2000, two inflight: hint = 2000 * (2 + 1).
     EXPECT_EQ(admission.retryAfterHintNs(), 6000);
 }
@@ -188,7 +188,7 @@ makeEchoServer(ServerOptions options = {})
 class RejectAllAdmission : public AdmissionController
 {
   public:
-    bool admit(size_t) override { return false; }
+    bool admit() override { return false; }
 };
 
 TEST(ServerSheddingTest, AdmissionRejectCarriesRetryAfter)

@@ -300,8 +300,7 @@ runFanoutFaultScenario(uint64_t seed)
                 policy.leg.backoffJitterSeed = seed * 977 + 1;
                 policy.quorumFraction = 0.5;
                 fanoutCall(kLeafMethod, std::move(requests),
-                           policy.resolve(legs->size(),
-                                          call->remainingBudgetNs()),
+                           policy.resolve(legs->size(), *call),
                            [call](FanoutOutcome outcome) {
                                if (outcome.okLegs == 0) {
                                    call->respond(
@@ -343,8 +342,7 @@ runFanoutFaultScenario(uint64_t seed)
             policy.leg.backoffJitter = 0.2;
             policy.leg.backoffJitterSeed = seed * 977 + 2;
             fanoutCall(kMidMethod, std::move(requests),
-                       policy.resolve(mid_legs->size(),
-                                      call->remainingBudgetNs()),
+                       policy.resolve(mid_legs->size(), *call),
                        [call](FanoutOutcome outcome) {
                            if (outcome.okLegs == 0) {
                                call->respond(StatusCode::Unavailable,

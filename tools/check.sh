@@ -14,7 +14,7 @@
 #        rank-table, guarded-by, plus the
 #        interprocedural clock-seam and counter-registry rules and the
 #        CFG/dataflow lock-across-blocking, use-before-check,
-#        dangling-capture, deadline-taint and stale-pragma rules; see
+#        dangling-capture and stale-pragma rules; see
 #        DESIGN.md) with a runtime budget, archiving
 #        mulint_findings.json and diffing it against the committed
 #        tools/mulint/baseline.json (lost findings fail the gate)

@@ -16,7 +16,6 @@
 #include "cfg.h"
 
 #include <algorithm>
-#include <cctype>
 
 namespace mulint {
 
@@ -799,96 +798,6 @@ buildCfg(const FileModel &fm, const FunctionInfo &fn)
     bld.edge(bld.cur, bld.g.exit);
     computeRpo(bld.g);
     return std::move(bld.g);
-}
-
-std::vector<std::string>
-paramNames(const FileModel &fm, const FunctionInfo &fn)
-{
-    Cur c{fm};
-    std::vector<std::string> names;
-    const size_t cb = c.codeIndexOf(fn.bodyBegin);
-    size_t q = cb;
-    int hops = 0;
-    while (q > 0 && hops++ < 64) {
-        const Token &t = c.tok(q - 1);
-        if (t.kind == Tok::Ident &&
-            (t.text == "const" || t.text == "noexcept" ||
-             t.text == "override" || t.text == "final" ||
-             t.text == "mutable" || t.text == "constexpr")) {
-            --q;
-            continue;
-        }
-        if (t.kind == Tok::Punct && t.text == ")") {
-            size_t open = c.match(q - 1);
-            if (open == SIZE_MAX)
-                return names;
-            // Annotation macro / noexcept(...) groups: hop over.
-            if (open > 0 && c.isIdent(open - 1)) {
-                const std::string &n = c.tok(open - 1).text;
-                bool upper =
-                    !n.empty() &&
-                    std::all_of(n.begin(), n.end(), [](char ch) {
-                        return std::isupper((unsigned char)ch) ||
-                               ch == '_';
-                    });
-                if (n == "noexcept" || upper) {
-                    q = open - 1;
-                    continue;
-                }
-                // Constructor init list entry: name(...) after ',' or ':'.
-                if (open >= 2 && (c.isPunct(open - 2, ",") ||
-                                  c.isPunct(open - 2, ":"))) {
-                    q = open - 2;
-                    continue;
-                }
-            }
-            // Parameter list. Split on top-level commas.
-            size_t close = q - 1;
-            size_t segB = open + 1;
-            for (size_t i = open + 1; i <= close; ++i) {
-                bool atEnd = i == close;
-                if (!atEnd && (c.isPunct(i, "(") || c.isPunct(i, "[") ||
-                               c.isPunct(i, "{") || c.isPunct(i, "<"))) {
-                    if (c.isPunct(i, "<")) {
-                        // Angle brackets are unmatched in codeMatch;
-                        // balance them manually.
-                        int d = 1;
-                        size_t j = i + 1;
-                        while (j < close && d > 0) {
-                            if (c.isPunct(j, "<"))
-                                ++d;
-                            else if (c.isPunct(j, ">"))
-                                --d;
-                            ++j;
-                        }
-                        i = j - 1;
-                        continue;
-                    }
-                    if (c.match(i) != SIZE_MAX && c.match(i) < close) {
-                        i = c.match(i);
-                        continue;
-                    }
-                }
-                if (atEnd || c.isPunct(i, ",")) {
-                    // Last top-level ident before any '=' is the name.
-                    std::string name;
-                    for (size_t j = segB; j < i; ++j) {
-                        if (c.isPunct(j, "="))
-                            break;
-                        if (c.isIdent(j))
-                            name = c.tok(j).text;
-                    }
-                    if (!name.empty() && name != "void" &&
-                        name != "const")
-                        names.push_back(name);
-                    segB = i + 1;
-                }
-            }
-            return names;
-        }
-        return names;
-    }
-    return names;
 }
 
 } // namespace mulint

@@ -180,10 +180,6 @@ struct Cfg
  */
 Cfg buildCfg(const FileModel &fm, const FunctionInfo &fn);
 
-/** Parameter names of `fn`, best effort (empty on parse trouble). */
-std::vector<std::string> paramNames(const FileModel &fm,
-                                    const FunctionInfo &fn);
-
 /** Advance ci past any nested-function range covering it. Ranges are
  *  sorted by start and properly nested, so one pass suffices. */
 inline size_t

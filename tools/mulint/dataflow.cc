@@ -2,8 +2,8 @@
  * @file
  * The flow-sensitive analyses over the per-function CFG: path-sensitive
  * lock-sets (replacing the old linear held-lock stack), use-before-check
- * for Result values, dangling by-reference captures in deferred
- * schedule() lambdas, and deadline-taint for fan-out budgets.
+ * for Result values, and dangling by-reference captures in deferred
+ * schedule() lambdas.
  *
  * Each analysis runs runForward() to a fixpoint and then replays the
  * transfer functions once per reachable block in RPO with reporting
@@ -784,260 +784,6 @@ runDanglingCapture(const Tree &tree, std::vector<Finding> &findings)
                          "exits; capture by value or drain the clock "
                          "before returning",
                      t.col});
-            }
-        }
-    }
-}
-
-// ====================================================================
-// deadline-taint: the deadline value reaching a fan-out must be
-// data-derived from the inbound budget on every path.
-// ====================================================================
-
-namespace {
-
-bool
-isBudgetSourceIdent(const std::string &name)
-{
-    if (name == "remainingBudgetNs" || name == "clampToBudget" ||
-        name == "legOptions")
-        return true;
-    return name.find("budget") != std::string::npos ||
-           name.find("Budget") != std::string::npos;
-}
-
-struct TaintAnalysis
-{
-    // Must-tainted identifiers: derived from the inbound budget on
-    // every path reaching the program point.
-    using State = std::set<std::string>;
-
-    const Cur &c;
-    const Cfg &cfg;
-    const State &seeds;
-
-    State
-    boundary() const
-    {
-        return seeds;
-    }
-
-    State
-    refine(const CfgEdge &, const State &s) const
-    {
-        return s;
-    }
-
-    bool
-    join(State &into, const State &from) const
-    {
-        // Must-analysis: intersect.
-        bool changed = false;
-        for (auto it = into.begin(); it != into.end();) {
-            if (!from.count(*it)) {
-                it = into.erase(it);
-                changed = true;
-            } else {
-                ++it;
-            }
-        }
-        return changed;
-    }
-
-    bool
-    rangeTainted(const State &s, size_t b, size_t e) const
-    {
-        for (size_t i = b; i < e && i < c.size(); ++i) {
-            if (!c.isIdent(i))
-                continue;
-            const std::string &name = c.tok(i).text;
-            if (s.count(name) || isBudgetSourceIdent(name))
-                return true;
-        }
-        return false;
-    }
-
-    State
-    transfer(const Cfg &g, size_t b, const State &in)
-    {
-        State s = in;
-        for (const Stmt &st : g.blocks[b].stmts)
-            apply(st, s);
-        return s;
-    }
-
-    void
-    apply(const Stmt &st, State &s) const
-    {
-        if (st.kind != Stmt::Normal)
-            return; // Conditions and scope ends do not assign.
-        for (size_t i = st.beginCi; i < st.endCi && i < c.size(); ++i) {
-            size_t hop = skipNested(cfg, i);
-            if (hop != i) {
-                i = hop - 1;
-                continue;
-            }
-            if (!c.isPunct(i, "="))
-                continue;
-            // Reject ==, <=, >=, != (all lex as punct pairs).
-            if (c.isPunct(i + 1, "=") ||
-                (i > st.beginCi &&
-                 (c.isPunct(i - 1, "=") || c.isPunct(i - 1, "!") ||
-                  c.isPunct(i - 1, "<") || c.isPunct(i - 1, ">"))))
-                continue;
-            bool compound =
-                i > st.beginCi &&
-                (c.isPunct(i - 1, "+") || c.isPunct(i - 1, "-") ||
-                 c.isPunct(i - 1, "*") || c.isPunct(i - 1, "/") ||
-                 c.isPunct(i - 1, "%") || c.isPunct(i - 1, "&") ||
-                 c.isPunct(i - 1, "|") || c.isPunct(i - 1, "^"));
-            size_t lhsAt = compound ? i - 2 : i - 1;
-            if (lhsAt >= st.endCi || lhsAt < st.beginCi ||
-                !c.isIdent(lhsAt))
-                continue;
-            const std::string target = c.tok(lhsAt).text;
-            size_t rhsEnd = st.endCi;
-            size_t semi = i;
-            while (semi < st.endCi && !c.isPunct(semi, ";"))
-                ++semi;
-            rhsEnd = semi;
-            if (rangeTainted(s, i + 1, rhsEnd))
-                s.insert(target);
-            else if (!compound)
-                s.erase(target);
-            i = rhsEnd;
-        }
-    }
-};
-
-} // namespace
-
-void
-runDeadlineTaint(const Tree &tree, std::vector<Finding> &findings)
-{
-    for (const FileModel &fm : tree.files) {
-        if (fm.rel.rfind("src/services/", 0) != 0)
-            continue;
-        Cur c{fm};
-        for (const FunctionInfo &fn : fm.functions) {
-            // Cheap pre-filter: any sink in this function?
-            bool hasSink = false;
-            for (const CallSite &call : fn.calls) {
-                if ((call.memberCall && call.callee == "resolve") ||
-                    (!call.memberCall &&
-                     call.callee == "fanoutCall") ||
-                    (call.memberCall && call.callee == "legOptions") ||
-                    (call.memberCall && call.callee == "call" &&
-                     call.argCount == 4))
-                    hasSink = true;
-            }
-            if (!hasSink)
-                continue;
-
-            const Cfg cfg = buildCfg(fm, fn);
-            TaintAnalysis::State seeds;
-            for (const std::string &p : paramNames(fm, fn)) {
-                if (isBudgetSourceIdent(p))
-                    seeds.insert(p);
-            }
-            TaintAnalysis a{c, cfg, seeds};
-            auto in = runForward(cfg, a);
-
-            // Map call sites to the block whose statements cover them,
-            // then judge each sink against that block's walked state.
-            auto argRange = [&](const CallSite &call, int argNo,
-                                size_t *b, size_t *e) {
-                const size_t open = call.argOpen;
-                const size_t close = c.match(open);
-                if (close == SIZE_MAX)
-                    return false;
-                int arg = 1;
-                size_t from = open + 1;
-                for (size_t j = open + 1; j <= close; ++j) {
-                    if (j < close &&
-                        (c.isPunct(j, "(") || c.isPunct(j, "{") ||
-                         c.isPunct(j, "[")) &&
-                        c.match(j) != SIZE_MAX) {
-                        j = c.match(j);
-                        continue;
-                    }
-                    if (j == close || c.isPunct(j, ",")) {
-                        if (arg == argNo) {
-                            *b = from;
-                            *e = j;
-                            return true;
-                        }
-                        ++arg;
-                        from = j + 1;
-                    }
-                }
-                return false;
-            };
-
-            auto judgeSink = [&](const CallSite &call,
-                                 const TaintAnalysis::State &s) {
-                int budgetArg = 0;
-                if (call.memberCall && call.callee == "resolve" &&
-                    call.argCount == 1) {
-                    const Token &at = c.tok(call.argOpen);
-                    findings.push_back(
-                        {fm.rel, call.line, "deadline-taint",
-                         "fan-out 'resolve' called without the "
-                         "inbound budget; pass "
-                         "call->remainingBudgetNs() so the deadline "
-                         "is derived from the request",
-                         at.col});
-                    return;
-                }
-                if (call.memberCall && call.callee == "resolve" &&
-                    call.argCount == 2)
-                    budgetArg = 2;
-                else if (!call.memberCall &&
-                         call.callee == "fanoutCall" &&
-                         call.argCount >= 3)
-                    budgetArg = 3;
-                else if (call.memberCall &&
-                         call.callee == "legOptions" &&
-                         call.argCount == 1)
-                    budgetArg = 1;
-                else if (call.memberCall && call.callee == "call" &&
-                         call.argCount == 4)
-                    budgetArg = 3;
-                if (budgetArg == 0)
-                    return;
-                size_t ab = 0, ae = 0;
-                if (!argRange(call, budgetArg, &ab, &ae))
-                    return;
-                if (a.rangeTainted(s, ab, ae))
-                    return;
-                const Token &at = c.tok(call.argOpen);
-                findings.push_back(
-                    {fm.rel, call.line, "deadline-taint",
-                     "deadline argument " + std::to_string(budgetArg) +
-                         " of '" + call.callee +
-                         "' is not derived from the inbound budget "
-                         "on every path reaching this call",
-                     at.col});
-            };
-
-            // Walk each reachable block once, judging sinks with the
-            // state as of their own statement.
-            for (size_t bi : cfg.rpo) {
-                if (!in[bi])
-                    continue;
-                TaintAnalysis::State s = *in[bi];
-                for (const Stmt &st : cfg.blocks[bi].stmts) {
-                    if (st.kind != Stmt::ScopeEnd) {
-                        for (const CallSite &call : fn.calls) {
-                            if (call.argOpen == SIZE_MAX ||
-                                call.argOpen < st.beginCi ||
-                                call.argOpen >= st.endCi)
-                                continue;
-                            judgeSink(call, s);
-                        }
-                    }
-                    a.apply(st, s);
-                }
             }
         }
     }

@@ -32,10 +32,6 @@
  *   runDanglingCapture — by-reference lambda captures handed to a
  *                        deferred schedule() registration that can
  *                        outlive the enclosing scope.
- *   runDeadlineTaint   — the deadline reaching a fan-out must be
- *                        data-derived from the inbound budget
- *                        (dataflow upgrade of the old syntactic
- *                        budget-clamp rule).
  */
 
 #ifndef MULINT_DATAFLOW_H
@@ -96,7 +92,6 @@ void runLockAnalysis(Tree &tree, std::vector<Finding> &findings);
 void runUseBeforeCheck(const Tree &tree, std::vector<Finding> &findings);
 void runDanglingCapture(const Tree &tree,
                         std::vector<Finding> &findings);
-void runDeadlineTaint(const Tree &tree, std::vector<Finding> &findings);
 
 } // namespace mulint
 

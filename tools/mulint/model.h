@@ -169,7 +169,7 @@ ruleNames()
     static const std::set<std::string> names = {
         "lock-rank",   "rank-table",       "raw-sync",
         "guarded-by",  "thread-role",      "bad-pragma",
-        "clock-seam",  "deadline-taint",
+        "clock-seam",
         "lock-across-blocking", "counter-registry", "stale-pragma",
         "use-before-check",     "dangling-capture",
     };

@@ -14,7 +14,6 @@
  *   thread-role      blocking calls reachable from poller-role threads
  *   bad-pragma       malformed or unjustified allow pragmas
  *   clock-seam       raw time sources reachable from rpc/services/simkernel
- *   deadline-taint   fan-out deadlines not data-derived from the budget
  *   lock-across-blocking  locks held across (transitively) blocking calls
  *   counter-registry counter names: src emission vs DESIGN.md vs tests
  *   stale-pragma     allow pragmas that no longer suppress anything
@@ -27,12 +26,16 @@
  * propagated to a fixpoint (summary.h), so a finding can cite a
  * transitive witness chain like "handle -> pollOnce -> nowNanos".
  *
- * lock-rank, lock-across-blocking, use-before-check, dangling-capture
- * and deadline-taint are flow-sensitive: they run on a per-function
+ * lock-rank, lock-across-blocking, use-before-check and
+ * dangling-capture are flow-sensitive: they run on a per-function
  * control-flow graph (cfg.h) under a forward-dataflow fixpoint
- * (dataflow.h), so conditional locks, check-dominated accesses and
- * per-path budget derivation are analyzed path-precisely instead of
- * linearly.
+ * (dataflow.h), so conditional locks and check-dominated accesses are
+ * analyzed path-precisely instead of linearly.
+ *
+ * Fan-out deadline propagation is not a rule: services reach their
+ * leaves only through services/common/fanout.h's Downstream pool,
+ * which reads the inbound budget itself, so the invariant holds by
+ * construction.
  *
  * Findings are suppressed by `// mulint: allow(<rule>): <justification>`
  * on the finding's line or the line above; the justification text is

@@ -778,8 +778,6 @@ runRules(const Tree &tree, const std::vector<std::string> &designLines,
         runUseBeforeCheck(tree, findings);
     if (enabled("dangling-capture"))
         runDanglingCapture(tree, findings);
-    if (enabled("deadline-taint"))
-        runDeadlineTaint(tree, findings);
     if (enabled("counter-registry"))
         ruleCounterRegistry(tree, designLines, findings);
     if (enabled("rank-table"))
