@@ -130,6 +130,32 @@ simParamsFor(ServiceKind kind)
     return sim::hdsearchParams();
 }
 
+/**
+ * A figure's claims, computed from its own tables. Each check prints
+ * PASS or FAIL; a failed gated claim (sim mode, which is
+ * deterministic) makes exitCode() nonzero, while real-mode claims are
+ * reported only, since they depend on the host.
+ */
+class Claims
+{
+  public:
+    void
+    check(bool gated, const std::string &claim, bool holds,
+          const std::string &detail = "")
+    {
+        std::cout << (holds ? "PASS" : "FAIL") << " ["
+                  << (gated ? "sim, gated" : "real, reported") << "] "
+                  << claim << (detail.empty() ? "" : ": " + detail)
+                  << "\n";
+        failed = failed || (gated && !holds);
+    }
+
+    int exitCode() const { return failed ? 1 : 0; }
+
+  private:
+    bool failed = false;
+};
+
 } // namespace bench
 } // namespace musuite
 

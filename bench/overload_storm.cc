@@ -6,9 +6,9 @@
  * knee; this bench reports what happens *beyond* the knee, where the
  * interesting metric is goodput — responses delivered within the
  * client's deadline — rather than raw throughput. A single murpc
- * server with sleep-based handlers (capacity = workers / service_time,
- * independent of the host's core count) takes open-loop Poisson load
- * at 0.5x / 1x / 2x its peak, in two configurations:
+ * server (capacity = workers / service_time, independent of the
+ * host's core count) takes open-loop Poisson load at 0.5x / 1x / 2x
+ * its peak, in two configurations:
  *
  *  - vanilla: unbounded FIFO queue, no admission control, no wire
  *    deadlines. Every request eventually completes, but past
@@ -18,28 +18,38 @@
  *    even though throughput stays at capacity.
  *
  *  - controlled: adaptive (gradient) admission control sheds excess
- *    load at the poller with RESOURCE_EXHAUSTED + retry-after, workers
- *    drop requests whose wire deadline budget expired in the queue,
- *    and the client runs a deadline with one retry paced by the
- *    retry-after hint. Accepted requests keep a bounded queue ahead
- *    of them, so goodput at 2x stays near peak and excess load turns
- *    into cheap explicit sheds.
+ *    load on arrival with RESOURCE_EXHAUSTED + retry-after, and the
+ *    client runs a deadline with one retry paced by the retry-after
+ *    hint. Accepted requests keep a bounded queue ahead of them, so
+ *    goodput at 2x stays near peak and excess load turns into cheap
+ *    explicit sheds.
  *
- * --smoke-json=PATH runs a shortened fixed workload and emits the
- * goodput/shed trajectory for tools/check.sh (BENCH_overload.json).
+ * By default the storm runs in virtual time: an unstarted server on a
+ * SimClock (the virtual-time station, serviceNs per request) behind a
+ * SimChannel, driven by loadgen::arrivalSchedule, so the same --seed
+ * replays byte for byte. --real runs it over loopback TCP instead,
+ * with sleep-based handlers on a started server: the transport check.
+ *
+ * --smoke-json=PATH runs a shortened fixed workload, writes the
+ * goodput/shed trajectory to PATH (the sim run is the committed
+ * BENCH_overload.json) and exits 1 when a relation gate fails.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "base/clock.h"
 #include "base/time_util.h"
 #include "bench_common.h"
 #include "loadgen/loadgen.h"
+#include "loadgen/scenario.h"
 #include "rpc/client.h"
 #include "rpc/overload.h"
 #include "rpc/server.h"
+#include "simkernel/sim_transport.h"
 #include "stats/counters.h"
 #include "stats/histogram.h"
 
@@ -51,11 +61,13 @@ constexpr uint32_t kWork = 1;
 
 struct StormConfig
 {
-    int64_t serviceNs = 2'000'000; //!< Sleep per request (capacity knob).
+    int64_t serviceNs = 2'000'000; //!< Per request (capacity knob).
     int workers = 4;
     int64_t deadlineNs = 20'000'000; //!< Goodput deadline D.
     int64_t durationNs = 1'000'000'000;
     std::vector<double> multipliers{0.5, 1.0, 2.0};
+    bool real = false;  //!< Loopback TCP instead of virtual time.
+    uint64_t seed = 42; //!< Arrival and jitter seed (sim only).
 
     double
     peakQps() const
@@ -74,16 +86,19 @@ struct PhaseResult
     double goodputQps = 0.0;
     ShedAcceptBreakdown breakdown;
     DistributionSummary accepted; //!< Latency of completions only.
+    CounterSnapshot overload;     //!< overload.* counter deltas.
 };
 
-std::unique_ptr<rpc::Server>
-makeStormServer(const StormConfig &config, bool controlled)
+/** The storm server: the same options on both transports (serviceNs
+ *  only matters on a simulated clock). */
+rpc::ServerOptions
+stormServerOptions(const StormConfig &config, bool controlled)
 {
     rpc::ServerOptions options;
     options.pollerThreads = 1;
     options.workerThreads = config.workers;
+    options.serviceNs = config.serviceNs;
     options.name = controlled ? "ctl" : "van";
-    options.enforceQueueDeadline = controlled;
     if (controlled) {
         rpc::GradientAdmission::Options gradient;
         // Allow some queueing headroom beyond the worker count so the
@@ -95,33 +110,52 @@ makeStormServer(const StormConfig &config, bool controlled)
         options.admission =
             std::make_shared<rpc::GradientAdmission>(gradient);
     }
-    auto server = std::make_unique<rpc::Server>(options);
+    return options;
+}
+
+/** Vanilla: plain, wait forever. Controlled: a deadline and one
+ *  retry paced by the server's hint. */
+rpc::CallOptions
+stormCallOptions(const StormConfig &config, bool controlled)
+{
+    rpc::CallOptions options;
+    if (controlled) {
+        options.deadlineNs = config.deadlineNs;
+        options.totalDeadlineNs = config.deadlineNs;
+        options.maxAttempts = 2;
+        options.backoffBaseNs = config.serviceNs;
+    }
+    return options;
+}
+
+RequestOutcome
+outcomeOf(const Status &status)
+{
+    if (status.isOk())
+        return RequestOutcome(true);
+    if (status.code() == StatusCode::ResourceExhausted)
+        return RequestOutcome::shedRequest();
+    return RequestOutcome(false);
+}
+
+LoadResult
+runRealPhase(const StormConfig &config, bool controlled,
+             double multiplier)
+{
+    rpc::Server server(stormServerOptions(config, controlled));
     const int64_t service_ns = config.serviceNs;
-    server->registerHandler(kWork, [service_ns](rpc::ServerCallPtr call) {
+    server.registerHandler(kWork, [service_ns](rpc::ServerCallPtr call) {
         // Sleep, don't spin: capacity is workers/service_time without
-        // starving the single-core CI box's client and loadgen.
+        // starving the client and loadgen on a small box.
         sleepForNanos(service_ns);
         call->respondOk("");
     });
-    server->start();
-    return server;
-}
-
-PhaseResult
-runPhase(const StormConfig &config, bool controlled, double multiplier)
-{
-    auto server = makeStormServer(config, controlled);
+    server.start();
     rpc::ClientOptions client_options;
     client_options.name = controlled ? "ctl-cli" : "van-cli";
-    rpc::RpcClient client(server->port(), client_options);
-
-    rpc::CallOptions call_options; // Vanilla: plain, wait forever.
-    if (controlled) {
-        call_options.deadlineNs = config.deadlineNs;
-        call_options.totalDeadlineNs = config.deadlineNs;
-        call_options.maxAttempts = 2;
-        call_options.backoffBaseNs = config.serviceNs;
-    }
+    rpc::RpcClient client(server.port(), client_options);
+    const rpc::CallOptions call_options =
+        stormCallOptions(config, controlled);
 
     OpenLoopLoadGen::Options load_options;
     load_options.shape =
@@ -133,21 +167,80 @@ runPhase(const StormConfig &config, bool controlled, double multiplier)
     load_options.drainTimeoutNs = 4 * config.durationNs + 2'000'000'000;
     OpenLoopLoadGen generator(load_options);
 
-    const LoadResult result = generator.run(
+    return generator.run(
         [&](uint64_t, std::function<void(RequestOutcome)> done) {
             client.call(kWork, "", call_options,
                         [done = std::move(done)](const Status &status,
                                                  std::string_view) {
-                            if (status.isOk())
-                                done(RequestOutcome(true));
-                            else if (status.code() ==
-                                     StatusCode::ResourceExhausted)
-                                done(RequestOutcome::shedRequest());
-                            else
-                                done(RequestOutcome(false));
+                            done(outcomeOf(status));
                         });
         }).front();
+}
 
+/**
+ * The same phase in virtual time: one unstarted server whose station
+ * models `workers` slots of serviceNs each, reached over a SimChannel
+ * with default link latencies, one clock timer per scheduled arrival.
+ * Latency runs from the scheduled arrival, as in real mode; the phase
+ * ends when the last call completes.
+ */
+LoadResult
+runSimPhase(const StormConfig &config, bool controlled, double multiplier)
+{
+    sim::SimClock clock;
+    ScopedClock ambient(clock);
+    rpc::Server server(stormServerOptions(config, controlled));
+    server.registerHandler(kWork, [](rpc::ServerCallPtr call) {
+        call->respondOk("");
+    });
+    sim::SimChannel channel(clock, server, sim::SimLink{}, "storm");
+    rpc::CallOptions call_options = stormCallOptions(config, controlled);
+
+    // Both modes of one multiplier see the same arrivals.
+    const double qps = config.peakQps() * multiplier;
+    const std::vector<int64_t> arrivals = loadgen::arrivalSchedule(
+        loadgen::LoadShape::constant(qps), config.durationNs,
+        config.seed * 131 + uint64_t(multiplier * 100));
+    LoadResult result;
+    result.issued = arrivals.size();
+    result.offeredQps = qps;
+    int64_t last_ns = config.durationNs;
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+        const int64_t start = arrivals[i];
+        call_options.backoffJitterSeed = config.seed * 977 + 11 + i;
+        clock.schedule(start, [&, start, call_options] {
+            channel.call(kWork, "", call_options,
+                         [&, start](const Status &status,
+                                    std::string_view) {
+                             const int64_t now = clock.nowNanos();
+                             last_ns = std::max(last_ns, now);
+                             const RequestOutcome outcome =
+                                 outcomeOf(status);
+                             if (outcome.ok) {
+                                 result.completed++;
+                                 result.latency.record(now - start);
+                             } else {
+                                 result.errors++;
+                                 if (outcome.shed)
+                                     result.shed++;
+                             }
+                         });
+        });
+    }
+    clock.runUntilIdle();
+    result.elapsedNs = last_ns;
+    result.achievedQps =
+        double(result.completed) * 1e9 / double(result.elapsedNs);
+    return result;
+}
+
+PhaseResult
+runPhase(const StormConfig &config, bool controlled, double multiplier)
+{
+    const CounterSnapshot before = globalCounters().snapshot();
+    const LoadResult result =
+        config.real ? runRealPhase(config, controlled, multiplier)
+                    : runSimPhase(config, controlled, multiplier);
     PhaseResult phase;
     phase.mode = controlled ? "controlled" : "vanilla";
     phase.multiplier = multiplier;
@@ -159,6 +252,11 @@ runPhase(const StormConfig &config, bool controlled, double multiplier)
                                  double(result.elapsedNs)
                            : 0.0;
     phase.accepted = result.latency.summary();
+    for (const auto &[name, count] :
+         CounterSet::diff(before, globalCounters().snapshot())) {
+        if (name.rfind("overload.", 0) == 0)
+            phase.overload[name] = count;
+    }
     return phase;
 }
 
@@ -175,31 +273,26 @@ printPhase(const PhaseResult &phase)
                 phase.accepted.toString().c_str());
     std::printf("             %s\n",
                 phase.breakdown.toString().c_str());
+    for (const auto &[name, count] : phase.overload) {
+        std::printf("             %s = %llu\n", name.c_str(),
+                    static_cast<unsigned long long>(count));
+    }
 }
 
 std::vector<PhaseResult>
 runStorm(const StormConfig &config)
 {
     std::vector<PhaseResult> phases;
-    std::printf("overload_storm: peak=%.0f qps (workers=%d x "
+    std::printf("overload_storm (%s): peak=%.0f qps (workers=%d x "
                 "service=%.1fms), deadline=%.0fms\n",
+                config.real ? "real, loopback TCP" : "sim",
                 config.peakQps(), config.workers,
                 double(config.serviceNs) * 1e-6,
                 double(config.deadlineNs) * 1e-6);
     for (const bool controlled : {false, true}) {
         for (const double multiplier : config.multipliers) {
-            const CounterSnapshot before = globalCounters().snapshot();
             phases.push_back(runPhase(config, controlled, multiplier));
             printPhase(phases.back());
-            const CounterSnapshot delta = CounterSet::diff(
-                before, globalCounters().snapshot());
-            for (const auto &[name, count] : delta) {
-                if (name.rfind("overload.", 0) == 0) {
-                    std::printf("             %s = %llu\n",
-                                name.c_str(),
-                                static_cast<unsigned long long>(count));
-                }
-            }
         }
     }
     return phases;
@@ -228,17 +321,24 @@ failedRate(const ShedAcceptBreakdown &breakdown)
 /** Smoke gate on the controlled 1x phase's failedRate(). */
 constexpr double kFailedRateBound = 0.08;
 
+unsigned long long
+overloadCount(const PhaseResult &phase, const char *name)
+{
+    auto it = phase.overload.find(name);
+    return it == phase.overload.end() ? 0 : it->second;
+}
+
 /**
- * CI smoke mode: a shortened storm whose trajectory lands in
- * BENCH_overload.json. A loaded CI box distorts absolute numbers, so
- * the gate checks only relations with wide margins. It fails when
+ * Smoke mode: a shortened storm whose trajectory lands in `path`. The
+ * sim run is exact and its file is committed (BENCH_overload.json);
+ * the real run is noisy, so the gates check only relations with wide
+ * margins. Either fails when
  *  - a phase produced no completions at all;
- *  - the controlled 2x goodput rate is not above the vanilla 2x rate
- *    (measured ≈47% against ≈2%): the overload layer no longer beats
- *    an unbounded queue;
+ *  - the controlled 2x goodput rate is not above the vanilla 2x rate:
+ *    the overload layer no longer beats an unbounded queue;
  *  - the controlled 1x phase fails (not sheds) kFailedRateBound or
- *    more of its offered load (measured 1–4%): at peak the client's
- *    own machinery must not turn servable work into errors.
+ *    more of its offered load: at peak the client's own machinery
+ *    must not turn servable work into errors.
  */
 int
 runSmoke(const std::string &path, StormConfig config)
@@ -275,10 +375,11 @@ runSmoke(const std::string &path, StormConfig config)
     }
     std::fprintf(out,
                  "{\n"
+                 "  \"transport\": \"%s\",\n"
                  "  \"peak_qps\": %.0f,\n"
                  "  \"deadline_ns\": %lld,\n"
                  "  \"phases\": [\n",
-                 config.peakQps(),
+                 config.real ? "real" : "sim", config.peakQps(),
                  static_cast<long long>(config.deadlineNs));
     for (size_t i = 0; i < phases.size(); ++i) {
         const PhaseResult &phase = phases[i];
@@ -289,7 +390,9 @@ runSmoke(const std::string &path, StormConfig config)
             "\"goodput_qps\": %.0f, \"goodput_rate\": %.4f, "
             "\"shed_rate\": %.4f, \"failed_rate\": %.4f, "
             "\"accepted_p50_ns\": %lld, "
-            "\"accepted_p99_ns\": %lld, \"accepted_p999_ns\": %lld}%s\n",
+            "\"accepted_p99_ns\": %lld, \"accepted_p999_ns\": %lld, "
+            "\"admission_rejected\": %llu, "
+            "\"queue_rejected\": %llu}%s\n",
             phase.mode.c_str(), phase.multiplier, phase.offeredQps,
             phase.achievedQps, phase.goodputQps,
             phase.breakdown.goodputRate(), phase.breakdown.shedRate(),
@@ -297,6 +400,8 @@ runSmoke(const std::string &path, StormConfig config)
             static_cast<long long>(phase.accepted.p50),
             static_cast<long long>(phase.accepted.p99),
             static_cast<long long>(phase.accepted.p999),
+            overloadCount(phase, "overload.admission_rejected"),
+            overloadCount(phase, "overload.queue_rejected"),
             i + 1 < phases.size() ? "," : "");
     }
     std::fprintf(
@@ -349,6 +454,8 @@ main(int argc, char **argv)
     config.durationNs =
         int64_t(flags.num("duration-ms", 1000)) * 1'000'000;
     config.multipliers = flags.numList("mults", {0.5, 1.0, 2.0});
+    config.real = flags.flag("real");
+    config.seed = uint64_t(flags.num("seed", 42));
 
     const std::string smoke = flags.str("smoke-json", "");
     if (!smoke.empty())

@@ -6,8 +6,8 @@
  * past the knee an uncontrolled dispatch queue grows without bound and
  * every queued request eventually misses its deadline, so throughput
  * survives while *goodput* (in-deadline responses) collapses. The
- * server consults an admission policy on the poller thread, before a
- * request is copied or queued:
+ * server consults an admission policy first on its one entry path,
+ * before a request is queued, on either clock (rpc/server.h):
  *
  *  - AdmissionController — pluggable admit/reject policy.
  *  - GradientAdmission   — adaptive concurrency limit, AIMD on the
@@ -18,9 +18,10 @@
  *    any service rate without manual tuning.
  *
  * The rest of the overload layer lives with the code it gates: the
- * bounded dispatch queue (ServerOptions::queueCapacity) and in-queue
- * expiry in rpc/server.h, and the client's half — deadlines, retry
- * budgets paced by the server's retry-after hints — in rpc/channel.h.
+ * bounded queue and the virtual-time station
+ * (ServerOptions::queueCapacity) in rpc/server.h, and the client's
+ * half — deadlines, retry budgets paced by the server's retry-after
+ * hints — in rpc/channel.h.
  * Fast-failing a bad peer is outlier ejection's job (rpc/health.h).
  */
 
@@ -36,13 +37,15 @@ namespace musuite {
 namespace rpc {
 
 /**
- * Server-side admission policy. The server consults admit() on the
- * network (poller) thread for every arriving request before any work
- * is done for it; admitted requests report back exactly once, either
- * through onAdmittedComplete (with their total server residence) or
- * through onAdmittedDropped (shed after admission, e.g. queue full).
- * Implementations synchronize internally: admit() runs on poller
- * threads while completions land from worker/handler threads.
+ * Server-side admission policy. The server consults admit() for every
+ * arriving request before any work is done for it: on the poller
+ * thread for a wire request, on the caller's thread for an in-process
+ * one (LocalChannel, or the SimClock's thread for SimChannel).
+ * Admitted requests report back exactly once, either through
+ * onAdmittedComplete (with their total server residence, in the
+ * server clock's time) or through onAdmittedDropped (shed after
+ * admission, e.g. queue full). Implementations synchronize
+ * internally: completions land from worker/handler threads.
  */
 class AdmissionController
 {

@@ -45,8 +45,14 @@ struct ResponseBatch
 thread_local ResponseBatch *activeResponseBatch = nullptr;
 
 /** Poller-thread dispatch batch: frames parsed from one readable
- *  event hand their calls to the worker queue in one pushAll. */
-thread_local std::vector<ServerCallPtr> *pendingDispatch = nullptr;
+ *  event hand their calls to `server`'s worker queue in one pushAll. */
+struct DispatchBatch
+{
+    Server *server;
+    std::vector<ServerCallPtr> calls;
+};
+
+thread_local DispatchBatch *pendingDispatch = nullptr;
 
 /** Cap on frames a dispatch batch defers before flushing early, so a
  *  huge burst still reaches idle workers while the poller parses. */
@@ -112,11 +118,13 @@ ServerCall::respond(StatusCode code, std::string_view payload,
     // Net mid-tier latency: full server residence of this request.
     const int64_t residence_ns = timeSource->nowNanos() - arrivalNs;
     recordOs(OsCategory::Net, residence_ns);
-    // Close the admission loop with the residence sample — including
-    // in-queue-expired requests, whose large samples are exactly what
-    // an adaptive limiter must see to shrink its window.
+    // Close the admission loop with the residence sample: queueing
+    // shows up here, which is what an adaptive limiter must see to
+    // shrink its window.
     if (admission)
         admission->onAdmittedComplete(residence_ns);
+    if (code == StatusCode::ResourceExhausted && retry_after_ns <= 0)
+        retry_after_ns = kDefaultRetryAfterNs;
     responder(code, payload, retry_after_ns);
 }
 
@@ -312,7 +320,7 @@ Server::pollerMain(size_t index)
                 // (one futex round), and inline-mode responses for
                 // this connection coalesce into one flush.
                 ResponseBatch responses;
-                std::vector<ServerCallPtr> dispatch;
+                DispatchBatch dispatch{this, {}};
                 activeResponseBatch = &responses;
                 pendingDispatch = &dispatch;
                 const bool alive = conn->fc->onReadable(
@@ -323,8 +331,8 @@ Server::pollerMain(size_t index)
                 // Dispatch before dropping the response batch: any
                 // queue-overflow rejections it produces coalesce into
                 // this event's flush.
-                if (!dispatch.empty())
-                    dispatchBatch(std::move(dispatch));
+                if (!dispatch.calls.empty())
+                    dispatchBatch(std::move(dispatch.calls));
                 activeResponseBatch = nullptr;
                 flushResponseBatch(responses);
                 if (!alive)
@@ -346,8 +354,7 @@ Server::workerMain(size_t)
         activeResponseBatch = &responses;
         for (auto &task : tasks) {
             assertOnWorkerThread();
-            if (!refuseIfExpired(task))
-                execute(task);
+            execute(task);
         }
         activeResponseBatch = nullptr;
         flushResponseBatch(responses);
@@ -370,10 +377,9 @@ Server::handleFrame(Conn *conn, std::string_view frame)
     std::weak_ptr<FramedConnection> wfc = conn->fc;
     const uint64_t request_id = header.requestId;
     const uint32_t method = header.method;
-    const int64_t default_retry_after = options.rejectRetryAfterNs;
-    auto responder = [wfc, request_id, method, default_retry_after](
-                         StatusCode code, std::string_view body,
-                         int64_t retry_after_ns) {
+    auto responder = [wfc, request_id, method](StatusCode code,
+                                               std::string_view body,
+                                               int64_t retry_after_ns) {
         auto fc = wfc.lock();
         if (!fc || fc->isDead())
             return; // Client went away; response is moot.
@@ -383,12 +389,8 @@ Server::handleFrame(Conn *conn, std::string_view frame)
         response_header.method = method;
         response_header.requestId = request_id;
         // A shed response tells the client when retrying might work.
-        // Prefer the handler's hint (a downstream shedder's pacing)
-        // over this server's local default.
         if (code == StatusCode::ResourceExhausted)
-            response_header.budgetNs = retry_after_ns > 0
-                                           ? retry_after_ns
-                                           : default_retry_after;
+            response_header.budgetNs = retry_after_ns;
         std::string frame = encodeFrame(response_header, body);
         // Inside a drain loop, defer to the thread's batch so all
         // responses sharing a connection leave in one flush; async
@@ -401,28 +403,6 @@ Server::handleFrame(Conn *conn, std::string_view frame)
         fc->sendFrameOwned(std::move(frame));
     };
 
-    // Tier 1: admission, decided before the body is even copied. The
-    // rejection frame is produced right here on the poller thread —
-    // an overloaded worker pool never sees the request at all.
-    if (options.admission && !options.admission->admit()) {
-        globalCounters().counter("overload.admission_rejected").add();
-        int64_t hint = options.admission->retryAfterHintNs();
-        if (hint == 0)
-            hint = default_retry_after;
-        MessageHeader reject;
-        reject.kind = MessageKind::Response;
-        reject.status = StatusCode::ResourceExhausted;
-        reject.method = method;
-        reject.requestId = request_id;
-        reject.budgetNs = hint;
-        std::string frame = encodeFrame(reject, "");
-        if (ResponseBatch *batch = activeResponseBatch)
-            batch->entries.push_back({conn->fc, std::move(frame)});
-        else
-            conn->fc->sendFrameOwned(std::move(frame));
-        return;
-    }
-
     // The wire budget is relative (clock domains differ across
     // hosts); pin it to this host's monotonic clock on arrival.
     const int64_t deadline_at =
@@ -432,34 +412,48 @@ Server::handleFrame(Conn *conn, std::string_view frame)
     std::string body = acquireWireBuffer(payload.size());
     if (!payload.empty())
         body.assign(payload.data(), payload.size());
-    auto call = std::make_shared<ServerCall>(method, std::move(body),
-                                             request_id,
-                                             std::move(responder),
-                                             deadline_at, boundClock);
-    call->setAdmission(options.admission);
+    enter(std::make_shared<ServerCall>(method, std::move(body),
+                                       request_id, std::move(responder),
+                                       deadline_at, boundClock));
+}
 
-    if (options.dispatchToWorkers) {
-        // Network thread hands off to the worker pool; the queue's
-        // traced condvar makes the wakeup visible to ostrace. Frames
-        // from one readable event batch into a single push, and a
-        // full queue sheds (tier 2) instead of blocking the poller.
-        if (pendingDispatch) {
-            pendingDispatch->push_back(std::move(call));
-            if (pendingDispatch->size() >= maxDispatchBatch) {
+void
+Server::enter(ServerCallPtr call)
+{
+    // Tier 1: admission. A reject is answered through the call's own
+    // responder, like every other shed.
+    if (options.admission) {
+        if (!options.admission->admit()) {
+            globalCounters().counter("overload.admission_rejected").add();
+            call->respond(StatusCode::ResourceExhausted, "",
+                          options.admission->retryAfterHintNs());
+            return;
+        }
+        call->setAdmission(options.admission);
+    }
+
+    // Tier 2: the bound. Worker threads run in real time, so on a
+    // simulated clock the station is the only one.
+    const bool simulated = boundClock->isSimulated();
+    if (simulated && options.serviceNs > 0) {
+        enterStation(std::move(call));
+    } else if (!simulated && options.dispatchToWorkers && running.load()) {
+        // The poller hands off to the worker pool; the queue's traced
+        // condvar makes the wakeup visible to ostrace. Frames from one
+        // readable event batch into a single push, and a full queue
+        // sheds instead of blocking the poller.
+        if (pendingDispatch && pendingDispatch->server == this) {
+            std::vector<ServerCallPtr> &calls = pendingDispatch->calls;
+            calls.push_back(std::move(call));
+            if (calls.size() >= maxDispatchBatch) {
                 std::vector<ServerCallPtr> flush_now;
-                flush_now.swap(*pendingDispatch);
+                flush_now.swap(calls);
                 dispatchBatch(std::move(flush_now));
             }
         } else {
-            ServerCallPtr keep = call;
-            if (!taskQueue.tryPush(std::move(call))) {
-                globalCounters()
-                    .counter("overload.queue_rejected")
-                    .add();
-                shedCall(keep);
-            }
+            dispatchBatch({std::move(call)});
         }
-    } else if (!refuseIfExpired(call)) {
+    } else {
         execute(call);
     }
 }
@@ -467,38 +461,19 @@ Server::handleFrame(Conn *conn, std::string_view frame)
 void
 Server::dispatchBatch(std::vector<ServerCallPtr> batch)
 {
-    std::vector<ServerCallPtr> rejected =
-        taskQueue.tryPushAll(std::move(batch));
-    if (rejected.empty())
-        return;
-    globalCounters()
-        .counter("overload.queue_rejected")
-        .add(rejected.size());
-    for (const ServerCallPtr &call : rejected)
+    for (const ServerCallPtr &call : taskQueue.tryPushAll(std::move(batch)))
         shedCall(call);
 }
 
 void
-Server::shedCall(const ServerCallPtr &call)
+Server::shedCall(const ServerCallPtr &call, int64_t retry_after_ns)
 {
+    globalCounters().counter("overload.queue_rejected").add();
     // No latency sample for the limiter: the request never ran, and a
     // near-zero "residence" would teach an adaptive policy that the
     // server is fast precisely while it is drowning.
     call->admissionDropped();
-    call->respond(StatusCode::ResourceExhausted, "");
-}
-
-bool
-Server::refuseIfExpired(const ServerCallPtr &call)
-{
-    // A request that outlived its budget is dead weight: the client
-    // has already given up, so running the handler would burn time to
-    // produce a response nobody reads.
-    if (!options.enforceQueueDeadline || !call->budgetSpent())
-        return false;
-    globalCounters().counter("overload.expired_in_queue").add();
-    call->respond(StatusCode::DeadlineExceeded, "");
-    return true;
+    call->respond(StatusCode::ResourceExhausted, "", retry_after_ns);
 }
 
 void
@@ -528,25 +503,17 @@ Server::invokeLocal(uint32_t method, std::string body,
     static std::atomic<uint64_t> local_ids{1};
     const int64_t deadline_at =
         budget_ns > 0 ? boundClock->nowNanos() + budget_ns : 0;
-    auto call = std::make_shared<ServerCall>(method, std::move(body),
-                                             local_ids.fetch_add(1),
-                                             std::move(responder),
-                                             deadline_at, boundClock);
-    if (options.serviceNs > 0 && boundClock->isSimulated())
-        enterStation(std::move(call));
-    else
-        execute(call);
+    enter(std::make_shared<ServerCall>(method, std::move(body),
+                                       local_ids.fetch_add(1),
+                                       std::move(responder), deadline_at,
+                                       boundClock));
 }
 
 void
 Server::enterStation(ServerCallPtr call)
 {
-    // Tier 3 on arrival.
-    if (refuseIfExpired(call))
-        return;
-
-    // Tier 2. The hint is the real drain time, so upstream backoff is
-    // paced by actual load.
+    // The hint is the real drain time, so upstream backoff is paced by
+    // actual load.
     const int64_t now_ns = boundClock->nowNanos();
     bool shed = false;
     int64_t delay_ns = 0;
@@ -567,8 +534,7 @@ Server::enterStation(ServerCallPtr call)
         }
     }
     if (shed) {
-        globalCounters().counter("overload.queue_rejected").add();
-        call->respond(StatusCode::ResourceExhausted, "", retry_after_ns);
+        shedCall(call, retry_after_ns);
         return;
     }
 

@@ -18,25 +18,26 @@
  * thread, which is how mid-tiers respond from leaf-response completion
  * threads after fan-out merges.
  *
- * OVERLOAD CONTROL (rpc/overload.h): three shedding tiers keep the
- * server's goodput near peak once offered load passes saturation.
- *  1. Admission — an optional AdmissionController is consulted on the
- *     poller thread before the request body is even copied; rejected
- *     requests get RESOURCE_EXHAUSTED with a suggested retry-after in
- *     the response header, produced without touching the worker pool.
- *  2. Queue bound — dispatch uses the task queue's non-blocking push;
- *     on overflow the request is shed the same way instead of the
- *     poller blocking (overload.queue_rejected).
- *  3. Deadline-aware dequeue — requests carry their remaining client
- *     budget in the wire header; a worker that dequeues an already
- *     expired request answers DEADLINE_EXCEEDED without running the
- *     handler (overload.expired_in_queue), so a saturated queue sheds
- *     the work nobody is waiting for anymore. An inline server makes
- *     the same check on the poller before running the handler.
+ * OVERLOAD CONTROL (rpc/overload.h): every request, from the wire
+ * (handleFrame) or in-process (invokeLocal), takes one entry path on
+ * either clock, and two shedding tiers keep goodput near peak once
+ * offered load passes saturation. In entry order:
+ *  1. Admission — an optional AdmissionController decides first; a
+ *     reject is answered RESOURCE_EXHAUSTED with the controller's
+ *     retry-after (overload.admission_rejected).
+ *  2. The bound — the virtual-time station on a simulated clock with
+ *     serviceNs > 0, the task queue on a started dispatch server on
+ *     the real clock, or none (inline). A full station or queue sheds
+ *     the request (overload.queue_rejected) instead of blocking.
+ * Then the handler runs. Every admitted request feeds its server
+ * residence, real or virtual, back to the admission controller when
+ * it completes. A request whose budget is already spent is refused by
+ * the mid-tier handler before it fans out (failFastIfExpired in
+ * services/common/fanout.h), not by the server.
  *
- * VIRTUAL TIME: simulated deployments never start() their servers.
- * On a SimClock with ServerOptions::serviceNs > 0, invokeLocal runs
- * tiers 3 and 2 on virtual worker slots instead (see invokeLocal).
+ * VIRTUAL TIME: simulated deployments never start() their servers;
+ * their requests enter through invokeLocal and take the same order,
+ * with the station's virtual worker slots as the bound.
  */
 
 #ifndef MUSUITE_RPC_SERVER_H
@@ -63,6 +64,10 @@ class Clock;
 
 namespace rpc {
 
+/** Retry-after hint on a RESOURCE_EXHAUSTED response that carries
+ *  none of its own. */
+constexpr int64_t kDefaultRetryAfterNs = 1'000'000;
+
 /** Threading-model knobs (paper §IV design + §VII ablations). */
 struct ServerOptions
 {
@@ -81,27 +86,14 @@ struct ServerOptions
     std::string name = "srv";
 
     /**
-     * Admission policy consulted per request on the poller thread;
-     * null admits everything. Shared so tests and benchmarks can keep
-     * a handle for inspection while the server uses it.
+     * Admission policy consulted first for every request; null admits
+     * everything. Shared so tests and benchmarks can keep a handle for
+     * inspection while the server uses it.
      */
     std::shared_ptr<AdmissionController> admission;
 
-    /**
-     * Shed queued requests whose wire deadline budget expired before a
-     * worker picked them up (tier 3 above). Off reproduces the
-     * uncontrolled server the overload benchmark contrasts against.
-     */
-    bool enforceQueueDeadline = true;
-
-    /**
-     * Default retry-after hint on RESOURCE_EXHAUSTED responses when
-     * the admission policy offers none (0 = send no hint).
-     */
-    int64_t rejectRetryAfterNs = 1'000'000;
-
     /** Virtual service time per request on a simulated clock; 0 runs
-     *  invokeLocal handlers inline (see Server::invokeLocal). */
+     *  handlers without the station (see Server::invokeLocal). */
     int64_t serviceNs = 0;
 };
 
@@ -198,9 +190,10 @@ class ServerCall
     /**
      * Variant carrying an explicit retry-after pacing hint upstream;
      * meaningful with RESOURCE_EXHAUSTED (ignored for other codes by
-     * the wire encoder). Mid-tiers that fail because a downstream shed
-     * must forward the downstream's hint here rather than let the
-     * server re-mint a default.
+     * the wire encoder), where 0 becomes kDefaultRetryAfterNs.
+     * Mid-tiers that fail because a downstream shed must forward the
+     * downstream's hint here rather than let the server re-mint a
+     * default.
      */
     void respond(StatusCode code, std::string_view payload,
                  int64_t retry_after_ns);
@@ -262,15 +255,16 @@ class Server
     }
 
     /**
-     * Run a handler directly for in-process (transport-less) calls;
-     * used by LocalChannel and SimChannel. The handler executes on
-     * the calling thread; completion may still be asynchronous.
+     * Deliver an in-process (transport-less) call; used by
+     * LocalChannel and SimChannel. It takes the same entry path as a
+     * wire request: admission, then the bound. With no
+     * bound (an unstarted server on the real clock, or serviceNs == 0
+     * on a simulated one) the handler executes on the calling thread;
+     * completion may still be asynchronous.
      *
-     * On a simulated clock with serviceNs > 0 the call first passes
-     * the virtual-time station. An arrival whose budget is already
-     * spent gets DEADLINE_EXCEEDED (tier 3, under
-     * enforceQueueDeadline). An arrival that finds workerThreads +
-     * queueCapacity requests in the station is shed (tier 2) with a
+     * On a simulated clock with serviceNs > 0 the bound is the
+     * virtual-time station. An arrival that finds workerThreads +
+     * queueCapacity requests in the station is shed with a
      * retry-after of the drain time: when the earliest slot frees,
      * plus one service time. Otherwise it claims the earliest-free
      * of workerThreads slots, and the handler runs from a clock
@@ -296,22 +290,20 @@ class Server
     void workerMain(size_t index);
     void acceptPending();
     void handleFrame(Conn *conn, std::string_view frame);
+    /**
+     * The one path from arrival to handler, shared by handleFrame and
+     * invokeLocal: admission, then the bound (the virtual-time
+     * station, the task queue, or none), then execute().
+     */
+    void enter(ServerCallPtr call);
     void execute(const ServerCallPtr &call);
     Handler *findHandler(uint32_t method);
     /** Non-blocking queue handoff; overflow is shed, not blocked on. */
     void dispatchBatch(std::vector<ServerCallPtr> batch);
-    /** Reject a dispatched call with RESOURCE_EXHAUSTED + retry-after. */
-    void shedCall(const ServerCallPtr &call);
-    /** invokeLocal's virtual-time station in front of execute(). */
+    /** Shed an admitted call at the bound: RESOURCE_EXHAUSTED. */
+    void shedCall(const ServerCallPtr &call, int64_t retry_after_ns = 0);
+    /** The virtual-time station in front of execute(). */
     void enterStation(ServerCallPtr call);
-    /**
-     * Tier 3, shared by the worker dequeue, the inline poller and the
-     * virtual-time station: under enforceQueueDeadline, answer a call
-     * whose budget is spent with DEADLINE_EXCEEDED instead of running
-     * its handler. Returns true if the call was completed here.
-     */
-    bool refuseIfExpired(const ServerCallPtr &call);
-
     ServerOptions options;
     Clock *boundClock; //!< Never null; see clock().
     std::map<uint32_t, Handler> handlers;

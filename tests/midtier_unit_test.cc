@@ -631,6 +631,8 @@ TEST(SetAlgebraMidTierTest, ExpiredInboundBudgetFailsFastBeforeFanout)
     CapturedResponse out;
     rpc::Server host;
     midtier.registerWith(host);
+    const uint64_t before =
+        globalCounters().counter("fanout.expired_before_fanout").get();
     host.invokeLocal(setalgebra::kSearch, encodeMessage(query), 1,
                      [&out](StatusCode code, std::string_view payload,
                             int64_t retry_after) {
@@ -642,7 +644,11 @@ TEST(SetAlgebraMidTierTest, ExpiredInboundBudgetFailsFastBeforeFanout)
                      });
     ASSERT_TRUE(out.responded);
     EXPECT_EQ(out.code, StatusCode::DeadlineExceeded);
-    EXPECT_EQ(leaf->calls, 0); // Counter: fanout.expired_before_fanout.
+    EXPECT_EQ(leaf->calls, 0);
+    // The mid-tier answered, not the server: the server's entry path
+    // runs no budget check of its own.
+    EXPECT_EQ(globalCounters().counter("fanout.expired_before_fanout").get(),
+              before + 1);
 }
 
 // --------------------------------------------------------------------

@@ -2,9 +2,9 @@
  * @file
  * Tests for the overload-control layer: the gradient admission
  * controller, bounded-queue shedding, admission rejects with their
- * retry-after hint, in-queue deadline expiry, the same station on
- * virtual worker slots under a SimClock, and the goodput accounting
- * the overload bench reports.
+ * retry-after hint on every entry path, the same station on virtual
+ * worker slots under a SimClock with admission in virtual time, and
+ * the goodput accounting the overload bench reports.
  */
 
 #include <gtest/gtest.h>
@@ -169,8 +169,7 @@ TEST(GoodputStatsTest, LoadResultSeparatesShedsFromFailures)
 }
 
 // ---------------------------------------------------------------------
-// Server-side shedding: admission rejects, bounded-queue overflow,
-// and in-queue deadline expiry.
+// Server-side shedding: admission rejects and bounded-queue overflow.
 // ---------------------------------------------------------------------
 
 std::unique_ptr<Server>
@@ -184,18 +183,24 @@ makeEchoServer(ServerOptions options = {})
     return server;
 }
 
-/** Sheds every request: drives the poller's admission-reject path. */
+/** Sheds every request with a fixed retry-after (0 = no estimate):
+ *  drives the entry path's admission-reject branch. */
 class RejectAllAdmission : public AdmissionController
 {
   public:
+    explicit RejectAllAdmission(int64_t hint_ns = 0) : hintNs(hint_ns) {}
     bool admit() override { return false; }
+    int64_t retryAfterHintNs() const override { return hintNs; }
+
+  private:
+    int64_t hintNs;
 };
 
 TEST(ServerSheddingTest, AdmissionRejectCarriesRetryAfter)
 {
+    // A controller without an estimate gets the server's default hint.
     ServerOptions options;
     options.admission = std::make_shared<RejectAllAdmission>();
-    options.rejectRetryAfterNs = 7'000'000;
     auto server = makeEchoServer(options);
     RpcClient client(server->port());
 
@@ -204,9 +209,38 @@ TEST(ServerSheddingTest, AdmissionRejectCarriesRetryAfter)
     auto result = client.callSync(kEcho, "x");
     ASSERT_FALSE(result.isOk());
     EXPECT_EQ(result.status().code(), StatusCode::ResourceExhausted);
-    EXPECT_EQ(result.status().retryAfterNs(), 7'000'000);
+    EXPECT_EQ(result.status().retryAfterNs(), kDefaultRetryAfterNs);
     EXPECT_GT(globalCounters().counter("overload.admission_rejected").get(),
               before);
+}
+
+TEST(ServerSheddingTest, LocalCallsConsultAdmission)
+{
+    // The LocalChannel path (an unstarted server on the real clock)
+    // takes the same entry as the wire: the handler never runs.
+    ServerOptions options;
+    options.admission = std::make_shared<RejectAllAdmission>(3'000'000);
+    Server server(options);
+    int runs = 0;
+    server.registerHandler(kCounted, [&runs](ServerCallPtr call) {
+        ++runs;
+        call->respondOk("");
+    });
+    const uint64_t before =
+        globalCounters().counter("overload.admission_rejected").get();
+    StatusCode code = StatusCode::Ok;
+    int64_t hint = 0;
+    server.invokeLocal(kCounted, "",
+                       [&](StatusCode code_in, std::string_view,
+                           int64_t retry_after_ns) {
+                           code = code_in;
+                           hint = retry_after_ns;
+                       });
+    EXPECT_EQ(code, StatusCode::ResourceExhausted);
+    EXPECT_EQ(hint, 3'000'000);
+    EXPECT_EQ(runs, 0);
+    EXPECT_EQ(globalCounters().counter("overload.admission_rejected").get(),
+              before + 1);
 }
 
 TEST(ServerSheddingTest, FullTaskQueueShedsInsteadOfBlocking)
@@ -251,51 +285,10 @@ TEST(ServerSheddingTest, FullTaskQueueShedsInsteadOfBlocking)
               before);
 }
 
-TEST(ServerSheddingTest, ExpiredInQueueRejectedWithoutExecuting)
-{
-    ServerOptions options;
-    options.workerThreads = 1;
-    auto server = std::make_unique<Server>(options);
-    std::atomic<int> counted_runs{0};
-    server->registerHandler(kSlow, [](ServerCallPtr call) {
-        sleepForNanos(60'000'000);
-        call->respondOk("");
-    });
-    server->registerHandler(kCounted, [&](ServerCallPtr call) {
-        counted_runs.fetch_add(1);
-        call->respondOk("");
-    });
-    server->start();
-    RpcClient client(server->port());
-
-    const uint64_t before =
-        globalCounters().counter("overload.expired_in_queue").get();
-
-    // Occupy the only worker for 60 ms...
-    CountdownLatch slow_done(1);
-    client.call(kSlow, "", [&](const Status &, std::string_view) {
-        slow_done.countDown();
-    });
-    sleepForNanos(5'000'000); // Let the slow call reach the worker.
-
-    // ...then queue a request whose 10 ms budget dies in the queue.
-    CallOptions call_options;
-    call_options.deadlineNs = 10'000'000;
-    auto result = client.callSync(kCounted, "", call_options);
-    ASSERT_FALSE(result.isOk());
-    EXPECT_EQ(result.status().code(), StatusCode::DeadlineExceeded);
-
-    slow_done.wait();
-    sleepForNanos(10'000'000); // Worker has drained the queue by now.
-    EXPECT_EQ(counted_runs.load(), 0); // Handler never ran.
-    EXPECT_GT(globalCounters().counter("overload.expired_in_queue").get(),
-              before);
-}
-
 TEST(ServerSheddingTest, BudgetPropagatesAndFreshRequestsExecute)
 {
-    // Control case for the expiry test: with an idle worker the same
-    // 10 ms budget is plenty, the handler runs, and the call succeeds.
+    // The wire budget reaches the handler as its remaining budget, and
+    // a fresh request runs and succeeds.
     ServerOptions options;
     options.workerThreads = 1;
     auto server = std::make_unique<Server>(options);
@@ -312,48 +305,6 @@ TEST(ServerSheddingTest, BudgetPropagatesAndFreshRequestsExecute)
     call_options.deadlineNs = 100'000'000;
     auto result = client.callSync(kCounted, "", call_options);
     ASSERT_TRUE(result.isOk());
-    EXPECT_EQ(counted_runs.load(), 1);
-}
-
-TEST(ServerSheddingTest, InlineServerRefusesASpentBudgetWithoutExecuting)
-{
-    // An inline server has no queue, so tier 3 runs on the poller: a
-    // request whose wire budget is already spent never reaches the
-    // handler, exactly as a dispatch worker or the sim station would.
-    ServerOptions options;
-    options.dispatchToWorkers = false;
-    auto server = std::make_unique<Server>(options);
-    std::atomic<int> counted_runs{0};
-    server->registerHandler(kCounted, [&](ServerCallPtr call) {
-        counted_runs.fetch_add(1);
-        call->respondOk("");
-    });
-    server->start();
-    RpcClient client(server->port());
-
-    const uint64_t before =
-        globalCounters().counter("overload.expired_in_queue").get();
-
-    // A 1 ns budget is the sentinel an expired caller forwards. The
-    // bare attempt sets no client-side timer, so the answer is the
-    // server's.
-    std::atomic<StatusCode> code{StatusCode::Ok};
-    CountdownLatch done(1);
-    client.attemptCall(kCounted, "", /*budget_ns=*/1,
-                       [&](const Status &status, std::string_view) {
-                           code.store(status.code());
-                           done.countDown();
-                       });
-    done.wait();
-    EXPECT_EQ(code.load(), StatusCode::DeadlineExceeded);
-    EXPECT_EQ(counted_runs.load(), 0);
-    EXPECT_EQ(globalCounters().counter("overload.expired_in_queue").get(),
-              before + 1);
-
-    // A live budget on the same connection still runs the handler.
-    CallOptions call_options;
-    call_options.deadlineNs = 100'000'000;
-    ASSERT_TRUE(client.callSync(kCounted, "", call_options).isOk());
     EXPECT_EQ(counted_runs.load(), 1);
 }
 
@@ -374,17 +325,18 @@ struct StationReply
 class StationTest : public ::testing::Test
 {
   protected:
-    /** One worker, one queue slot, 100 us of service per request;
-     *  records the virtual instant each handler runs. */
+    /** One worker, `queue_capacity` queue slots, 100 us of service
+     *  per request; records the virtual instant each handler runs. */
     std::unique_ptr<Server>
     makeStation(int64_t service_ns = 100'000,
-                bool enforce_queue_deadline = true)
+                std::shared_ptr<AdmissionController> admission = nullptr,
+                size_t queue_capacity = 1)
     {
         ServerOptions options;
         options.workerThreads = 1;
-        options.queueCapacity = 1;
+        options.queueCapacity = queue_capacity;
         options.serviceNs = service_ns;
-        options.enforceQueueDeadline = enforce_queue_deadline;
+        options.admission = std::move(admission);
         auto server = std::make_unique<Server>(options);
         server->registerHandler(kCounted, [this](ServerCallPtr call) {
             handlerRanAt.push_back(clock.nowNanos());
@@ -394,9 +346,9 @@ class StationTest : public ::testing::Test
     }
 
     void
-    arrive(Server &server, StationReply &reply, int64_t budget_ns = 0)
+    arrive(Server &server, StationReply &reply)
     {
-        server.invokeLocal(kCounted, "", budget_ns,
+        server.invokeLocal(kCounted, "",
                            [this, &reply](StatusCode code,
                                           std::string_view,
                                           int64_t retry_after_ns) {
@@ -441,36 +393,45 @@ TEST_F(StationTest, QueuesOnTheSlotThenShedsWithTheDrainTime)
     EXPECT_EQ(clock.pendingTimers(), 0u);
 }
 
-TEST_F(StationTest, ExpiredArrivalIsRefusedWithoutTakingASlot)
+TEST_F(StationTest, AdmissionRejectShedsBeforeTheStation)
 {
-    auto server = makeStation();
-    const uint64_t expired_before =
-        globalCounters().counter("overload.expired_in_queue").get();
-    // A 1 ns budget is the sentinel an expired caller forwards.
-    StationReply expired, fresh;
-    arrive(*server, expired, 1);
-    ASSERT_TRUE(expired.done);
-    EXPECT_EQ(expired.code, StatusCode::DeadlineExceeded);
-    EXPECT_EQ(expired.atNs, 0);
-    EXPECT_EQ(globalCounters().counter("overload.expired_in_queue").get(),
-              expired_before + 1);
-
-    // The worker is still free: the next arrival is served at once.
-    arrive(*server, fresh);
-    clock.runUntilIdle();
-    EXPECT_EQ(handlerRanAt, (std::vector<int64_t>{100'000}));
-    EXPECT_EQ(fresh.code, StatusCode::Ok);
+    auto server =
+        makeStation(100'000, std::make_shared<RejectAllAdmission>(42'000));
+    const uint64_t rejected_before =
+        globalCounters().counter("overload.admission_rejected").get();
+    StationReply reply;
+    arrive(*server, reply);
+    // Shed at arrival with the controller's hint; no slot, no timer.
+    ASSERT_TRUE(reply.done);
+    EXPECT_EQ(reply.code, StatusCode::ResourceExhausted);
+    EXPECT_EQ(reply.retryAfterNs, 42'000);
+    EXPECT_EQ(reply.atNs, 0);
+    EXPECT_EQ(globalCounters().counter("overload.admission_rejected").get(),
+              rejected_before + 1);
+    EXPECT_EQ(clock.pendingTimers(), 0u);
+    EXPECT_TRUE(handlerRanAt.empty());
 }
 
-TEST_F(StationTest, ExpiredArrivalRunsWhenQueueDeadlinesAreOff)
+TEST_F(StationTest, AdmittedCallsFeedVirtualResidenceBack)
 {
-    auto server = makeStation(100'000, false);
-    StationReply expired;
-    arrive(*server, expired, 1);
-    EXPECT_FALSE(expired.done);
+    // Eight arrivals at t=0 queue on one 100 us worker: residences of
+    // 100..800 us against a 100 us floor read as queueing, so the
+    // limiter shrinks and ends with nothing in flight.
+    GradientAdmission::Options gradient;
+    gradient.initialLimit = 8.0;
+    gradient.tolerance = 2.0;
+    auto admission = std::make_shared<GradientAdmission>(gradient);
+    auto server = makeStation(100'000, admission, 16);
+    std::vector<StationReply> replies(8);
+    for (StationReply &reply : replies)
+        arrive(*server, reply);
+    EXPECT_EQ(admission->inflight(), 8u);
     clock.runUntilIdle();
-    EXPECT_EQ(handlerRanAt, (std::vector<int64_t>{100'000}));
-    EXPECT_EQ(expired.code, StatusCode::Ok);
+    for (const StationReply &reply : replies)
+        EXPECT_EQ(reply.code, StatusCode::Ok);
+    EXPECT_EQ(admission->inflight(), 0u);
+    EXPECT_EQ(admission->minRttNs(), 100'000);
+    EXPECT_LT(admission->currentLimit(), 8.0);
 }
 
 TEST_F(StationTest, ZeroServiceTimeRunsTheHandlerInline)

@@ -5,11 +5,14 @@
 #
 #   1. -Werror release build            (warning-clean tree)
 #      + bench/micro_rpc smoke -> BENCH_rpc.json (local run artifact)
-#      + bench/overload_storm smoke -> BENCH_overload.json (goodput)
+#      + bench/overload_storm sim smoke -> BENCH_overload.json (goodput)
+#        and its real-TCP smoke (relation gates only, no file kept)
 #      + bench/flash_crowd smoke (multi-phase real-mode load, no loss)
 #      + bench/dag_storm smoke -> BENCH_dag.json (deep-DAG goodput)
 #      + bench/chaos_storm smoke -> BENCH_chaos.json (gray failures)
-#        (both byte-identical to the committed copies, or the gate fails)
+#        (the three sim JSON files byte-identical to the committed
+#        copies, or the gate fails)
+#      + fig09 / fig19 sim-mode paper claims (PASS/FAIL, computed)
 #      + tools/mulint over src/ (static lock-rank, raw-sync, thread-role,
 #        rank-table, guarded-by, plus the
 #        interprocedural clock-seam and counter-registry rules and the
@@ -20,7 +23,8 @@
 #        tools/mulint/baseline.json (lost findings fail the gate)
 #      + deterministic sim replay suite under 8 distinct seeds
 #   2. MUSUITE_DEBUG_SYNC debug build   (lock-rank + thread-role checks)
-#      + dag_storm / chaos_storm replays, byte-compared to the commit
+#      + dag / chaos / overload storm replays, byte-compared to the
+#        commit
 #   3. ThreadSanitizer                  (data races, lock-order inversions)
 #      + rpc_features_test repeated 5x (Channel deadline timer vs TCP
 #        completion thread)
@@ -105,21 +109,32 @@ else
 fi
 
 # ---- stage 1c: overload_storm bench smoke --------------------------------
-# Shortened goodput-under-saturation storm against the werror build;
-# emits BENCH_overload.json (vanilla vs controlled goodput at 0.5x/1x/2x
-# of peak). Real time on a loaded CI box skews absolute numbers, so the
-# binary gates only wide-margin relations: every phase completes
-# something, controlled 2x goodput beats vanilla 2x (~47% vs ~2%), and
-# controlled 1x fails (not sheds) under 8% of its load (~1-3%). ~5s.
+# Goodput-under-saturation storm (vanilla vs controlled at 0.5x/1x/2x of
+# peak) against the werror build, twice. The virtual-time run emits
+# BENCH_overload.json: byte-reproducible under the default seed, so any
+# difference from the committed copy is a behaviour change. The
+# real-TCP run is the transport check; real time on a loaded box skews
+# absolute numbers, so it gates only wide-margin relations (controlled
+# 2x goodput beats vanilla 2x, ~47% vs ~2%; controlled 1x fails, not
+# sheds, under 8% of its load, ~1-3%) and keeps its JSON in the build
+# tree. ~4s.
 banner "bench smoke: overload_storm"
 if cmake --build build-check-werror --target overload_storm -j "$jobs" \
         >>build-check-werror/build.log 2>&1 \
         && build-check-werror/bench/overload_storm \
             --smoke-json="$repo_root/BENCH_overload.json"; then
-    :
+    if ! git diff --exit-code -- BENCH_overload.json; then
+        echo "BENCH_overload.json DIFFERS FROM THE COMMITTED COPY"
+        failures+=("bench-smoke: overload_storm output changed")
+    fi
 else
     echo "BENCH SMOKE FAILED"
     failures+=("bench-smoke: overload_storm")
+fi
+if ! build-check-werror/bench/overload_storm --real \
+        --smoke-json=build-check-werror/BENCH_overload_real.json; then
+    echo "BENCH SMOKE FAILED"
+    failures+=("bench-smoke: overload_storm --real")
 fi
 
 # ---- stage 1c1: flash_crowd bench smoke ----------------------------------
@@ -183,6 +198,25 @@ else
     echo "BENCH SMOKE FAILED"
     failures+=("bench-smoke: chaos_storm")
 fi
+
+# ---- stage 1c4: sim-mode figure claims -----------------------------------
+# fig09_saturation and fig19_cs_hitm compute the paper's claims from
+# their own sim-mode tables (saturation band and ordering; cs and hitm
+# rising with load, hitm above cs) and exit nonzero when one fails.
+# The sim is deterministic, so a FAIL is a behaviour change. ~10s.
+banner "figure claims: fig09 / fig19 (sim)"
+for fig in fig09_saturation fig19_cs_hitm; do
+    if cmake --build build-check-werror --target "$fig" -j "$jobs" \
+            >>build-check-werror/build.log 2>&1 \
+            && "build-check-werror/bench/$fig" --skip-real \
+                >"build-check-werror/$fig.log" 2>&1; then
+        grep -E '^(PASS|FAIL) ' "build-check-werror/$fig.log"
+    else
+        grep -E '^(PASS|FAIL) ' "build-check-werror/$fig.log" || true
+        echo "FIGURE CLAIMS FAILED: $fig (see build-check-werror/$fig.log)"
+        failures+=("figure claims: $fig")
+    fi
+done
 
 # ---- stage 1d: mulint (static invariant lint) ----------------------------
 # Toolchain-independent analyzer built from tools/mulint by stage 1's
@@ -267,12 +301,13 @@ run_stage "debug-sync" build-check-debug-sync \
     -DCMAKE_BUILD_TYPE=Debug -DMUSUITE_WERROR=ON -DMUSUITE_DEBUG_SYNC=ON
 
 # ---- stage 2b: storm replays under debug-sync ----------------------------
-# dag_storm and chaos_storm again, on the lock-rank/thread-role checked
+# The three sim storms again, on the lock-rank/thread-role checked
 # Debug build: a full storm drives the server's virtual-time station
-# lock through every queue, shed and fan-out path. Both must still
-# reproduce the committed (indexed) JSON byte for byte. ~40s.
+# lock and the admission controller through every queue, shed and
+# fan-out path. Each must still reproduce the committed (indexed) JSON
+# byte for byte. ~40s.
 banner "debug-sync storm replays"
-for storm in dag chaos; do
+for storm in dag chaos overload; do
     out="build-check-debug-sync/BENCH_${storm}.json"
     if cmake --build build-check-debug-sync --target "${storm}_storm" \
             -j "$jobs" >>build-check-debug-sync/build.log 2>&1 \
