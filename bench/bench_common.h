@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -18,6 +19,7 @@
 
 #include "harness/deployment.h"
 #include "simkernel/sim.h"
+#include "stats/table.h"
 
 namespace musuite {
 namespace bench {
@@ -128,6 +130,26 @@ simParamsFor(ServiceKind kind)
       case ServiceKind::Recommend:  return sim::recommendParams();
     }
     return sim::hdsearchParams();
+}
+
+/**
+ * Write a figure's sim-mode table to `path` as
+ * {"figure": ..., "sim": [rows]} (Table::printJson). The sim is
+ * deterministic, so the file is byte-reproducible and check.sh diffs it
+ * against the committed copy; real-mode tables never go in, since they
+ * depend on the host. Returns false when the file cannot be written.
+ */
+inline bool
+writeSimTableJson(const std::string &path, const std::string &figure,
+                  const Table &table)
+{
+    std::ofstream out(path);
+    if (!out)
+        return false;
+    out << "{\n\"figure\": \"" << figure << "\",\n\"sim\": ";
+    table.printJson(out);
+    out << "\n}\n";
+    return bool(out);
 }
 
 /**

@@ -16,7 +16,9 @@
  * printing PASS or FAIL per claim; a failed sim-mode claim exits 1.
  *
  * Flags: --max-workers=N --step-ms=N --skip-real --skip-sim
- *        --loads / data-set scale flags (see bench_common.h).
+ *        --loads / data-set scale flags (see bench_common.h)
+ *        --smoke-json=PATH writes the sim-mode table as JSON
+ *        (BENCH_fig09.json, which check.sh diffs).
  */
 
 #include <cmath>
@@ -122,6 +124,12 @@ main(int argc, char **argv)
         }
         table.print(std::cout);
         checkClaims(claims, true, measured);
+        const std::string smoke = flags.str("smoke-json", "");
+        if (!smoke.empty() &&
+            !bench::writeSimTableJson(smoke, "fig09_saturation", table)) {
+            std::cerr << "fig09_saturation: cannot write " << smoke << "\n";
+            return 1;
+        }
     }
     return claims.exitCode();
 }

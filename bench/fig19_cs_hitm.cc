@@ -17,6 +17,8 @@
  * TCP retransmissions are not reported (the paper did not plot them).
  *
  * Flags: --loads=a,b,c --window-ms=N --skip-real --skip-sim
+ *        --smoke-json=PATH writes the sim-mode table as JSON
+ *        (BENCH_fig19.json, which check.sh diffs).
  */
 
 #include <iostream>
@@ -147,6 +149,12 @@ main(int argc, char **argv)
         }
         table.print(std::cout);
         checkClaims(claims, true, rows);
+        const std::string smoke = flags.str("smoke-json", "");
+        if (!smoke.empty() &&
+            !bench::writeSimTableJson(smoke, "fig19_cs_hitm", table)) {
+            std::cerr << "fig19_cs_hitm: cannot write " << smoke << "\n";
+            return 1;
+        }
     }
     return claims.exitCode();
 }

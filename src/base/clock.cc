@@ -9,6 +9,7 @@
 #include "base/clock.h"
 
 #include <atomic>
+#include <utility>
 
 #include "base/time_util.h"
 
@@ -51,9 +52,7 @@ RealClock::schedule(int64_t delay_ns, std::function<void()> fn)
             fn();
             return 0;
         }
-        id = nextId++;
-        armed.emplace(id, Armed{deadline, std::move(fn)});
-        heap.emplace(deadline, id);
+        id = timers.arm(deadline, std::move(fn));
         if (!started) {
             started = true;
             thread = std::thread([this] { timerMain(); });
@@ -66,44 +65,22 @@ RealClock::schedule(int64_t delay_ns, std::function<void()> fn)
 bool
 RealClock::cancel(TimerId id)
 {
-    // Lazy cancellation: the heap entry stays and is skipped when it
-    // surfaces, so cancel never has to search the heap — but a
-    // cancel-heavy workload (fast successes under deadlines) must not
-    // accumulate dead entries, so compact once they are the majority.
     MutexLock guard(mutex);
-    const bool live = armed.erase(id) > 0;
-    if (live && heap.size() >= 64 && heap.size() > 2 * armed.size())
-        compactHeap();
-    return live;
-}
-
-void
-RealClock::compactHeap()
-{
-    std::vector<std::pair<int64_t, TimerId>> entries;
-    entries.reserve(armed.size());
-    for (const auto &[id, timer] : armed)
-        entries.emplace_back(timer.deadlineNs, id);
-    heap = std::priority_queue<std::pair<int64_t, TimerId>,
-                               std::vector<std::pair<int64_t, TimerId>>,
-                               std::greater<>>(std::greater<>(),
-                                               std::move(entries));
-    // No wakeup needed: compaction never makes the earliest *live*
-    // deadline earlier, so the timer thread's current wait is valid.
+    return timers.cancel(id);
 }
 
 size_t
 RealClock::pendingTimers() const
 {
     MutexLock guard(mutex);
-    return armed.size();
+    return timers.live();
 }
 
 size_t
 RealClock::timerHeapSize() const
 {
     MutexLock guard(mutex);
-    return heap.size();
+    return timers.heapSize();
 }
 
 void
@@ -113,28 +90,17 @@ RealClock::timerMain()
     setCurrentThreadRole(ThreadRole::timer);
     MutexLock lock(mutex);
     while (!stopping) {
-        // Drop cancelled heads so the wait below targets a live timer.
-        while (!heap.empty() && armed.find(heap.top().second) ==
-                                    armed.end()) {
-            heap.pop();
-        }
-        if (heap.empty()) {
+        if (timers.empty()) {
             wakeup.wait(lock);
             continue;
         }
-        const int64_t deadline = heap.top().first;
+        const int64_t deadline = timers.nextDeadline();
         const int64_t now = musuite::nowNanos();
         if (now < deadline) {
             wakeup.waitFor(lock, deadline - now);
             continue;
         }
-        const TimerId id = heap.top().second;
-        heap.pop();
-        auto it = armed.find(id);
-        if (it == armed.end())
-            continue; // Cancelled while due.
-        std::function<void()> fn = std::move(it->second.fn);
-        armed.erase(it);
+        std::function<void()> fn = timers.popNext().fn;
         {
             MutexUnlock relock(lock);
             fn(); // May re-arm timers; runs without the lock.

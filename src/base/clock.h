@@ -9,14 +9,20 @@
  *
  *  - RealClock (here): wall time via the monotonic clock plus one
  *    lazily started timer thread parked on a condvar over a
- *    deadline-ordered heap. This is the default and the only binding
- *    production code ever sees.
+ *    TimerHeap. This is the default and the only binding production
+ *    code ever sees.
  *  - SimClock (simkernel/simclock.h): virtual time advanced by an
- *    event loop; schedule() enqueues an event, nothing waits on wall
- *    time, and a seeded scenario replays byte-identically.
+ *    event loop over its own TimerHeap; schedule() enqueues an event,
+ *    nothing waits on wall time, and a seeded scenario replays
+ *    byte-identically.
  *  - In-process: LocalChannel plus an unstarted Server under either
  *    clock — the transport is a function call, the clock still decides
  *    deadlines and retries.
+ *
+ * Both clocks keep their timers in one structure, TimerHeap
+ * (base/timer_heap.h): equal deadlines fire in arming order, a TimerId
+ * packs a recycled slot with the arm sequence number so stale ids
+ * cancel nothing, and cancellation is lazy with bounded compaction.
  *
  * DETERMINISM CONTRACT: code on the seam must obtain *all* time from
  * its bound Clock — absolute deadlines pinned with nowNanos() and
@@ -33,13 +39,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <queue>
 #include <thread>
-#include <utility>
-#include <vector>
 
 #include "base/threading.h"
+#include "base/timer_heap.h"
 
 namespace musuite {
 
@@ -82,14 +85,11 @@ class Clock
 
 /**
  * The wall-clock binding: monotonic time plus a shared timer thread.
- * One lazily started thread parks on a condvar over a deadline-ordered
- * heap; arming and cancelling are O(log n) under a single mutex, which
- * is ample for the per-RPC rates the mid-tiers see.
- *
- * Cancellation is lazy — the heap entry stays until it surfaces — but
- * bounded: when dead heap entries outnumber live timers the heap is
- * compacted in place, so a deadline-heavy client that cancels on
- * fast success cannot grow the heap without bound.
+ * One lazily started thread parks on a condvar over a TimerHeap;
+ * arming is O(log n) and cancelling O(1) amortized under a single
+ * mutex, which is ample for the per-RPC rates the mid-tiers see. The
+ * heap's bounded lazy cancellation keeps a deadline-heavy client that
+ * cancels on fast success from growing it without bound.
  */
 class RealClock final : public Clock
 {
@@ -119,25 +119,11 @@ class RealClock final : public Clock
     size_t timerHeapSize() const;
 
   private:
-    struct Armed
-    {
-        int64_t deadlineNs;
-        std::function<void()> fn;
-    };
-
     void timerMain();
-    /** Rebuild the heap from the live timers. Call with mutex held. */
-    void compactHeap();
 
     mutable Mutex mutex{LockRank::timer, "base.clock"};
     CondVar wakeup;
-    /** Armed timers by id; the heap holds (deadline, id) references. */
-    std::map<TimerId, Armed> armed GUARDED_BY(mutex);
-    std::priority_queue<std::pair<int64_t, TimerId>,
-                        std::vector<std::pair<int64_t, TimerId>>,
-                        std::greater<>>
-        heap GUARDED_BY(mutex);
-    TimerId nextId GUARDED_BY(mutex) = 1;
+    TimerHeap timers GUARDED_BY(mutex);
     bool started GUARDED_BY(mutex) = false;
     bool stopping GUARDED_BY(mutex) = false;
     std::thread thread;

@@ -31,7 +31,6 @@ lockRankName(LockRank rank)
       case LockRank::unranked:        return "unranked";
       case LockRank::loadgen:         return "loadgen";
       case LockRank::harness:         return "harness";
-      case LockRank::station:         return "rpc.station";
       case LockRank::fanout:          return "fanout";
       case LockRank::call:            return "rpc.call";
       case LockRank::ejection:        return "rpc.ejection";

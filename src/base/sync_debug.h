@@ -49,9 +49,6 @@ enum class LockRank : int {
     unranked = 0,        //!< No ordering contract (tests, ad-hoc locks).
     loadgen = 10,        //!< Load-generator completion state.
     harness = 15,        //!< Experiment-harness shared RNG.
-    station = 18,        //!< Server's virtual-time worker slots
-                         //!< (rpc/server) — released before the
-                         //!< handler runs and fans out.
     fanout = 20,         //!< Fan-out merge state (services/common).
     call = 30,           //!< Per-call retry state (rpc/channel).
     ejection = 33,       //!< Outlier-ejection policy state (rpc/health)

@@ -158,27 +158,25 @@ EjectionPolicy::ejectionCap() const
 }
 
 double
-EjectionPolicy::poolMedianEwmaNs() const
+EjectionPolicy::poolMedianEwmaNs()
 {
     // Latency outliers are judged against peers with enough evidence;
     // fewer than 3 voters and "outlier vs the pool" is meaningless
     // (with 1-2 peers a slow peer IS the median neighborhood).
-    std::vector<double> ewmas;
-    ewmas.reserve(peers.size());
+    medianScratch.clear();
     for (const Peer &peer : peers) {
         if (peer.health->outcomes() >= options.minOutcomes)
-            ewmas.push_back(peer.health->ewmaLatencyNs());
+            medianScratch.push_back(peer.health->ewmaLatencyNs());
     }
-    if (ewmas.size() < 3)
+    if (medianScratch.size() < 3)
         return 0.0;
-    std::nth_element(ewmas.begin(), ewmas.begin() + ewmas.size() / 2,
-                     ewmas.end());
-    return ewmas[ewmas.size() / 2];
+    const auto middle = medianScratch.begin() + medianScratch.size() / 2;
+    std::nth_element(medianScratch.begin(), middle, medianScratch.end());
+    return *middle;
 }
 
 bool
-EjectionPolicy::isOutlier(const Peer &peer,
-                          double pool_median_ns) const
+EjectionPolicy::isOutlier(const Peer &peer)
 {
     const PeerHealth &health = *peer.health;
     if (health.outcomes() < options.minOutcomes)
@@ -189,11 +187,12 @@ EjectionPolicy::isOutlier(const Peer &peer,
     if (options.failureRateThreshold > 0.0 &&
         health.windowFailureRate() >= options.failureRateThreshold)
         return true;
-    if (options.latencyFactor > 0.0 && pool_median_ns > 0.0 &&
-        health.ewmaLatencyNs() >
-            options.latencyFactor * pool_median_ns)
-        return true;
-    return false;
+    if (options.latencyFactor <= 0.0)
+        return false;
+    // The pool median is computed only here, where it is first needed.
+    const double pool_median_ns = poolMedianEwmaNs();
+    return pool_median_ns > 0.0 &&
+           health.ewmaLatencyNs() > options.latencyFactor * pool_median_ns;
 }
 
 bool
@@ -223,7 +222,7 @@ EjectionPolicy::admitLeg(Channel *channel)
 
     switch (peer->state) {
       case PeerState::Healthy:
-        if (isOutlier(*peer, poolMedianEwmaNs()) && tryEject(*peer))
+        if (isOutlier(*peer) && tryEject(*peer))
             return LegDecision::Skip;
         return LegDecision::Admit;
 

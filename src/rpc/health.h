@@ -240,9 +240,8 @@ class EjectionPolicy
     /** floor(maxEjectedFraction * pool size). */
     size_t ejectionCap() const REQUIRES(mutex);
     /** Median EWMA over peers with >= minOutcomes; 0 if < 3 vote. */
-    double poolMedianEwmaNs() const REQUIRES(mutex);
-    bool isOutlier(const Peer &peer, double pool_median_ns) const
-        REQUIRES(mutex);
+    double poolMedianEwmaNs() REQUIRES(mutex);
+    bool isOutlier(const Peer &peer) REQUIRES(mutex);
     /** Eject if the cap allows; returns true when ejected. */
     bool tryEject(Peer &peer) REQUIRES(mutex);
 
@@ -250,6 +249,9 @@ class EjectionPolicy
     Clock *boundClock; //!< Never null; see clock().
     mutable Mutex mutex{LockRank::ejection, "rpc.ejection"};
     std::vector<Peer> peers GUARDED_BY(mutex);
+    /** poolMedianEwmaNs's working set, reused so a consult never
+     *  allocates once it has grown to the pool size. */
+    std::vector<double> medianScratch GUARDED_BY(mutex);
     size_t ejected GUARDED_BY(mutex) = 0;
     int64_t firstEjectAt GUARDED_BY(mutex) = -1;
     int64_t lastEjectAt GUARDED_BY(mutex) = -1;

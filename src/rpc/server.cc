@@ -515,34 +515,17 @@ Server::enterStation(ServerCallPtr call)
     // The hint is the real drain time, so upstream backoff is paced by
     // actual load.
     const int64_t now_ns = boundClock->nowNanos();
-    bool shed = false;
-    int64_t delay_ns = 0;
-    int64_t retry_after_ns = 0;
-    {
-        MutexLock guard(stationMutex);
-        auto slot = std::min_element(slotFreeAtNs.begin(),
-                                     slotFreeAtNs.end());
-        if (stationOccupancy >=
-            size_t(options.workerThreads) + options.queueCapacity) {
-            shed = true;
-            retry_after_ns =
-                std::max<int64_t>(*slot - now_ns, 0) + options.serviceNs;
-        } else {
-            *slot = std::max(now_ns, *slot) + options.serviceNs;
-            delay_ns = *slot - now_ns;
-            ++stationOccupancy;
-        }
-    }
-    if (shed) {
-        shedCall(call, retry_after_ns);
+    auto slot = std::min_element(slotFreeAtNs.begin(), slotFreeAtNs.end());
+    if (stationOccupancy >=
+        size_t(options.workerThreads) + options.queueCapacity) {
+        shedCall(call, std::max<int64_t>(*slot - now_ns, 0) +
+                           options.serviceNs);
         return;
     }
-
-    boundClock->schedule(delay_ns, [this, call = std::move(call)] {
-        {
-            MutexLock guard(stationMutex);
-            --stationOccupancy;
-        }
+    *slot = std::max(now_ns, *slot) + options.serviceNs;
+    ++stationOccupancy;
+    boundClock->schedule(*slot - now_ns, [this, call = std::move(call)] {
+        --stationOccupancy;
         execute(call);
     });
 }

@@ -320,11 +320,12 @@ class Server
     std::atomic<uint64_t> served{0};
     std::atomic<size_t> nextShard{0};
 
-    Mutex stationMutex{LockRank::station, "rpc.server.station"};
+    // The station runs only on a simulated clock, which is driven from
+    // one thread (simclock.h), so its state needs no lock.
     /** Virtual instant each worker slot next becomes free. */
-    std::vector<int64_t> slotFreeAtNs GUARDED_BY(stationMutex);
+    std::vector<int64_t> slotFreeAtNs;
     /** Requests queued or in service in the station. */
-    size_t stationOccupancy GUARDED_BY(stationMutex) = 0;
+    size_t stationOccupancy = 0;
 };
 
 } // namespace rpc

@@ -17,39 +17,32 @@ SimClock::schedule(int64_t delay_ns, std::function<void()> fn)
 {
     const int64_t deadline =
         virtualNow + std::max<int64_t>(0, delay_ns);
-    const TimerId id = nextId++;
-    queue.emplace(std::make_pair(deadline, id), std::move(fn));
-    byId.emplace(id, deadline);
-    traceLine("arm", id, deadline);
+    const TimerId id = timers.arm(deadline, std::move(fn));
+    traceLine("arm", TimerHeap::seqOf(id), deadline);
     return id;
 }
 
 bool
 SimClock::cancel(TimerId id)
 {
-    auto it = byId.find(id);
-    if (it == byId.end())
+    if (!timers.cancel(id))
         return false;
-    queue.erase(std::make_pair(it->second, id));
-    byId.erase(it);
-    traceLine("cancel", id, virtualNow);
+    traceLine("cancel", TimerHeap::seqOf(id), virtualNow);
     return true;
 }
 
 bool
 SimClock::runOne()
 {
-    if (queue.empty())
+    if (timers.empty())
         return false;
-    // Detach before running: the callback may schedule or cancel.
-    auto node = queue.extract(queue.begin());
-    const int64_t deadline = node.key().first;
-    const TimerId id = node.key().second;
-    byId.erase(id);
-    MUSUITE_CHECK(deadline >= virtualNow) << "sim time ran backwards";
-    virtualNow = deadline;
-    traceLine("fire", id, deadline);
-    node.mapped()();
+    // Popped before running: the callback may schedule or cancel.
+    TimerHeap::Expired event = timers.popNext();
+    MUSUITE_CHECK(event.deadlineNs >= virtualNow)
+        << "sim time ran backwards";
+    virtualNow = event.deadlineNs;
+    traceLine("fire", event.seq, event.deadlineNs);
+    event.fn();
     return true;
 }
 
@@ -59,7 +52,7 @@ SimClock::runFor(int64_t duration_ns)
     MUSUITE_CHECK(duration_ns >= 0) << "negative sim advance";
     const int64_t target = virtualNow + duration_ns;
     size_t fired = 0;
-    while (!queue.empty() && queue.begin()->first.first <= target) {
+    while (!timers.empty() && timers.nextDeadline() <= target) {
         runOne();
         ++fired;
     }
@@ -114,7 +107,7 @@ SimClock::traceEvent(std::string_view label)
 }
 
 void
-SimClock::traceLine(std::string_view what, TimerId id, int64_t at_ns)
+SimClock::traceLine(std::string_view what, uint64_t seq, int64_t at_ns)
 {
     if (!tracing)
         return;
@@ -123,7 +116,7 @@ SimClock::traceLine(std::string_view what, TimerId id, int64_t at_ns)
     traceLog += ' ';
     traceLog.append(what.data(), what.size());
     traceLog += " id=";
-    traceLog += std::to_string(id);
+    traceLog += std::to_string(seq);
     traceLog += " at=";
     traceLog += std::to_string(at_ns);
     traceLog += '\n';

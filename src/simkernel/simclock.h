@@ -3,11 +3,13 @@
  * SimClock: the simulated binding of the base/clock.h seam.
  *
  * Virtual time plus a deterministic event loop. schedule() enqueues an
- * event at (now + delay); nothing ever waits on wall time. Events at
+ * event at (now + delay); nothing ever waits on wall time. Events live
+ * in the same TimerHeap (base/timer_heap.h) RealClock uses: events at
  * equal virtual instants fire in arming order (a strictly increasing
  * sequence breaks ties), so a seeded scenario replays byte-identically
  * run after run — the property the sim-mode regression tests and the
- * check.sh seed sweep assert.
+ * check.sh seed sweep assert. Arming, firing and cancelling allocate
+ * nothing beyond the callback itself once the heap has warmed up.
  *
  * SINGLE-THREADED BY CONTRACT: a SimClock and every object bound to it
  * (channels, unstarted servers, health trackers) must be driven from
@@ -24,7 +26,8 @@
  *
  * The trace facility records one line per arm/fire/cancel plus
  * caller-injected marks; two runs of the same seeded scenario must
- * produce byte-identical traces.
+ * produce byte-identical traces. A timer line's `id=` is the event's
+ * arm sequence number (1, 2, 3, ... per clock), not its TimerId.
  */
 
 #ifndef MUSUITE_SIMKERNEL_SIMCLOCK_H
@@ -32,12 +35,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "base/clock.h"
+#include "base/timer_heap.h"
 
 namespace musuite {
 namespace sim {
@@ -57,7 +60,10 @@ class SimClock final : public Clock
 
     bool cancel(TimerId id) override;
 
-    size_t pendingTimers() const override { return byId.size(); }
+    size_t pendingTimers() const override { return timers.live(); }
+
+    /** Heap entries including dead (cancelled) ones — compaction tests. */
+    size_t timerHeapSize() const { return timers.heapSize(); }
 
     bool isSimulated() const override { return true; }
 
@@ -104,13 +110,10 @@ class SimClock final : public Clock
     std::string takeTrace() { return std::move(traceLog); }
 
   private:
-    void traceLine(std::string_view what, TimerId id, int64_t at_ns);
+    void traceLine(std::string_view what, uint64_t seq, int64_t at_ns);
 
     int64_t virtualNow;
-    TimerId nextId = 1;
-    /** (deadline, id) -> callback; map order IS execution order. */
-    std::map<std::pair<int64_t, TimerId>, std::function<void()>> queue;
-    std::map<TimerId, int64_t> byId; //!< id -> deadline, for cancel().
+    TimerHeap timers; //!< Pop order IS execution order.
     bool tracing = false;
     std::string traceLog;
 };

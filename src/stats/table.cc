@@ -6,7 +6,9 @@
 #include "stats/table.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
+#include <cstdlib>
 
 #include "base/logging.h"
 #include "base/time_util.h"
@@ -108,6 +110,35 @@ Table::printCsv(std::ostream &out) const
     emit_row(header);
     for (const auto &row : rows)
         emit_row(row);
+}
+
+void
+Table::printJson(std::ostream &out) const
+{
+    // A digit must lead (after an optional sign), so "nan" and "-inf"
+    // from non-finite doubles are quoted rather than written bare.
+    const auto is_number = [](const std::string &cell) {
+        const size_t lead = !cell.empty() && cell[0] == '-' ? 1 : 0;
+        if (cell.size() <= lead || !std::isdigit((unsigned char)cell[lead]))
+            return false;
+        char *end = nullptr;
+        std::strtod(cell.c_str(), &end);
+        return end == cell.c_str() + cell.size();
+    };
+    out << "[";
+    for (size_t r = 0; r < rows.size(); ++r) {
+        out << (r == 0 ? "\n  {" : ",\n  {");
+        for (size_t c = 0; c < header.size(); ++c) {
+            const std::string &cell = rows[r][c];
+            out << (c == 0 ? "\"" : ", \"") << header[c] << "\": ";
+            if (is_number(cell))
+                out << cell;
+            else
+                out << '"' << cell << '"';
+        }
+        out << "}";
+    }
+    out << (rows.empty() ? "]" : "\n]");
 }
 
 void

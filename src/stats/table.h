@@ -54,6 +54,13 @@ class Table
     /** Comma-separated rendering including the header. */
     void printCsv(std::ostream &out) const;
 
+    /**
+     * JSON rendering: an array with one object per row, keyed by the
+     * header. Cells that read as numbers are written bare, the rest as
+     * strings (no escaping: cells are plain labels and numbers).
+     */
+    void printJson(std::ostream &out) const;
+
     size_t rowCount() const { return rows.size(); }
 
   private:

@@ -12,9 +12,11 @@
  *    event trace; exercised over many seeds by the sweep, which
  *    tools/check.sh also runs under 8 distinct MUSUITE_SIM_SEED
  *    values),
- *  - RealClock unit coverage for the heap-compaction and
- *    teardown-scheduling fixes (the only wall-clock tests here; both
- *    are time-bounded, not time-sensitive).
+ *  - the shared timer heap's contract (base/timer_heap.h), run
+ *    against both SimClock and RealClock, plus a pinned digest of a
+ *    seeded chaos trace so an event reorder fails here,
+ *  - RealClock unit coverage for the teardown-scheduling fix (the
+ *    wall-clock tests here are time-bounded, not time-sensitive).
  */
 
 #include <gtest/gtest.h>
@@ -22,13 +24,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "base/clock.h"
 #include "base/rng.h"
+#include "base/timer_heap.h"
 #include "loadgen/scenario.h"
 #include "rpc/channel.h"
 #include "rpc/fault.h"
@@ -842,26 +848,219 @@ TEST(SimChaosTest, SeedSweepHoldsInvariants)
     }
 }
 
+/** FNV-1a over a trace: a short stable fingerprint to pin. */
+uint64_t
+traceDigest(const std::string &trace)
+{
+    uint64_t hash = 1469598103934665603ull;
+    for (unsigned char byte : trace) {
+        hash ^= byte;
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+/** runChaosScenario(42, Zombie)'s trace, as recorded before SimClock
+ *  moved onto TimerHeap. */
+constexpr size_t kPinnedTraceBytes = 3'681'781;
+constexpr uint64_t kPinnedTraceDigest = 0x35bec71d709fcf15ull;
+
+TEST(SimChaosTest, SeededTraceDigestIsPinned)
+{
+    // Fixed seed, not MUSUITE_SIM_SEED. Any change to which events are
+    // armed, their sequence numbers or their firing order changes the
+    // digest; update it only for an intended behaviour change.
+    const ChaosRun run =
+        runChaosScenario(42, sim::ChaosEvent::Kind::Zombie);
+    EXPECT_EQ(run.trace.size(), kPinnedTraceBytes);
+    EXPECT_EQ(traceDigest(run.trace), kPinnedTraceDigest);
+}
+
 // ====================================================================
-// RealClock: the satellite fixes (wall-clock but time-bounded).
+// The shared timer heap (base/timer_heap.h), through both clocks. The
+// RealClock runs fire on its timer thread, so every observation the
+// test thread makes goes through atomics, and waits are bounded.
 // ====================================================================
 
-TEST(RealClockTest, CancelCompactsTheTimerHeap)
+constexpr int64_t kHourNs = 3'600'000'000'000;
+/** The slot half of a TimerId (see base/timer_heap.h). */
+constexpr Clock::TimerId kSlotMask =
+    (Clock::TimerId(1) << TimerHeap::kSlotBits) - 1;
+
+template <typename ClockT>
+class TimerHeapContractTest : public ::testing::Test
 {
-    RealClock clock;
-    std::vector<Clock::TimerId> ids;
-    // Far-future timers: nothing fires during the test.
-    for (int i = 0; i < 1000; ++i) {
-        ids.push_back(clock.schedule(3'600'000'000'000, [] {}));
+  protected:
+    /** Fire timers until `done()` holds; false if it never does. */
+    bool
+    runUntil(const std::function<bool()> &done)
+    {
+        if constexpr (std::is_same_v<ClockT, SimClock>) {
+            return clock.runUntil(done);
+        } else {
+            for (int i = 0; i < 10'000 && !done(); ++i)
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            return done();
+        }
     }
-    EXPECT_EQ(clock.pendingTimers(), 1000u);
-    for (Clock::TimerId id : ids)
-        EXPECT_TRUE(clock.cancel(id));
-    EXPECT_EQ(clock.pendingTimers(), 0u);
-    // Pre-fix the heap kept all 1000 dead entries until they surfaced
-    // (an hour away); compaction must have dropped them.
-    EXPECT_LT(clock.timerHeapSize(), 64u);
+
+    ClockT clock;
+};
+
+struct ClockName
+{
+    template <typename ClockT>
+    static std::string
+    GetName(int)
+    {
+        return std::is_same_v<ClockT, SimClock> ? "SimClock" : "RealClock";
+    }
+};
+
+using BothClocks = ::testing::Types<SimClock, RealClock>;
+TYPED_TEST_SUITE(TimerHeapContractTest, BothClocks, ClockName);
+
+TYPED_TEST(TimerHeapContractTest, EqualDeadlinesFireInArmOrder)
+{
+    // Same delay: equal deadlines on the SimClock, non-decreasing ones
+    // on the RealClock; either way the arm order breaks the tie.
+    std::string order;
+    std::atomic<int> fired{0};
+    for (char tag : std::string("abcdefgh")) {
+        this->clock.schedule(kMs, [&order, &fired, tag] {
+            order += tag;
+            fired.fetch_add(1);
+        });
+    }
+    ASSERT_TRUE(this->runUntil([&] { return fired.load() == 8; }));
+    EXPECT_EQ(order, "abcdefgh");
+    EXPECT_EQ(this->clock.pendingTimers(), 0u);
 }
+
+TYPED_TEST(TimerHeapContractTest, StaleHandleDoesNotCancelRecycledSlot)
+{
+    const Clock::TimerId stale = this->clock.schedule(kHourNs, [] {});
+    EXPECT_TRUE(this->clock.cancel(stale));
+
+    std::atomic<int> fired{0};
+    const Clock::TimerId fresh =
+        this->clock.schedule(kMs, [&fired] { fired.fetch_add(1); });
+    // The freed slot was reused; only the sequence number differs.
+    EXPECT_EQ(fresh & kSlotMask, stale & kSlotMask);
+    EXPECT_NE(fresh, stale);
+    EXPECT_FALSE(this->clock.cancel(stale));
+    EXPECT_EQ(this->clock.pendingTimers(), 1u);
+
+    ASSERT_TRUE(this->runUntil([&] { return fired.load() == 1; }));
+    // A fired handle is stale too, even once its slot is taken again.
+    const Clock::TimerId next = this->clock.schedule(kHourNs, [] {});
+    EXPECT_EQ(next & kSlotMask, fresh & kSlotMask);
+    EXPECT_FALSE(this->clock.cancel(fresh));
+    EXPECT_EQ(this->clock.pendingTimers(), 1u);
+    EXPECT_TRUE(this->clock.cancel(next));
+    EXPECT_EQ(fired.load(), 1);
+}
+
+TYPED_TEST(TimerHeapContractTest, ZeroAndForeignIdsCancelNothing)
+{
+    // A foreign id whose slot exists here but holds another sequence
+    // number: four armed and cancelled, then one more, which takes
+    // slot 3 with sequence 5 (this clock's slot 3 holds sequence 4).
+    TypeParam other;
+    std::vector<Clock::TimerId> others;
+    for (int i = 0; i < 4; ++i)
+        others.push_back(other.schedule(kHourNs, [] {}));
+    for (Clock::TimerId id : others)
+        EXPECT_TRUE(other.cancel(id));
+    const Clock::TimerId foreign = other.schedule(kHourNs, [] {});
+
+    std::vector<Clock::TimerId> mine;
+    for (int i = 0; i < 4; ++i)
+        mine.push_back(this->clock.schedule(kHourNs, [] {}));
+    EXPECT_EQ(foreign & kSlotMask, mine[3] & kSlotMask);
+
+    EXPECT_FALSE(this->clock.cancel(0));
+    EXPECT_FALSE(this->clock.cancel(foreign));
+    EXPECT_FALSE(this->clock.cancel(~Clock::TimerId(0)));
+    EXPECT_FALSE(this->clock.cancel(Clock::TimerId(1) << 40 | 2));
+    EXPECT_EQ(this->clock.pendingTimers(), 4u);
+    for (Clock::TimerId id : mine)
+        EXPECT_TRUE(this->clock.cancel(id));
+    EXPECT_TRUE(other.cancel(foreign));
+}
+
+TYPED_TEST(TimerHeapContractTest, CallbackMayArmAndCancelWhileItFires)
+{
+    std::atomic<bool> victim_ran{false};
+    const Clock::TimerId victim = this->clock.schedule(
+        kHourNs, [&victim_ran] { victim_ran = true; });
+    std::atomic<Clock::TimerId> self{0};
+    std::atomic<int> self_cancelled{-1};
+    std::atomic<int> victim_cancelled{-1};
+    std::atomic<bool> chained{false};
+    self = this->clock.schedule(20 * kMs, [&] {
+        // The firing timer is already gone; the pending one is not.
+        self_cancelled = this->clock.cancel(self.load()) ? 1 : 0;
+        victim_cancelled = this->clock.cancel(victim) ? 1 : 0;
+        this->clock.schedule(0, [&chained] { chained = true; });
+    });
+    ASSERT_TRUE(this->runUntil([&] { return chained.load(); }));
+    EXPECT_EQ(self_cancelled.load(), 0);
+    EXPECT_EQ(victim_cancelled.load(), 1);
+    EXPECT_FALSE(victim_ran.load());
+    EXPECT_EQ(this->clock.pendingTimers(), 0u);
+}
+
+TYPED_TEST(TimerHeapContractTest, CancelHeavyChurnStaysExactAndBounded)
+{
+    // Far-future timers, so nothing fires on either clock: each round
+    // arms three and cancels two, the oldest live one first, like a
+    // deadline-heavy client that cancels on fast success.
+    std::deque<Clock::TimerId> live;
+    for (int round = 0; round < 2000; ++round) {
+        for (int i = 0; i < 3; ++i)
+            live.push_back(this->clock.schedule(kHourNs + round, [] {}));
+        for (int i = 0; i < 2; ++i) {
+            ASSERT_TRUE(this->clock.cancel(live.front()));
+            live.pop_front();
+        }
+        ASSERT_EQ(this->clock.pendingTimers(), live.size());
+        ASSERT_LT(this->clock.timerHeapSize(), 2 * live.size() + 64);
+    }
+    while (!live.empty()) {
+        ASSERT_TRUE(this->clock.cancel(live.back()));
+        live.pop_back();
+        ASSERT_EQ(this->clock.pendingTimers(), live.size());
+        ASSERT_LT(this->clock.timerHeapSize(), 2 * live.size() + 64);
+    }
+    EXPECT_LT(this->clock.timerHeapSize(), 64u);
+}
+
+TEST(SimClockTest, FiringKeepsTheHeapBounded)
+{
+    // Cancelled entries that do not outnumber the live ones stay in
+    // the heap; the bound must then hold as the live timers fire out
+    // from under them, not only on cancel.
+    SimClock clock;
+    std::vector<Clock::TimerId> doomed;
+    for (int i = 0; i < 500; ++i) {
+        clock.schedule(i, [] {});
+        doomed.push_back(clock.schedule(kHourNs, [] {}));
+    }
+    for (Clock::TimerId id : doomed)
+        ASSERT_TRUE(clock.cancel(id));
+    for (size_t left = 500; left > 0; --left) {
+        ASSERT_EQ(clock.pendingTimers(), left);
+        ASSERT_TRUE(clock.runOne());
+        ASSERT_LT(clock.timerHeapSize(), 2 * clock.pendingTimers() + 64);
+    }
+    EXPECT_FALSE(clock.runOne());
+    EXPECT_EQ(clock.pendingTimers(), 0u);
+}
+
+// ====================================================================
+// RealClock: teardown (wall-clock but time-bounded).
+// ====================================================================
 
 TEST(RealClockTest, CallbackScheduledDuringTeardownStillRuns)
 {

@@ -183,6 +183,29 @@ TEST(TableTest, CsvRendering)
     EXPECT_EQ(out.str(), "a,b\nx,3.14\n");
 }
 
+TEST(TableTest, JsonRendering)
+{
+    Table table({"service", "qps", "note"});
+    table.row().cell("HDSearch").cell(11500.4, 0).cell("-");
+    table.row().cell("Router").cell(-2.5, 1).cell("12K");
+    table.row().cell("Idle").cell("-inf").cell("nan");
+    std::ostringstream out;
+    table.printJson(out);
+    EXPECT_EQ(out.str(),
+              "[\n"
+              "  {\"service\": \"HDSearch\", \"qps\": 11500, "
+              "\"note\": \"-\"},\n"
+              "  {\"service\": \"Router\", \"qps\": -2.5, "
+              "\"note\": \"12K\"},\n"
+              "  {\"service\": \"Idle\", \"qps\": \"-inf\", "
+              "\"note\": \"nan\"}\n"
+              "]");
+
+    std::ostringstream empty;
+    Table({"a"}).printJson(empty);
+    EXPECT_EQ(empty.str(), "[]");
+}
+
 TEST(TableTest, NanosCells)
 {
     Table table({"lat"});

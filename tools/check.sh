@@ -13,6 +13,8 @@
 #        (the three sim JSON files byte-identical to the committed
 #        copies, or the gate fails)
 #      + fig09 / fig19 sim-mode paper claims (PASS/FAIL, computed)
+#        -> BENCH_fig09.json / BENCH_fig19.json (sim tables, also
+#        byte-identical to the committed copies)
 #      + tools/mulint over src/ (static lock-rank, raw-sync, thread-role,
 #        rank-table, guarded-by, plus the
 #        interprocedural clock-seam and counter-registry rules and the
@@ -203,14 +205,22 @@ fi
 # fig09_saturation and fig19_cs_hitm compute the paper's claims from
 # their own sim-mode tables (saturation band and ordering; cs and hitm
 # rising with load, hitm above cs) and exit nonzero when one fails.
-# The sim is deterministic, so a FAIL is a behaviour change. ~10s.
+# Each also writes its sim table to BENCH_fig09.json / BENCH_fig19.json;
+# the sim is deterministic, so a FAIL or any difference from the
+# committed copy is a behaviour change. ~5s.
 banner "figure claims: fig09 / fig19 (sim)"
 for fig in fig09_saturation fig19_cs_hitm; do
+    json="BENCH_${fig%%_*}.json"
     if cmake --build build-check-werror --target "$fig" -j "$jobs" \
             >>build-check-werror/build.log 2>&1 \
             && "build-check-werror/bench/$fig" --skip-real \
+                --smoke-json="$repo_root/$json" \
                 >"build-check-werror/$fig.log" 2>&1; then
         grep -E '^(PASS|FAIL) ' "build-check-werror/$fig.log"
+        if ! git diff --exit-code -- "$json"; then
+            echo "$json DIFFERS FROM THE COMMITTED COPY"
+            failures+=("figure claims: $fig output changed")
+        fi
     else
         grep -E '^(PASS|FAIL) ' "build-check-werror/$fig.log" || true
         echo "FIGURE CLAIMS FAILED: $fig (see build-check-werror/$fig.log)"
