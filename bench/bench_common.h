@@ -156,17 +156,20 @@ writeSimTableJson(const std::string &path, const std::string &figure,
  * A figure's claims, computed from its own tables. Each check prints
  * PASS or FAIL; a failed gated claim (sim mode, which is
  * deterministic) makes exitCode() nonzero, while real-mode claims are
- * reported only, since they depend on the host.
+ * reported only, since they depend on the host. A sim claim this
+ * reproduction does not meet is reported too, under the mode label
+ * "sim, reported", and EXPERIMENTS.md lists it as not reproduced.
  */
 class Claims
 {
   public:
     void
     check(bool gated, const std::string &claim, bool holds,
-          const std::string &detail = "")
+          const std::string &detail = "", const char *mode = nullptr)
     {
-        std::cout << (holds ? "PASS" : "FAIL") << " ["
-                  << (gated ? "sim, gated" : "real, reported") << "] "
+        if (mode == nullptr)
+            mode = gated ? "sim, gated" : "real, reported";
+        std::cout << (holds ? "PASS" : "FAIL") << " [" << mode << "] "
                   << claim << (detail.empty() ? "" : ": " + detail)
                   << "\n";
         failed = failed || (gated && !holds);

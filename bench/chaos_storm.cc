@@ -29,16 +29,12 @@
  * BENCH_chaos.json for tools/check.sh.
  */
 
-#include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "loadgen/scenario.h"
-#include "services/graph/proto.h"
+#include "loadgen/loadgen.h"
 #include "services/graph/scenario.h"
 #include "simkernel/chaos.h"
 #include "simkernel/topology.h"
@@ -78,8 +74,6 @@ struct PhaseResult
     bool ejection = false;
     size_t offered = 0;
     uint32_t ok = 0;
-    uint32_t degradedOk = 0;
-    uint32_t failed = 0;
     uint32_t lateCompletions = 0; //!< Past the root deadline: must be 0.
     size_t lostCompletions = 0;
     size_t leakedTimers = 0;
@@ -98,13 +92,6 @@ struct PhaseResult
     uint64_t healthProbes = 0;
     uint64_t outlierSkipped = 0;
 };
-
-uint64_t
-counterDelta(const CounterSnapshot &delta, const char *name)
-{
-    auto it = delta.find(name);
-    return it == delta.end() ? 0 : it->second;
-}
 
 PhaseResult
 runPhase(const ChaosConfig &config, const char *label,
@@ -132,20 +119,28 @@ runPhase(const ChaosConfig &config, const char *label,
     event.rampPerCallNs = 500'000;
     campaign.arm({event});
 
-    const std::vector<int64_t> arrivals = loadgen::arrivalSchedule(
-        loadgen::LoadShape::constant(config.qps), config.durationNs(),
-        config.seed * 131 + 7);
+    OpenLoopLoadGen::Options load_options;
+    load_options.shape = loadgen::LoadShape::constant(config.qps);
+    load_options.durationNs = config.durationNs();
+    load_options.seed = config.seed * 131 + 7;
+    OpenLoopLoadGen generator(load_options);
 
     const CounterSnapshot before = globalCounters().snapshot();
+    const LoadResult load =
+        generator
+            .run(sim::rootIssue(topo, config.seed, config.rootDeadlineNs))
+            .front();
+    clock.runUntilIdle();
+
     PhaseResult phase;
     phase.label = label;
     phase.ejection = ejection;
-    phase.offered = arrivals.size();
-    Histogram latency;
-    Histogram fault_latency;
-    GoodputTracker goodput(10 * kMs);
-    auto completions = std::make_shared<std::atomic<size_t>>(0);
-    const int64_t deadline_ns = config.rootDeadlineNs;
+    phase.offered = load.issued;
+    phase.ok = uint32_t(load.completed);
+    phase.lostCompletions = load.issued - load.completed - load.errors;
+    phase.leakedTimers = clock.pendingTimers();
+    phase.latency = load.latency.summary();
+
     const int64_t fault_from_ns = event.injectAtNs;
     const int64_t fault_to_ns = event.clearAtNs;
     // Steady-fault-state window: the second half of the fault window,
@@ -153,70 +148,28 @@ runPhase(const ChaosConfig &config, const char *label,
     // necessarily burn deadlines before health evidence accumulates).
     const int64_t settled_from_ns =
         fault_from_ns + config.faultNs / 2;
-    for (size_t i = 0; i < arrivals.size(); ++i) {
-        const int64_t start = arrivals[i];
-        clock.schedule(start, [&clock, &topo, &phase, &latency,
-                               &fault_latency, &goodput, completions,
-                               i, start, deadline_ns, fault_from_ns,
-                               fault_to_ns, settled_from_ns,
-                               &config] {
-            graph::GraphRequest request;
-            request.workId = i + 1;
-            rpc::CallOptions options;
-            options.totalDeadlineNs = deadline_ns;
-            options.deadlineNs = deadline_ns;
-            options.maxAttempts = 2;
-            options.backoffBaseNs = 2 * kMs;
-            options.backoffJitter = 0.2;
-            options.backoffJitterSeed =
-                config.seed * 977 + 11 + uint64_t(i);
-            topo.root->call(
-                graph::kProcess, encodeMessage(request), options,
-                [&clock, &phase, &latency, &fault_latency, &goodput,
-                 completions, start, deadline_ns, fault_from_ns,
-                 fault_to_ns,
-                 settled_from_ns](const Status &status,
-                                  std::string_view payload) {
-                    const int64_t now = clock.nowNanos();
-                    const int64_t elapsed = now - start;
-                    if (elapsed > deadline_ns)
-                        phase.lateCompletions++;
-                    bool degraded = false;
-                    if (status.isOk()) {
-                        graph::GraphReply reply;
-                        degraded = decodeMessage(payload, reply) &&
-                                   reply.degraded;
-                    }
-                    // "Good" = a clean answer in time: degraded
-                    // (quorum-carried) completions keep the request
-                    // alive but don't count as recovered goodput, so
-                    // time-to-recover measures the return of *whole*
-                    // answers, including reintroduction churn.
-                    goodput.record(now, status.isOk() && !degraded &&
-                                            elapsed <= deadline_ns);
-                    if (status.isOk()) {
-                        phase.ok++;
-                        latency.record(elapsed);
-                        if (start >= fault_from_ns &&
-                            start < fault_to_ns)
-                            phase.faultWindowOk++;
-                        if (start >= settled_from_ns &&
-                            start < fault_to_ns)
-                            fault_latency.record(elapsed);
-                        if (degraded)
-                            phase.degradedOk++;
-                    } else {
-                        phase.failed++;
-                    }
-                    completions->fetch_add(1);
-                });
-        });
+    Histogram fault_latency;
+    GoodputTracker goodput(10 * kMs);
+    for (const RequestSpan &span : generator.spans()) {
+        if (!span.completed())
+            continue;
+        const bool in_time = span.latencyNs() <= config.rootDeadlineNs;
+        if (!in_time)
+            phase.lateCompletions++;
+        // "Good" = a clean answer in time: degraded (quorum-carried)
+        // completions keep the request alive but don't count as
+        // recovered goodput, so time-to-recover measures the return
+        // of *whole* answers, including reintroduction churn.
+        goodput.record(span.completedNs, span.outcome.ok &&
+                                             !span.outcome.degraded &&
+                                             in_time);
+        if (!span.outcome.ok || span.scheduledNs >= fault_to_ns)
+            continue;
+        if (span.scheduledNs >= fault_from_ns)
+            phase.faultWindowOk++;
+        if (span.scheduledNs >= settled_from_ns)
+            fault_latency.record(span.latencyNs());
     }
-
-    clock.runUntilIdle();
-    phase.lostCompletions = arrivals.size() - completions->load();
-    phase.leakedTimers = clock.pendingTimers();
-    phase.latency = latency.summary();
     phase.faultLatency = fault_latency.summary();
 
     // Baseline over the settled second half of warmup; recovery =
@@ -241,11 +194,12 @@ runPhase(const ChaosConfig &config, const char *label,
 
     const CounterSnapshot delta =
         CounterSet::diff(before, globalCounters().snapshot());
-    phase.healthEjected = counterDelta(delta, "health.ejected");
-    phase.healthReinstated = counterDelta(delta, "health.reinstated");
-    phase.healthProbes = counterDelta(delta, "health.probe_sent");
+    phase.healthEjected = CounterSet::valueOf(delta, "health.ejected");
+    phase.healthReinstated =
+        CounterSet::valueOf(delta, "health.reinstated");
+    phase.healthProbes = CounterSet::valueOf(delta, "health.probe_sent");
     phase.outlierSkipped =
-        counterDelta(delta, "fanout.outlier_skipped");
+        CounterSet::valueOf(delta, "fanout.outlier_skipped");
     MUSUITE_CHECK(campaign.faultsInjected() == 1 &&
                   campaign.faultsCleared() == 1)
         << "chaos schedule did not execute";

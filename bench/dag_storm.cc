@@ -24,16 +24,12 @@
  * BENCH_dag.json for tools/check.sh.
  */
 
-#include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "loadgen/scenario.h"
-#include "services/graph/proto.h"
+#include "loadgen/loadgen.h"
 #include "services/graph/scenario.h"
 #include "simkernel/topology.h"
 #include "stats/counters.h"
@@ -63,14 +59,9 @@ struct PhaseSpec
 struct PhaseResult
 {
     std::string label;
-    size_t offered = 0;
-    uint32_t ok = 0;
-    uint32_t degradedOk = 0;
-    uint32_t exhausted = 0;
+    LoadResult load; //!< Shed = RESOURCE_EXHAUSTED at the root.
     uint32_t exhaustedWithHint = 0;
-    uint32_t otherFailed = 0;
     uint32_t lateCompletions = 0; //!< Past the root deadline: must be 0.
-    size_t lostCompletions = 0;
     size_t leakedTimers = 0;
     double goodputQps = 0.0;
     DistributionSummary latency; //!< Of OK completions.
@@ -78,25 +69,12 @@ struct PhaseResult
     uint64_t retriesScheduled = 0;
     uint64_t retryAmplified = 0;
 
-    double
-    degradedRate() const
-    {
-        return ok > 0 ? double(degradedOk) / double(ok) : 0.0;
-    }
-
-    double
-    shedRate() const
-    {
-        return offered > 0 ? double(exhausted) / double(offered) : 0.0;
-    }
+    size_t offered() const { return load.issued; }
+    unsigned ok() const { return unsigned(load.completed); }
+    unsigned exhausted() const { return unsigned(load.shed); }
+    size_t lost() const { return load.issued - load.completed - load.errors; }
+    double shedRate() const { return load.breakdown(0).shedRate(); }
 };
-
-uint64_t
-counterDelta(const CounterSnapshot &delta, const char *name)
-{
-    auto it = delta.find(name);
-    return it == delta.end() ? 0 : it->second;
-}
 
 PhaseResult
 runPhase(const DagConfig &config, const PhaseSpec &spec)
@@ -105,73 +83,43 @@ runPhase(const DagConfig &config, const PhaseSpec &spec)
     ScopedClock ambient(clock);
     sim::Topology topo = sim::buildTopology(clock, spec.scenario);
 
-    const std::vector<int64_t> arrivals = loadgen::arrivalSchedule(
-        spec.load, config.durationNs, spec.scenario.seed * 131 + 7);
+    OpenLoopLoadGen::Options load_options;
+    load_options.shape = spec.load;
+    load_options.durationNs = config.durationNs;
+    load_options.seed = spec.scenario.seed * 131 + 7;
+    OpenLoopLoadGen generator(load_options);
 
     const CounterSnapshot before = globalCounters().snapshot();
     PhaseResult phase;
     phase.label = spec.label;
-    phase.offered = arrivals.size();
-    Histogram latency;
-    auto completions = std::make_shared<std::atomic<size_t>>(0);
-    const uint64_t seed = spec.scenario.seed;
-    const int64_t deadline_ns = config.rootDeadlineNs;
-    for (size_t i = 0; i < arrivals.size(); ++i) {
-        const int64_t start = arrivals[i];
-        clock.schedule(start, [&clock, &topo, &phase, &latency,
-                               completions, seed, i, start,
-                               deadline_ns] {
-            graph::GraphRequest request;
-            request.workId = i + 1;
-            rpc::CallOptions options;
-            options.totalDeadlineNs = deadline_ns;
-            options.deadlineNs = deadline_ns;
-            options.maxAttempts = 2;
-            options.backoffBaseNs = 2 * kMs;
-            options.backoffJitter = 0.2;
-            options.backoffJitterSeed = seed * 977 + 11 + uint64_t(i);
-            topo.root->call(
-                graph::kProcess, encodeMessage(request), options,
-                [&clock, &phase, &latency, completions, start,
-                 deadline_ns](const Status &status, std::string_view
-                                                        payload) {
-                    const int64_t elapsed = clock.nowNanos() - start;
-                    if (elapsed > deadline_ns)
-                        phase.lateCompletions++;
-                    if (status.isOk()) {
-                        phase.ok++;
-                        latency.record(elapsed);
-                        graph::GraphReply reply;
-                        if (decodeMessage(payload, reply) &&
-                            reply.degraded)
-                            phase.degradedOk++;
-                    } else if (status.code() ==
-                               StatusCode::ResourceExhausted) {
-                        phase.exhausted++;
-                        if (status.retryAfterNs() > 0)
-                            phase.exhaustedWithHint++;
-                    } else {
-                        phase.otherFailed++;
-                    }
-                    completions->fetch_add(1);
-                });
-        });
-    }
-
+    phase.load = generator.run(sim::rootIssue(
+        topo, spec.scenario.seed, config.rootDeadlineNs,
+        [&phase](uint64_t, const Status &status,
+                 const graph::GraphReply &) {
+            if (status.code() == StatusCode::ResourceExhausted &&
+                status.retryAfterNs() > 0)
+                phase.exhaustedWithHint++;
+        })).front();
     clock.runUntilIdle();
-    phase.lostCompletions = arrivals.size() - completions->load();
+
+    for (const RequestSpan &span : generator.spans()) {
+        if (span.completed() && span.latencyNs() > config.rootDeadlineNs)
+            phase.lateCompletions++;
+    }
     phase.leakedTimers = clock.pendingTimers();
-    phase.latency = latency.summary();
+    phase.latency = phase.load.latency.summary();
     phase.goodputQps = config.durationNs > 0
-                           ? double(phase.ok) * 1e9 /
+                           ? double(phase.ok()) * 1e9 /
                                  double(config.durationNs)
                            : 0.0;
     const CounterSnapshot delta =
         CounterSet::diff(before, globalCounters().snapshot());
-    phase.nodeSheds = counterDelta(delta, "overload.queue_rejected");
-    phase.retriesScheduled = counterDelta(delta, "rpc.retry.scheduled");
+    phase.nodeSheds =
+        CounterSet::valueOf(delta, "overload.queue_rejected");
+    phase.retriesScheduled =
+        CounterSet::valueOf(delta, "rpc.retry.scheduled");
     phase.retryAmplified =
-        counterDelta(delta, "rpc.call.retry_amplified");
+        CounterSet::valueOf(delta, "rpc.call.retry_amplified");
     return phase;
 }
 
@@ -230,8 +178,8 @@ printPhase(const PhaseResult &phase)
 {
     std::printf("  %-18s offered=%6zu ok=%6u goodput=%7.0f qps "
                 "degraded=%5.1f%% shed=%5.1f%% late=%u\n",
-                phase.label.c_str(), phase.offered, phase.ok,
-                phase.goodputQps, 100.0 * phase.degradedRate(),
+                phase.label.c_str(), phase.offered(), phase.ok(),
+                phase.goodputQps, 100.0 * phase.load.degradedRate(),
                 100.0 * phase.shedRate(), phase.lateCompletions);
     std::printf("                     ok-latency: %s\n",
                 phase.latency.toString().c_str());
@@ -240,7 +188,7 @@ printPhase(const PhaseResult &phase)
                 static_cast<unsigned long long>(phase.nodeSheds),
                 static_cast<unsigned long long>(phase.retriesScheduled),
                 static_cast<unsigned long long>(phase.retryAmplified),
-                phase.exhaustedWithHint, phase.exhausted);
+                phase.exhaustedWithHint, phase.exhausted());
 }
 
 std::vector<PhaseResult>
@@ -275,10 +223,10 @@ runSmoke(const std::string &path, DagConfig config)
 
     bool broken = false;
     for (const PhaseResult &phase : results) {
-        if (phase.ok == 0 || phase.lostCompletions != 0 ||
+        if (phase.ok() == 0 || phase.lost() != 0 ||
             phase.lateCompletions != 0 || phase.leakedTimers != 0 ||
             phase.retryAmplified != 0 ||
-            phase.exhaustedWithHint != phase.exhausted) {
+            phase.exhaustedWithHint != phase.exhausted()) {
             broken = true;
         }
     }
@@ -307,9 +255,9 @@ runSmoke(const std::string &path, DagConfig config)
             "\"retries_scheduled\": %llu, \"retry_amplified\": %llu, "
             "\"sheds_with_hint\": %u, \"ok_p50_ns\": %lld, "
             "\"ok_p99_ns\": %lld}%s\n",
-            phase.label.c_str(), phase.offered, phase.ok,
-            phase.goodputQps, phase.degradedRate(), phase.shedRate(),
-            phase.lateCompletions, phase.lostCompletions,
+            phase.label.c_str(), phase.offered(), phase.ok(),
+            phase.goodputQps, phase.load.degradedRate(), phase.shedRate(),
+            phase.lateCompletions, phase.lost(),
             static_cast<unsigned long long>(phase.nodeSheds),
             static_cast<unsigned long long>(phase.retriesScheduled),
             static_cast<unsigned long long>(phase.retryAmplified),

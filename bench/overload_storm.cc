@@ -26,17 +26,17 @@
  *
  * By default the storm runs in virtual time: an unstarted server on a
  * SimClock (the virtual-time station, serviceNs per request) behind a
- * SimChannel, driven by loadgen::arrivalSchedule, so the same --seed
- * replays byte for byte. --real runs it over loopback TCP instead,
- * with sleep-based handlers on a started server: the transport check.
+ * SimChannel, so the same --seed replays byte for byte. --real runs it
+ * over loopback TCP instead, with sleep-based handlers on a started
+ * server: the transport check. One OpenLoopLoadGen drives both.
  *
  * --smoke-json=PATH runs a shortened fixed workload, writes the
  * goodput/shed trajectory to PATH (the sim run is the committed
  * BENCH_overload.json) and exits 1 when a relation gate fails.
  */
 
-#include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,7 +67,7 @@ struct StormConfig
     int64_t durationNs = 1'000'000'000;
     std::vector<double> multipliers{0.5, 1.0, 2.0};
     bool real = false;  //!< Loopback TCP instead of virtual time.
-    uint64_t seed = 42; //!< Arrival and jitter seed (sim only).
+    uint64_t seed = 42; //!< Arrival and jitter seed.
 
     double
     peakQps() const
@@ -138,22 +138,42 @@ outcomeOf(const Status &status)
     return RequestOutcome(false);
 }
 
+/**
+ * One phase on either transport, replayed by one OpenLoopLoadGen. By
+ * default everything sits on a fresh SimClock: an unstarted server
+ * whose station models `workers` slots of serviceNs each, reached over
+ * a SimChannel with default link latencies. --real starts the same
+ * server with sleep-based handlers and calls it through an RpcClient
+ * over loopback. Both modes of one multiplier see the same arrivals;
+ * latency runs from the scheduled arrival, and the phase ends at the
+ * later of the duration and the last completion.
+ */
 LoadResult
-runRealPhase(const StormConfig &config, bool controlled,
-             double multiplier)
+runLoad(const StormConfig &config, bool controlled, double multiplier)
 {
+    sim::SimClock sim_clock;
+    ScopedClock ambient(config.real ? realClock() : sim_clock);
     rpc::Server server(stormServerOptions(config, controlled));
-    const int64_t service_ns = config.serviceNs;
-    server.registerHandler(kWork, [service_ns](rpc::ServerCallPtr call) {
-        // Sleep, don't spin: capacity is workers/service_time without
-        // starving the client and loadgen on a small box.
-        sleepForNanos(service_ns);
+    const int64_t sleep_ns = config.real ? config.serviceNs : 0;
+    server.registerHandler(kWork, [sleep_ns](rpc::ServerCallPtr call) {
+        // Real mode sleeps, doesn't spin: capacity is
+        // workers/service_time without starving the client and loadgen
+        // on a small box. In virtual time the station is the service.
+        if (sleep_ns > 0)
+            sleepForNanos(sleep_ns);
         call->respondOk("");
     });
-    server.start();
-    rpc::ClientOptions client_options;
-    client_options.name = controlled ? "ctl-cli" : "van-cli";
-    rpc::RpcClient client(server.port(), client_options);
+    std::unique_ptr<rpc::Channel> channel;
+    if (config.real) {
+        server.start();
+        rpc::ClientOptions client_options;
+        client_options.name = controlled ? "ctl-cli" : "van-cli";
+        channel = std::make_unique<rpc::RpcClient>(server.port(),
+                                                   client_options);
+    } else {
+        channel = std::make_unique<sim::SimChannel>(
+            sim_clock, server, sim::SimLink{}, "storm");
+    }
     const rpc::CallOptions call_options =
         stormCallOptions(config, controlled);
 
@@ -161,76 +181,29 @@ runRealPhase(const StormConfig &config, bool controlled,
     load_options.shape =
         loadgen::LoadShape::constant(config.peakQps() * multiplier);
     load_options.durationNs = config.durationNs;
+    load_options.seed = config.seed * 131 + uint64_t(multiplier * 100);
     // Vanilla beyond saturation banks a backlog of roughly
     // (multiplier - 1) x duration worth of work; give the drain room
     // for all of it before calling the stragglers lost.
     load_options.drainTimeoutNs = 4 * config.durationNs + 2'000'000'000;
     OpenLoopLoadGen generator(load_options);
 
-    return generator.run(
-        [&](uint64_t, std::function<void(RequestOutcome)> done) {
-            client.call(kWork, "", call_options,
-                        [done = std::move(done)](const Status &status,
-                                                 std::string_view) {
-                            done(outcomeOf(status));
-                        });
-        }).front();
-}
-
-/**
- * The same phase in virtual time: one unstarted server whose station
- * models `workers` slots of serviceNs each, reached over a SimChannel
- * with default link latencies, one clock timer per scheduled arrival.
- * Latency runs from the scheduled arrival, as in real mode; the phase
- * ends when the last call completes.
- */
-LoadResult
-runSimPhase(const StormConfig &config, bool controlled, double multiplier)
-{
-    sim::SimClock clock;
-    ScopedClock ambient(clock);
-    rpc::Server server(stormServerOptions(config, controlled));
-    server.registerHandler(kWork, [](rpc::ServerCallPtr call) {
-        call->respondOk("");
-    });
-    sim::SimChannel channel(clock, server, sim::SimLink{}, "storm");
-    rpc::CallOptions call_options = stormCallOptions(config, controlled);
-
-    // Both modes of one multiplier see the same arrivals.
-    const double qps = config.peakQps() * multiplier;
-    const std::vector<int64_t> arrivals = loadgen::arrivalSchedule(
-        loadgen::LoadShape::constant(qps), config.durationNs,
-        config.seed * 131 + uint64_t(multiplier * 100));
-    LoadResult result;
-    result.issued = arrivals.size();
-    result.offeredQps = qps;
-    int64_t last_ns = config.durationNs;
-    for (size_t i = 0; i < arrivals.size(); ++i) {
-        const int64_t start = arrivals[i];
-        call_options.backoffJitterSeed = config.seed * 977 + 11 + i;
-        clock.schedule(start, [&, start, call_options] {
-            channel.call(kWork, "", call_options,
-                         [&, start](const Status &status,
-                                    std::string_view) {
-                             const int64_t now = clock.nowNanos();
-                             last_ns = std::max(last_ns, now);
-                             const RequestOutcome outcome =
-                                 outcomeOf(status);
-                             if (outcome.ok) {
-                                 result.completed++;
-                                 result.latency.record(now - start);
-                             } else {
-                                 result.errors++;
-                                 if (outcome.shed)
-                                     result.shed++;
-                             }
-                         });
-        });
-    }
-    clock.runUntilIdle();
-    result.elapsedNs = last_ns;
-    result.achievedQps =
-        double(result.completed) * 1e9 / double(result.elapsedNs);
+    const LoadResult result =
+        generator
+            .run([&](uint64_t seq,
+                     std::function<void(RequestOutcome)> done) {
+                rpc::CallOptions options = call_options;
+                options.backoffJitterSeed = config.seed * 977 + 11 + seq;
+                channel->call(kWork, "", options,
+                              [done = std::move(done)](
+                                  const Status &status,
+                                  std::string_view) {
+                                  done(outcomeOf(status));
+                              });
+            })
+            .front();
+    if (!config.real)
+        sim_clock.runUntilIdle();
     return result;
 }
 
@@ -238,9 +211,7 @@ PhaseResult
 runPhase(const StormConfig &config, bool controlled, double multiplier)
 {
     const CounterSnapshot before = globalCounters().snapshot();
-    const LoadResult result =
-        config.real ? runRealPhase(config, controlled, multiplier)
-                    : runSimPhase(config, controlled, multiplier);
+    const LoadResult result = runLoad(config, controlled, multiplier);
     PhaseResult phase;
     phase.mode = controlled ? "controlled" : "vanilla";
     phase.multiplier = multiplier;
@@ -321,13 +292,6 @@ failedRate(const ShedAcceptBreakdown &breakdown)
 /** Smoke gate on the controlled 1x phase's failedRate(). */
 constexpr double kFailedRateBound = 0.08;
 
-unsigned long long
-overloadCount(const PhaseResult &phase, const char *name)
-{
-    auto it = phase.overload.find(name);
-    return it == phase.overload.end() ? 0 : it->second;
-}
-
 /**
  * Smoke mode: a shortened storm whose trajectory lands in `path`. The
  * sim run is exact and its file is committed (BENCH_overload.json);
@@ -400,8 +364,10 @@ runSmoke(const std::string &path, StormConfig config)
             static_cast<long long>(phase.accepted.p50),
             static_cast<long long>(phase.accepted.p99),
             static_cast<long long>(phase.accepted.p999),
-            overloadCount(phase, "overload.admission_rejected"),
-            overloadCount(phase, "overload.queue_rejected"),
+            static_cast<unsigned long long>(CounterSet::valueOf(
+                phase.overload, "overload.admission_rejected")),
+            static_cast<unsigned long long>(CounterSet::valueOf(
+                phase.overload, "overload.queue_rejected")),
             i + 1 < phases.size() ? "," : "");
     }
     std::fprintf(

@@ -69,6 +69,12 @@ RealClock::cancel(TimerId id)
     return timers.cancel(id);
 }
 
+void
+RealClock::sleepUntil(int64_t deadline_ns)
+{
+    musuite::sleepUntilNanos(deadline_ns);
+}
+
 size_t
 RealClock::pendingTimers() const
 {

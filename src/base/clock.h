@@ -19,6 +19,11 @@
  *    clock — the transport is a function call, the clock still decides
  *    deadlines and retries.
  *
+ * A top-level caller waits on its clock with sleepUntil(): RealClock
+ * sleeps, SimClock fires the events due before the instant. That is
+ * how one open-loop replayer (loadgen/loadgen.h) lays out arrivals on
+ * either binding.
+ *
  * Both clocks keep their timers in one structure, TimerHeap
  * (base/timer_heap.h): equal deadlines fire in arming order, a TimerId
  * packs a recycled slot with the arm sequence number so stale ids
@@ -76,6 +81,20 @@ class Clock
      */
     virtual bool cancel(TimerId id) = 0;
 
+    /**
+     * Return once this clock reads `deadline_ns`. RealClock sleeps, or
+     * returns at once for a deadline already past. SimClock fires, in
+     * heap order, every event due strictly before `deadline_ns` and
+     * then sets now to it: an event due exactly then stays pending, so
+     * work the caller does on return runs before it, as if the caller
+     * had been a timer armed ahead of it. SimClock requires
+     * `deadline_ns >= now` and aborts otherwise, so a caller that
+     * advances a SimClock itself between waits (an open-loop issue()
+     * that runs the loop) must not wait for an instant it has passed.
+     * For top-level callers only, never from a callback.
+     */
+    virtual void sleepUntil(int64_t deadline_ns) = 0;
+
     /** Timers currently armed (tests / leak checks). */
     virtual size_t pendingTimers() const = 0;
 
@@ -113,6 +132,7 @@ class RealClock final : public Clock
     TimerId schedule(int64_t delay_ns, std::function<void()> fn) override;
 
     bool cancel(TimerId id) override;
+    void sleepUntil(int64_t deadline_ns) override;
     size_t pendingTimers() const override;
 
     /** Heap slots including dead (cancelled) ones — compaction tests. */

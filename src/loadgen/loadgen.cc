@@ -5,6 +5,7 @@
 
 #include "loadgen/loadgen.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -17,17 +18,22 @@ namespace musuite {
 namespace {
 
 /** Completion-side state shared with in-flight callbacks: it outlives
- *  run(), so a completion arriving after the drain timeout lands here
- *  rather than in the caller's results. */
+ *  run(), so a completion arriving after the drain timeout finds the
+ *  run closed rather than touching the caller's results. */
 struct OpenLoopState
 {
-    explicit OpenLoopState(size_t phase_count) : phases(phase_count) {}
+    explicit OpenLoopState(std::vector<RequestSpan> spans_in)
+        : spans(std::move(spans_in))
+    {}
 
     Mutex mutex{LockRank::loadgen, "loadgen"};
-    /** Per-phase latency/completed/errors/shed/degraded. */
-    std::vector<LoadResult> phases GUARDED_BY(mutex);
+    std::vector<RequestSpan> spans GUARDED_BY(mutex);
+    bool closed GUARDED_BY(mutex) = false;
     std::atomic<uint64_t> outstanding{0};
 };
+
+/** Poll interval while draining stragglers. */
+constexpr int64_t kDrainPollNs = 100'000;
 
 } // namespace
 
@@ -36,40 +42,28 @@ OpenLoopLoadGen::run(const AsyncIssue &issue)
 {
     const std::vector<int64_t> schedule = loadgen::arrivalSchedule(
         options.shape, options.durationNs, options.seed);
-    std::vector<int64_t> bounds = options.phaseBounds;
-    if (bounds.empty())
-        bounds = {0};
-    auto state = std::make_shared<OpenLoopState>(bounds.size());
-    std::vector<uint64_t> issued(bounds.size(), 0);
+    std::vector<RequestSpan> spans(schedule.size());
+    for (uint64_t seq = 0; seq < schedule.size(); ++seq)
+        spans[seq].scheduledNs = schedule[seq];
+    auto state = std::make_shared<OpenLoopState>(std::move(spans));
+    std::vector<int64_t> issued_ns(schedule.size());
 
-    const int64_t start = nowNanos();
-    size_t phase = 0;
+    const int64_t start = clock.nowNanos();
     for (uint64_t seq = 0; seq < schedule.size(); ++seq) {
-        const int64_t offset = schedule[seq];
-        while (phase + 1 < bounds.size() && offset >= bounds[phase + 1])
-            ++phase;
         // Latency is measured from the *scheduled* send time: if the
         // generator itself fell behind (service pushed back), the
         // wait counts against the service, not the generator.
-        const int64_t scheduled_ns = start + offset;
-        sleepUntilNanos(scheduled_ns);
-
-        issued[phase]++;
+        clock.sleepUntil(start + schedule[seq]);
+        issued_ns[seq] = clock.nowNanos() - start;
         state->outstanding.fetch_add(1, std::memory_order_relaxed);
-        issue(seq, [state, phase, scheduled_ns](RequestOutcome outcome) {
-            const int64_t now = nowNanos();
+        issue(seq, [state, bound = &clock, start, seq](
+                       RequestOutcome outcome) {
             {
                 MutexLock guard(state->mutex);
-                LoadResult &load = state->phases[phase];
-                if (outcome.ok) {
-                    load.latency.record(now - scheduled_ns);
-                    load.completed++;
-                    if (outcome.degraded)
-                        load.degraded++;
-                } else {
-                    load.errors++;
-                    if (outcome.shed)
-                        load.shed++;
+                if (!state->closed) {
+                    RequestSpan &span = state->spans[seq];
+                    span.completedNs = bound->nowNanos() - start;
+                    span.outcome = outcome;
                 }
             }
             state->outstanding.fetch_sub(1, std::memory_order_release);
@@ -77,26 +71,55 @@ OpenLoopLoadGen::run(const AsyncIssue &issue)
     }
 
     // Drain stragglers.
-    const int64_t drain_deadline = nowNanos() + options.drainTimeoutNs;
-    while (state->outstanding.load(std::memory_order_acquire) > 0 &&
-           nowNanos() < drain_deadline) {
-        sleepForNanos(100'000);
+    const int64_t drain_deadline =
+        clock.nowNanos() + options.drainTimeoutNs;
+    while (state->outstanding.load(std::memory_order_acquire) > 0) {
+        const int64_t now = clock.nowNanos();
+        if (now >= drain_deadline)
+            break;
+        clock.sleepUntil(std::min(now + kDrainPollNs, drain_deadline));
     }
-    const int64_t elapsed = nowNanos() - start;
-
-    std::vector<LoadResult> results;
     {
         MutexLock guard(state->mutex);
-        results = state->phases;
+        state->closed = true;
+        lastSpans = std::move(state->spans);
+    }
+    for (uint64_t seq = 0; seq < lastSpans.size(); ++seq)
+        lastSpans[seq].issuedNs = issued_ns[seq];
+
+    std::vector<int64_t> bounds = options.phaseBounds;
+    if (bounds.empty())
+        bounds = {0};
+    std::vector<LoadResult> results(bounds.size());
+    int64_t window_end = options.durationNs;
+    for (const RequestSpan &span : lastSpans) {
+        const size_t phase = size_t(
+            std::upper_bound(bounds.begin() + 1, bounds.end(),
+                             span.scheduledNs) -
+            (bounds.begin() + 1));
+        LoadResult &load = results[phase];
+        load.issued++;
+        if (!span.completed())
+            continue;
+        window_end = std::max(window_end, span.completedNs);
+        if (span.outcome.ok) {
+            load.latency.record(span.latencyNs());
+            load.completed++;
+            if (span.outcome.degraded)
+                load.degraded++;
+        } else {
+            load.errors++;
+            if (span.outcome.shed)
+                load.shed++;
+        }
     }
     for (size_t i = 0; i < results.size(); ++i) {
         const bool last = i + 1 == results.size();
         const int64_t from = bounds[i];
         const int64_t to = last ? options.durationNs : bounds[i + 1];
         LoadResult &load = results[i];
-        load.issued = issued[i];
         load.offeredQps = options.shape.qpsAt((from + to) / 2);
-        load.elapsedNs = (last ? elapsed : to) - from;
+        load.elapsedNs = (last ? window_end : to) - from;
         load.achievedQps =
             load.elapsedNs > 0
                 ? double(load.completed) * 1e9 / double(load.elapsedNs)

@@ -9,15 +9,18 @@
  *    (saturation) throughput, where latency is meaningless.
  *
  *  - Open loop: request send times are drawn a priori as a Poisson
- *    arrival schedule following a LoadShape (loadgen/scenario.h, the
- *    same schedule the virtual-time benches replay) and laid out on
- *    the monotonic clock; latency for request i is measured from its
- *    *scheduled* send time, so a stalled service inflates the latency
- *    of every queued request instead of silently pausing the
- *    generator. This is the defence against the coordinated-omission
- *    problem the paper calls out in CloudSuite/YCSB-style closed-loop
- *    testers. Requests are reported per phase, bucketed by scheduled
- *    time, so a bench can show tails *through* a flash crowd.
+ *    arrival schedule following a LoadShape (loadgen/scenario.h) and
+ *    laid out on the generator's bound Clock, which is either binding:
+ *    it waits with Clock::sleepUntil, so the same replayer sleeps on
+ *    the real clock and steps a SimClock's event loop in virtual time.
+ *    Latency for request i is measured from its *scheduled* send time,
+ *    so a stalled service inflates the latency of every queued request
+ *    instead of silently pausing the generator. This is the defence
+ *    against the coordinated-omission problem the paper calls out in
+ *    CloudSuite/YCSB-style closed-loop testers. Each request leaves a
+ *    RequestSpan (scheduled, issued, completed, outcome); the
+ *    per-phase reports, bucketed by scheduled time so a bench can show
+ *    tails *through* a flash crowd, are counted from those spans.
  */
 
 #ifndef MUSUITE_LOADGEN_LOADGEN_H
@@ -28,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "base/clock.h"
 #include "base/status.h"
 #include "loadgen/scenario.h"
 #include "stats/histogram.h"
@@ -75,14 +79,6 @@ struct LoadResult
     double offeredQps = 0.0;  //!< Open loop only.
     double achievedQps = 0.0; //!< completed / elapsed.
     int64_t elapsedNs = 0;
-    /**
-     * Time from a fault clearing until goodput sustainably returned
-     * to its pre-fault baseline, when the run measured one (see
-     * stats/recovery.h); -1 = not measured or never recovered.
-     * Filled by fault-recovery experiments (bench/chaos_storm), not
-     * by the generators themselves.
-     */
-    int64_t recoveryTimeNs = -1;
 
     /** Drop rate sanity check for experiments. */
     double
@@ -124,13 +120,30 @@ struct LoadResult
     }
 };
 
+/**
+ * One open-loop request, in ns since the run started on the
+ * generator's clock.
+ */
+struct RequestSpan
+{
+    int64_t scheduledNs = 0;  //!< Its arrival in the schedule.
+    int64_t issuedNs = 0;     //!< When issue() was called for it.
+    int64_t completedNs = -1; //!< When done() ran; -1 = not by the drain.
+    RequestOutcome outcome;   //!< Meaningful once completed.
+
+    bool completed() const { return completedNs >= 0; }
+    /** Scheduled-to-completed: the latency the phases record. */
+    int64_t latencyNs() const { return completedNs - scheduledNs; }
+};
+
 class OpenLoopLoadGen
 {
   public:
     /**
-     * Issue one asynchronous request. Must not block; call done()
-     * exactly once (from any thread) with the request's outcome
-     * (a bare bool still converts — degraded defaults to false).
+     * Issue one asynchronous request. Must not block (nor run a
+     * SimClock's loop); call done() exactly once (from any thread)
+     * with the request's outcome (a bare bool still converts —
+     * degraded defaults to false).
      */
     using AsyncIssue = std::function<void(
         uint64_t seq, std::function<void(RequestOutcome)> done)>;
@@ -149,20 +162,28 @@ class OpenLoopLoadGen
         std::vector<int64_t> phaseBounds;
     };
 
+    /** Binds the ambient clock (currentClock()), as channels do. */
     explicit OpenLoopLoadGen(Options options)
-        : options(std::move(options))
+        : options(std::move(options)), clock(currentClock())
     {}
 
     /**
      * Replay arrivalSchedule(shape, durationNs, seed) on the calling
-     * thread and return one LoadResult per phase. A phase's
-     * offeredQps is the shape's rate at the phase midpoint; the last
-     * phase's window runs until the drain ends.
+     * thread, issuing each arrival once the clock reaches it, and
+     * drain for up to drainTimeoutNs. Returns one LoadResult per
+     * phase, counted from the spans. A phase's offeredQps is the
+     * shape's rate at the phase midpoint; the last phase's window
+     * ends at the later of durationNs and the last completion.
      */
     std::vector<LoadResult> run(const AsyncIssue &issue);
 
+    /** The last run's spans, indexed by seq. */
+    const std::vector<RequestSpan> &spans() const { return lastSpans; }
+
   private:
     Options options;
+    Clock &clock;
+    std::vector<RequestSpan> lastSpans;
 };
 
 class ClosedLoopLoadGen

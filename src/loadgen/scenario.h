@@ -6,12 +6,12 @@
  * cycle, or flash crowd — and arrivalSchedule() turns a shape into a
  * concrete, deterministic Poisson arrival schedule (thinning over the
  * shape's peak rate), expressed as offsets from t=0. It is the only
- * place arrivals are drawn, and it is clock-agnostic: the real-time
- * OpenLoopLoadGen (loadgen.h) sleeps to each offset, and the sim
- * benches (`bench/dag_storm`) arm one SimClock timer per arrival, so
- * the identical workload drives both modes. Coordinated-omission-safe
- * by construction: arrival instants are fixed up front and never
- * shifted by response latency.
+ * place arrivals are drawn, and it is clock-agnostic: one replayer,
+ * OpenLoopLoadGen (loadgen.h), waits for each offset on whichever
+ * Clock it is bound to, sleeping on the real clock and stepping a
+ * SimClock in virtual time, so the identical workload drives both
+ * modes. Coordinated-omission-safe by construction: arrival instants
+ * are fixed up front and never shifted by response latency.
  */
 
 #ifndef MUSUITE_LOADGEN_SCENARIO_H

@@ -42,8 +42,22 @@ SimClock::runOne()
         << "sim time ran backwards";
     virtualNow = event.deadlineNs;
     traceLine("fire", event.seq, event.deadlineNs);
+    const bool outer = firing;
+    firing = true;
     event.fn();
+    firing = outer;
     return true;
+}
+
+void
+SimClock::sleepUntil(int64_t deadline_ns)
+{
+    MUSUITE_CHECK(!firing) << "sleepUntil from inside a sim callback";
+    MUSUITE_CHECK(deadline_ns >= virtualNow)
+        << "sleepUntil into the past";
+    while (!timers.empty() && timers.nextDeadline() < deadline_ns)
+        runOne();
+    virtualNow = deadline_ns;
 }
 
 size_t

@@ -20,6 +20,7 @@
  *
  * Driving the loop:
  *  - runOne() fires the single earliest event (advancing now to it);
+ *  - sleepUntil(t) fires everything due before t, then pins now = t;
  *  - runFor(d) fires everything due within d, then pins now = start+d;
  *  - runUntilIdle() drains the queue (with a runaway-event cap);
  *  - runUntil(pred) drains until the predicate holds.
@@ -59,6 +60,13 @@ class SimClock final : public Clock
     TimerId schedule(int64_t delay_ns, std::function<void()> fn) override;
 
     bool cancel(TimerId id) override;
+
+    /**
+     * Fire every event due strictly before `deadline_ns`, then set now
+     * to it. Refuses a deadline in the past and a call from inside a
+     * firing callback.
+     */
+    void sleepUntil(int64_t deadline_ns) override;
 
     size_t pendingTimers() const override { return timers.live(); }
 
@@ -114,6 +122,7 @@ class SimClock final : public Clock
 
     int64_t virtualNow;
     TimerHeap timers; //!< Pop order IS execution order.
+    bool firing = false; //!< Inside an event callback.
     bool tracing = false;
     std::string traceLog;
 };

@@ -184,5 +184,39 @@ buildTopology(SimClock &clock, const graph::GraphScenario &scenario,
     return topo;
 }
 
+OpenLoopLoadGen::AsyncIssue
+rootIssue(Topology &topo, uint64_t seed, int64_t deadline_ns,
+          RootObserver observe)
+{
+    rpc::CallOptions options;
+    options.totalDeadlineNs = deadline_ns;
+    options.deadlineNs = deadline_ns;
+    options.maxAttempts = 2;
+    options.backoffBaseNs = 2'000'000;
+    options.backoffJitter = 0.2;
+    auto observer = std::make_shared<const RootObserver>(std::move(observe));
+    return [&topo, seed, options, observer](
+               uint64_t seq, std::function<void(RequestOutcome)> done) {
+        graph::GraphRequest request;
+        request.workId = seq + 1;
+        rpc::CallOptions call_options = options;
+        call_options.backoffJitterSeed = seed * 977 + 11 + seq;
+        topo.root->call(
+            graph::kProcess, encodeMessage(request), call_options,
+            [seq, observer, done = std::move(done)](
+                const Status &status, std::string_view payload) {
+                graph::GraphReply reply;
+                if (!status.isOk() || !decodeMessage(payload, reply))
+                    reply = graph::GraphReply{};
+                if (*observer)
+                    (*observer)(seq, status, reply);
+                if (status.code() == StatusCode::ResourceExhausted)
+                    done(RequestOutcome::shedRequest());
+                else
+                    done(RequestOutcome(status.isOk(), reply.degraded));
+            });
+    };
+}
+
 } // namespace sim
 } // namespace musuite

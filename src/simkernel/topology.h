@@ -24,12 +24,15 @@
 #ifndef MUSUITE_SIMKERNEL_TOPOLOGY_H
 #define MUSUITE_SIMKERNEL_TOPOLOGY_H
 
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "loadgen/loadgen.h"
 #include "rpc/fault.h"
 #include "rpc/health.h"
 #include "services/graph/node.h"
+#include "services/graph/proto.h"
 #include "services/graph/scenario.h"
 #include "simkernel/sim_transport.h"
 #include "simkernel/simclock.h"
@@ -102,6 +105,25 @@ struct Topology
 Topology buildTopology(SimClock &clock,
                        const graph::GraphScenario &scenario,
                        SimLink root_link = {});
+
+/** What a root call came back with, for callers that count more than
+ *  the outcome: `reply` is the decoded reply when the call succeeded,
+ *  default-constructed otherwise. */
+using RootObserver = std::function<void(
+    uint64_t seq, const Status &status, const graph::GraphReply &reply)>;
+
+/**
+ * Open-loop issuer for the topology's root, the sim twin of
+ * harness::frontEndIssue. Request `seq` is GraphRequest{workId =
+ * seq + 1} with a `deadline_ns` budget, two attempts and 2 ms
+ * jittered backoff (jitter seed seed * 977 + 11 + seq). It reports
+ * degraded when the root reply says so, and shed on
+ * RESOURCE_EXHAUSTED; `observe`, when set, sees each completion
+ * first. `topo` must outlive every call.
+ */
+OpenLoopLoadGen::AsyncIssue rootIssue(Topology &topo, uint64_t seed,
+                                      int64_t deadline_ns,
+                                      RootObserver observe = nullptr);
 
 } // namespace sim
 } // namespace musuite

@@ -32,12 +32,18 @@ CounterSet::diff(const CounterSnapshot &before, const CounterSnapshot &after)
 {
     CounterSnapshot delta;
     for (const auto &[name, value] : after) {
-        auto it = before.find(name);
-        const uint64_t prior = it == before.end() ? 0 : it->second;
+        const uint64_t prior = valueOf(before, name);
         if (value > prior)
             delta[name] = value - prior;
     }
     return delta;
+}
+
+uint64_t
+CounterSet::valueOf(const CounterSnapshot &snapshot, const std::string &name)
+{
+    auto it = snapshot.find(name);
+    return it == snapshot.end() ? 0 : it->second;
 }
 
 void

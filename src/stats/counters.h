@@ -59,6 +59,10 @@ class CounterSet
     static CounterSnapshot diff(const CounterSnapshot &before,
                                 const CounterSnapshot &after);
 
+    /** `name`'s value in a snapshot or a diff; 0 when absent. */
+    static uint64_t valueOf(const CounterSnapshot &snapshot,
+                            const std::string &name);
+
     /** Zero is impossible for monotonic counters; reset drops them. */
     void clear();
 

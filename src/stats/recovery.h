@@ -97,9 +97,6 @@ class GoodputTracker
         return -1;
     }
 
-    int64_t bucketWidthNs() const { return bucketNs; }
-    size_t bucketCount() const { return buckets.size(); }
-
   private:
     int64_t bucketNs;
     /** buckets[i] = good completions in [i*bucketNs, (i+1)*bucketNs). */

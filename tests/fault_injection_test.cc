@@ -209,9 +209,7 @@ TEST(FaultInjectionTest, RetryAfterAttemptDeadlineBeatsDelayedFirstAttempt)
     EXPECT_GE(clock.nowNanos(), 1'500'000'000);
     const CounterSnapshot delta =
         CounterSet::diff(before, globalCounters().snapshot());
-    auto late = delta.find("rpc.call.late_response");
-    ASSERT_NE(late, delta.end());
-    EXPECT_EQ(late->second, 1u);
+    EXPECT_EQ(CounterSet::valueOf(delta, "rpc.call.late_response"), 1u);
     EXPECT_EQ(clock.pendingTimers(), 0u);
 }
 
@@ -282,10 +280,9 @@ TEST(FaultInjectionTest, LateTcpResponseAfterDeadlineIsCounted)
     // only bounds a genuinely lost response; sanitizer builds may need
     // several seconds.
     const auto late_responses = [&before] {
-        const CounterSnapshot delta =
-            CounterSet::diff(before, globalCounters().snapshot());
-        auto late = delta.find("rpc.call.late_response");
-        return late == delta.end() ? uint64_t(0) : late->second;
+        return CounterSet::valueOf(
+            CounterSet::diff(before, globalCounters().snapshot()),
+            "rpc.call.late_response");
     };
     const int64_t deadline = nowNanos() + 10'000'000'000;
     while (late_responses() == 0 && nowNanos() < deadline)

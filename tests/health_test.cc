@@ -67,13 +67,6 @@ feed(Channel &channel, int n, const Status &status, int64_t latency_ns)
         channel.recordAttemptOutcome(status, latency_ns);
 }
 
-uint64_t
-counted(const CounterSnapshot &delta, const char *name)
-{
-    auto it = delta.find(name);
-    return it == delta.end() ? uint64_t(0) : it->second;
-}
-
 // --------------------------------------------------------------------
 // PeerHealth arithmetic.
 // --------------------------------------------------------------------
@@ -294,7 +287,7 @@ TEST(EjectionPolicyTest, SkippedLegNeverTouchesTracker)
     EXPECT_EQ(rig.a.peerHealth()->outcomes(), outcomes_before);
     const CounterSnapshot delta =
         CounterSet::diff(before, globalCounters().snapshot());
-    EXPECT_EQ(counted(delta, "fanout.outlier_skipped"), 1u);
+    EXPECT_EQ(CounterSet::valueOf(delta, "fanout.outlier_skipped"), 1u);
 }
 
 // --------------------------------------------------------------------
@@ -371,10 +364,10 @@ TEST(EjectionPolicyTest, ScriptedFaultCycleOverSimChannels)
     // and nothing stays armed in the virtual world.
     const CounterSnapshot delta =
         CounterSet::diff(before, globalCounters().snapshot());
-    EXPECT_EQ(counted(delta, "health.ejected"), 1u);
-    EXPECT_EQ(counted(delta, "health.reinstated"), 1u);
-    EXPECT_EQ(counted(delta, "health.probe_sent"), 2u);
-    EXPECT_GT(counted(delta, "fanout.outlier_skipped"), 0u);
+    EXPECT_EQ(CounterSet::valueOf(delta, "health.ejected"), 1u);
+    EXPECT_EQ(CounterSet::valueOf(delta, "health.reinstated"), 1u);
+    EXPECT_EQ(CounterSet::valueOf(delta, "health.probe_sent"), 2u);
+    EXPECT_GT(CounterSet::valueOf(delta, "fanout.outlier_skipped"), 0u);
     EXPECT_GT(merged_failures, 0u);
     clock.runUntilIdle();
     EXPECT_EQ(clock.pendingTimers(), 0u);

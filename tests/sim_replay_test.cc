@@ -35,7 +35,7 @@
 #include "base/clock.h"
 #include "base/rng.h"
 #include "base/timer_heap.h"
-#include "loadgen/scenario.h"
+#include "loadgen/loadgen.h"
 #include "rpc/channel.h"
 #include "rpc/fault.h"
 #include "rpc/health.h"
@@ -107,6 +107,47 @@ TEST(SimClockTest, RunForAdvancesTimeEvenWhenIdle)
     SimClock clock;
     EXPECT_EQ(clock.runFor(5 * kMs), 0u);
     EXPECT_EQ(clock.nowNanos(), 5 * kMs);
+}
+
+TEST(SimClockTest, SleepUntilFiresOnlyWhatIsDueStrictlyBefore)
+{
+    SimClock clock;
+    std::string order;
+    clock.schedule(30, [&] { order += 'd'; }); // Due exactly at t.
+    clock.schedule(10, [&] {
+        order += 'a';
+        // Armed while sleeping, due before t: fires in this sleep too.
+        clock.schedule(5, [&] { order += 'x'; });
+    });
+    clock.schedule(20, [&] { order += 'c'; });
+    clock.schedule(10, [&] { order += 'b'; });
+
+    clock.sleepUntil(30);
+    EXPECT_EQ(order, "abxc");
+    EXPECT_EQ(clock.nowNanos(), 30);
+    EXPECT_EQ(clock.pendingTimers(), 1u);
+
+    // The event at t is still pending: what the caller does now comes
+    // first, as if it were a timer armed ahead of that event.
+    order += '!';
+    clock.sleepUntil(30);
+    EXPECT_EQ(clock.pendingTimers(), 1u);
+    EXPECT_TRUE(clock.runOne());
+    EXPECT_EQ(order, "abxc!d");
+    EXPECT_EQ(clock.nowNanos(), 30);
+
+    clock.sleepUntil(5 * kMs); // Idle: time still moves.
+    EXPECT_EQ(clock.nowNanos(), 5 * kMs);
+}
+
+TEST(SimClockDeathTest, SleepUntilRefusesThePastAndCallbacks)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    SimClock clock;
+    clock.sleepUntil(10);
+    EXPECT_DEATH(clock.sleepUntil(9), "into the past");
+    clock.schedule(5, [&clock] { clock.sleepUntil(20); });
+    EXPECT_DEATH(clock.runOne(), "inside a sim callback");
 }
 
 // ====================================================================
@@ -234,8 +275,7 @@ constexpr uint32_t kRootMethod = 3;
 struct ScenarioResult
 {
     std::string trace;
-    uint32_t okCalls = 0;
-    uint32_t failedCalls = 0;
+    LoadResult load;
     uint64_t leafRequests = 0;
     size_t leakedTimers = 0;
 };
@@ -364,39 +404,39 @@ runFanoutFaultScenario(uint64_t seed)
                               /*responseLatencyNs=*/80'000},
                       "client.root");
 
-    // --- drive: 24 staggered client calls ---------------------------
+    // --- drive: Poisson client calls, one per 6 ms on average -------
+    OpenLoopLoadGen::Options load_options;
+    load_options.shape = loadgen::LoadShape::constant(1e9 / double(6 * kMs));
+    load_options.durationNs = 144 * kMs;
+    load_options.seed = seed;
+    OpenLoopLoadGen generator(load_options);
+    CallOptions options;
+    options.totalDeadlineNs = 250 * kMs;
+    options.deadlineNs = 120 * kMs;
+    options.maxAttempts = 2;
+    options.backoffBaseNs = 10 * kMs;
+    options.backoffJitter = 0.2;
     ScenarioResult result;
-    constexpr int kCalls = 24;
-    auto completions = std::make_shared<std::atomic<int>>(0);
-    for (int i = 0; i < kCalls; ++i) {
-        clock.schedule(int64_t(i) * 6 * kMs, [&clock, &client, &result,
-                                              completions, seed, i] {
-            CallOptions options;
-            options.totalDeadlineNs = 250 * kMs;
-            options.deadlineNs = 120 * kMs;
-            options.maxAttempts = 2;
-            options.backoffBaseNs = 10 * kMs;
-            options.backoffJitter = 0.2;
-            options.backoffJitterSeed =
-                seed * 977 + 100 + uint64_t(i);
-            client.call(
-                kRootMethod, "q" + std::to_string(i), options,
-                [&clock, &result, completions,
-                 i](const Status &status, std::string_view) {
-                    clock.traceEvent(
-                        "call " + std::to_string(i) + " done code=" +
-                        std::to_string(int(status.code())));
-                    if (status.isOk())
-                        result.okCalls++;
-                    else
-                        result.failedCalls++;
-                    completions->fetch_add(1);
-                });
-        });
-    }
+    result.load =
+        generator
+            .run([&](uint64_t seq,
+                     std::function<void(RequestOutcome)> done) {
+                CallOptions call_options = options;
+                call_options.backoffJitterSeed = seed * 977 + 100 + seq;
+                client.call(
+                    kRootMethod, "q" + std::to_string(seq), call_options,
+                    [&clock, seq, done = std::move(done)](
+                        const Status &status, std::string_view) {
+                        clock.traceEvent(
+                            "call " + std::to_string(seq) + " done code=" +
+                            std::to_string(int(status.code())));
+                        done(status.isOk());
+                    });
+            })
+            .front();
 
     clock.runUntilIdle();
-    EXPECT_EQ(completions->load(), kCalls)
+    EXPECT_EQ(result.load.completed + result.load.errors, result.load.issued)
         << "lost completions at seed " << seed;
     result.leakedTimers = clock.pendingTimers();
     for (const auto &injector : injectors)
@@ -412,13 +452,19 @@ TEST(SimReplayTest, DeterministicScenarioReplaysByteIdentically)
     ASSERT_FALSE(first.trace.empty());
     EXPECT_EQ(first.trace, second.trace)
         << "same seed must replay byte-identically";
-    EXPECT_EQ(first.okCalls, second.okCalls);
-    EXPECT_EQ(first.failedCalls, second.failedCalls);
+    // The replayer's Poisson schedule for seed 42 (24 calls expected:
+    // one per 6 ms over 144 ms).
+    EXPECT_EQ(first.load.issued, 37u);
+    EXPECT_EQ(first.load.completed, second.load.completed);
+    EXPECT_EQ(first.load.errors, second.load.errors);
     EXPECT_EQ(first.leafRequests, second.leafRequests);
 }
 
 TEST(SimReplayTest, SeedSweepHoldsInvariants)
 {
+    // Calls each swept seed's schedule drives, pinned so that no seed
+    // thins the storm unnoticed.
+    const uint64_t issued_by_seed[] = {25, 26, 28, 21, 33, 22, 25, 32};
     std::vector<uint64_t> seeds = {1, 2, 3, 4, 5, 6, 7, 8};
     if (const char *env = std::getenv("MUSUITE_SIM_SEED"))
         seeds.push_back(uint64_t(std::strtoull(env, nullptr, 10)));
@@ -430,10 +476,13 @@ TEST(SimReplayTest, SeedSweepHoldsInvariants)
         // still lets some traffic through while the resilience layer
         // caps amplification: at most client attempts x mid legs x
         // leaf attempts per leg.
-        EXPECT_EQ(result.okCalls + result.failedCalls, 24u);
+        if (seed >= 1 && seed <= 8) {
+            EXPECT_EQ(result.load.issued, issued_by_seed[seed - 1]);
+        }
+        EXPECT_GT(result.load.issued, 0u);
         EXPECT_EQ(result.leakedTimers, 0u);
-        EXPECT_GT(result.okCalls, 0u);
-        EXPECT_LE(result.leafRequests, 24u * 2 * 2 * 2 * 2);
+        EXPECT_GT(result.load.completed, 0u);
+        EXPECT_LE(result.leafRequests, result.load.issued * 2 * 2 * 2 * 2);
     }
 }
 
@@ -451,26 +500,63 @@ TEST(SimReplayTest, SeedSweepHoldsInvariants)
 //    a pacing hint, and rpc.call.retry_amplified stays zero.
 // ====================================================================
 
-struct DagRun
+/** What a root replay left behind: see replayRoot. */
+struct RootReplay
 {
+    LoadResult load;
+    std::vector<RequestSpan> spans;
+    size_t leakedTimers = 0;
+    CounterSnapshot delta;
     std::string trace;
-    uint32_t ok = 0;
-    uint32_t failed = 0;
-    uint32_t degradedOk = 0;       //!< OK replies flagged degraded.
-    uint32_t exhausted = 0;        //!< RESOURCE_EXHAUSTED at the root.
+};
+
+/**
+ * Replay constant `qps` for `duration_ns` into `topo`'s root through
+ * sim::rootIssue, marking each completion "<label> <seq> done
+ * code=<code>" in the trace before `observe` sees it, then drain the
+ * clock. Every arrival must complete exactly once.
+ */
+RootReplay
+replayRoot(SimClock &clock, sim::Topology &topo, uint64_t seed, double qps,
+           int64_t duration_ns, int64_t deadline_ns,
+           const std::string &label, const sim::RootObserver &observe = {})
+{
+    OpenLoopLoadGen::Options options;
+    options.shape = loadgen::LoadShape::constant(qps);
+    options.durationNs = duration_ns;
+    options.seed = seed * 131 + 7;
+    OpenLoopLoadGen generator(options);
+    const CounterSnapshot before = globalCounters().snapshot();
+    RootReplay replay;
+    replay.load =
+        generator
+            .run(sim::rootIssue(
+                topo, seed, deadline_ns,
+                [&](uint64_t seq, const Status &status,
+                    const graph::GraphReply &reply) {
+                    clock.traceEvent(
+                        label + " " + std::to_string(seq) +
+                        " done code=" + std::to_string(int(status.code())));
+                    if (observe)
+                        observe(seq, status, reply);
+                }))
+            .front();
+    clock.runUntilIdle();
+    EXPECT_EQ(replay.load.completed + replay.load.errors, replay.load.issued)
+        << "lost " << label << " completions at seed " << seed;
+    replay.spans = generator.spans();
+    replay.leakedTimers = clock.pendingTimers();
+    replay.delta = CounterSet::diff(before, globalCounters().snapshot());
+    replay.trace = clock.takeTrace();
+    return replay;
+}
+
+struct DagRun : RootReplay
+{
     uint32_t exhaustedWithHint = 0;
     int64_t maxRetryAfterNs = 0;
     uint32_t lateCompletions = 0;  //!< Completed past the root deadline.
     uint32_t maxNodesVisited = 0;
-    size_t leakedTimers = 0;
-    CounterSnapshot delta;
-
-    uint64_t
-    counterDelta(const char *name) const
-    {
-        auto it = delta.find(name);
-        return it == delta.end() ? 0 : it->second;
-    }
 };
 
 DagRun
@@ -481,73 +567,25 @@ runDagScenario(const graph::GraphScenario &scenario, double qps,
     ScopedClock ambient(clock);
     clock.enableTrace();
     sim::Topology topo = sim::buildTopology(clock, scenario);
-
-    const std::vector<int64_t> arrivals = loadgen::arrivalSchedule(
-        loadgen::LoadShape::constant(qps), duration_ns,
-        scenario.seed * 131 + 7);
-
-    const CounterSnapshot before = globalCounters().snapshot();
     DagRun run;
-    auto completions = std::make_shared<std::atomic<size_t>>(0);
-    const uint64_t seed = scenario.seed;
-    for (size_t i = 0; i < arrivals.size(); ++i) {
-        const int64_t start = arrivals[i];
-        clock.schedule(start, [&clock, &topo, &run, completions, seed,
-                               i, start, root_deadline_ns] {
-            graph::GraphRequest request;
-            request.workId = i + 1;
-            CallOptions options;
-            options.totalDeadlineNs = root_deadline_ns;
-            options.deadlineNs = root_deadline_ns;
-            options.maxAttempts = 2;
-            options.backoffBaseNs = 2 * kMs;
-            options.backoffJitter = 0.2;
-            options.backoffJitterSeed = seed * 977 + 11 + uint64_t(i);
-            topo.root->call(
-                graph::kProcess, encodeMessage(request), options,
-                [&clock, &run, completions, start, root_deadline_ns,
-                 i](const Status &status, std::string_view payload) {
-                    const int64_t elapsed = clock.nowNanos() - start;
-                    if (elapsed > root_deadline_ns)
-                        run.lateCompletions++;
-                    clock.traceEvent(
-                        "dag " + std::to_string(i) + " done code=" +
-                        std::to_string(int(status.code())));
-                    if (status.isOk()) {
-                        run.ok++;
-                        graph::GraphReply reply;
-                        if (decodeMessage(payload, reply)) {
-                            run.maxNodesVisited =
-                                std::max(run.maxNodesVisited,
-                                         reply.nodesVisited);
-                            if (reply.degraded)
-                                run.degradedOk++;
-                        }
-                    } else {
-                        run.failed++;
-                        if (status.code() ==
-                            StatusCode::ResourceExhausted) {
-                            run.exhausted++;
-                            if (status.retryAfterNs() > 0) {
-                                run.exhaustedWithHint++;
-                                run.maxRetryAfterNs =
-                                    std::max(run.maxRetryAfterNs,
-                                             status.retryAfterNs());
-                            }
-                        }
-                    }
-                    completions->fetch_add(1);
-                });
+    static_cast<RootReplay &>(run) = replayRoot(
+        clock, topo, scenario.seed, qps, duration_ns, root_deadline_ns,
+        "dag",
+        [&run](uint64_t, const Status &status,
+               const graph::GraphReply &reply) {
+            run.maxNodesVisited =
+                std::max(run.maxNodesVisited, reply.nodesVisited);
+            if (status.code() == StatusCode::ResourceExhausted &&
+                status.retryAfterNs() > 0) {
+                run.exhaustedWithHint++;
+                run.maxRetryAfterNs =
+                    std::max(run.maxRetryAfterNs, status.retryAfterNs());
+            }
         });
+    for (const RequestSpan &span : run.spans) {
+        if (span.completed() && span.latencyNs() > root_deadline_ns)
+            run.lateCompletions++;
     }
-
-    clock.runUntilIdle();
-    EXPECT_EQ(completions->load(), arrivals.size())
-        << "lost DAG completions, scenario " << scenario.name
-        << " seed " << scenario.seed;
-    run.leakedTimers = clock.pendingTimers();
-    run.delta = CounterSet::diff(before, globalCounters().snapshot());
-    run.trace = clock.takeTrace();
     return run;
 }
 
@@ -564,9 +602,9 @@ TEST(SimDagTest, BrownoutScenarioReplaysByteIdentically)
     ASSERT_FALSE(first.trace.empty());
     EXPECT_EQ(first.trace, second.trace)
         << "same (spec, seed) must replay byte-identically";
-    EXPECT_EQ(first.ok, second.ok);
-    EXPECT_EQ(first.failed, second.failed);
-    EXPECT_EQ(first.degradedOk, second.degradedOk);
+    EXPECT_EQ(first.load.completed, second.load.completed);
+    EXPECT_EQ(first.load.errors, second.load.errors);
+    EXPECT_EQ(first.load.degraded, second.load.degraded);
     EXPECT_EQ(first.maxRetryAfterNs, second.maxRetryAfterNs);
 }
 
@@ -583,12 +621,13 @@ TEST(SimDagTest, SteadyScenarioTraversesFullTree)
             runDagScenario(spec, 2'000.0, 50 * kMs, 100 * kMs);
         // Unloaded tree: everything succeeds, some reply reports the
         // full 40-node traversal, and nothing outlives its deadline.
-        EXPECT_GT(run.ok, 0u);
-        EXPECT_EQ(run.failed, 0u);
+        EXPECT_GT(run.load.completed, 0u);
+        EXPECT_EQ(run.load.errors, 0u);
         EXPECT_EQ(run.maxNodesVisited, 40u);
         EXPECT_EQ(run.lateCompletions, 0u);
         EXPECT_EQ(run.leakedTimers, 0u);
-        EXPECT_EQ(run.counterDelta("rpc.call.retry_amplified"), 0u);
+        EXPECT_EQ(CounterSet::valueOf(run.delta, "rpc.call.retry_amplified"),
+                  0u);
     }
 }
 
@@ -605,11 +644,12 @@ TEST(SimDagTest, BrownoutPropagatesDegradedThreeHopsUp)
         // requests; that partial merge must be visible at the *root*
         // (degraded OR-ed through two interior mid-tiers), and must
         // not cost deadline violations or timer leaks.
-        EXPECT_GT(run.ok, 0u);
-        EXPECT_GT(run.degradedOk, 0u);
+        EXPECT_GT(run.load.completed, 0u);
+        EXPECT_GT(run.load.degraded, 0u);
         EXPECT_EQ(run.lateCompletions, 0u);
         EXPECT_EQ(run.leakedTimers, 0u);
-        EXPECT_EQ(run.counterDelta("rpc.call.retry_amplified"), 0u);
+        EXPECT_EQ(CounterSet::valueOf(run.delta, "rpc.call.retry_amplified"),
+                  0u);
     }
 }
 
@@ -624,18 +664,21 @@ TEST(SimDagTest, RetryStormShedsWithHintsAndNoAmplification)
         const DagRun run = runDagScenario(graph::retryStormDag(seed),
                                           5'000.0, 40 * kMs, 50 * kMs);
         // The storm actually sheds and actually retries...
-        EXPECT_GT(run.counterDelta("overload.queue_rejected"), 0u);
-        EXPECT_GT(run.counterDelta("rpc.retry.scheduled"), 0u);
+        EXPECT_GT(CounterSet::valueOf(run.delta, "overload.queue_rejected"),
+                  0u);
+        EXPECT_GT(CounterSet::valueOf(run.delta, "rpc.retry.scheduled"),
+                  0u);
         // ...yet every root-visible RESOURCE_EXHAUSTED carries the
         // propagated pacing hint (retry-after fix), so not one retry
         // was scheduled blind against an exhausted server.
-        EXPECT_EQ(run.exhaustedWithHint, run.exhausted);
-        if (run.exhausted > 0) {
+        EXPECT_EQ(run.exhaustedWithHint, run.load.shed);
+        if (run.load.shed > 0) {
             EXPECT_GT(run.maxRetryAfterNs, 0);
         }
-        EXPECT_EQ(run.counterDelta("rpc.call.retry_amplified"), 0u);
+        EXPECT_EQ(CounterSet::valueOf(run.delta, "rpc.call.retry_amplified"),
+                  0u);
         // Overload degrades answers; it must not break timing.
-        EXPECT_GT(run.ok + run.failed, 0u);
+        EXPECT_GT(run.load.completed + run.load.errors, 0u);
         EXPECT_EQ(run.lateCompletions, 0u);
         EXPECT_EQ(run.leakedTimers, 0u);
     }
@@ -667,13 +710,10 @@ TEST(SimDagTest, TightBudgetExpiresMidTreeNotAfterDeadline)
     clock.runUntilIdle(); // Drain the abandoned in-tree work.
     const CounterSnapshot delta =
         CounterSet::diff(before, globalCounters().snapshot());
-    const auto counted = [&delta](const char *name) {
-        auto it = delta.find(name);
-        return it == delta.end() ? uint64_t(0) : it->second;
-    };
     // Some hop refused to forward (or answer) on an exhausted budget:
     // the decremented budget was visible deep in the tree.
-    EXPECT_GT(counted("fanout.expired_before_fanout"), 0u);
+    EXPECT_GT(CounterSet::valueOf(delta, "fanout.expired_before_fanout"),
+              0u);
     EXPECT_EQ(clock.pendingTimers(), 0u);
 }
 
@@ -701,9 +741,7 @@ TEST(SimDagTest, CacheHitsShortCircuitTheTreeDeterministically)
     EXPECT_FALSE(reply.degraded);
     const CounterSnapshot delta =
         CounterSet::diff(before, globalCounters().snapshot());
-    auto it = delta.find("graph.node.cache_hit");
-    ASSERT_NE(it, delta.end());
-    EXPECT_EQ(it->second, 3u);
+    EXPECT_EQ(CounterSet::valueOf(delta, "graph.node.cache_hit"), 3u);
     EXPECT_EQ(clock.pendingTimers(), 0u);
 }
 
@@ -716,18 +754,13 @@ TEST(SimDagTest, CacheHitsShortCircuitTheTreeDeterministically)
 // quorum (the cap holds), and the whole run replays byte-identically.
 // ====================================================================
 
-struct ChaosRun
+struct ChaosRun : RootReplay
 {
-    std::string trace;
-    uint32_t ok = 0;
-    uint32_t failed = 0;
-    size_t leakedTimers = 0;
     uint64_t ejections = 0;
     uint64_t reinstatements = 0;
     size_t maxEjectedAtEnd = 0;
     uint64_t faultsInjected = 0;
     uint64_t faultsCleared = 0;
-    CounterSnapshot delta;
 };
 
 ChaosRun
@@ -750,44 +783,8 @@ runChaosScenario(uint64_t seed, sim::ChaosEvent::Kind kind)
     event.rampPerCallNs = 500'000;   // Crosses the leg deadline fast.
     campaign.arm({event});
 
-    const std::vector<int64_t> arrivals = loadgen::arrivalSchedule(
-        loadgen::LoadShape::constant(2'000.0), 120 * kMs,
-        seed * 131 + 7);
-    const CounterSnapshot before = globalCounters().snapshot();
-    ChaosRun run;
-    auto completions = std::make_shared<std::atomic<size_t>>(0);
-    for (size_t i = 0; i < arrivals.size(); ++i) {
-        clock.schedule(arrivals[i], [&clock, &topo, &run, completions,
-                                     seed, i] {
-            graph::GraphRequest request;
-            request.workId = i + 1;
-            CallOptions options;
-            options.totalDeadlineNs = 50 * kMs;
-            options.deadlineNs = 50 * kMs;
-            options.maxAttempts = 2;
-            options.backoffBaseNs = 2 * kMs;
-            options.backoffJitter = 0.2;
-            options.backoffJitterSeed = seed * 977 + 11 + uint64_t(i);
-            topo.root->call(
-                graph::kProcess, encodeMessage(request), options,
-                [&clock, &run, completions, i](const Status &status,
-                                               std::string_view) {
-                    clock.traceEvent(
-                        "chaos " + std::to_string(i) + " done code=" +
-                        std::to_string(int(status.code())));
-                    if (status.isOk())
-                        run.ok++;
-                    else
-                        run.failed++;
-                    completions->fetch_add(1);
-                });
-        });
-    }
-
-    clock.runUntilIdle();
-    EXPECT_EQ(completions->load(), arrivals.size())
-        << "lost chaos completions at seed " << seed;
-    run.leakedTimers = clock.pendingTimers();
+    ChaosRun run{replayRoot(clock, topo, seed, 2'000.0, 120 * kMs,
+                            50 * kMs, "chaos")};
     for (const auto &policy : topo.ejectionPolicies) {
         run.ejections += policy->ejections();
         run.reinstatements += policy->reinstatements();
@@ -796,8 +793,6 @@ runChaosScenario(uint64_t seed, sim::ChaosEvent::Kind kind)
     }
     run.faultsInjected = campaign.faultsInjected();
     run.faultsCleared = campaign.faultsCleared();
-    run.delta = CounterSet::diff(before, globalCounters().snapshot());
-    run.trace = clock.takeTrace();
     return run;
 }
 
@@ -814,8 +809,8 @@ TEST(SimChaosTest, CampaignReplaysByteIdentically)
     EXPECT_EQ(first.trace, second.trace)
         << "same (topology, campaign, seed) must replay "
            "byte-identically";
-    EXPECT_EQ(first.ok, second.ok);
-    EXPECT_EQ(first.failed, second.failed);
+    EXPECT_EQ(first.load.completed, second.load.completed);
+    EXPECT_EQ(first.load.errors, second.load.errors);
     EXPECT_EQ(first.ejections, second.ejections);
     EXPECT_EQ(first.reinstatements, second.reinstatements);
 }
@@ -837,14 +832,12 @@ TEST(SimChaosTest, SeedSweepHoldsInvariants)
         EXPECT_EQ(run.faultsCleared, 1u);
         EXPECT_GT(run.ejections, 0u);
         EXPECT_LE(run.maxEjectedAtEnd, 1u);
-        EXPECT_GT(run.ok, 0u);
+        EXPECT_GT(run.load.completed, 0u);
         EXPECT_EQ(run.leakedTimers, 0u);
-        const auto injected = run.delta.find("chaos.fault_injected");
-        ASSERT_NE(injected, run.delta.end());
-        EXPECT_EQ(injected->second, 1u);
-        const auto cleared = run.delta.find("chaos.fault_cleared");
-        ASSERT_NE(cleared, run.delta.end());
-        EXPECT_EQ(cleared->second, 1u);
+        EXPECT_EQ(CounterSet::valueOf(run.delta, "chaos.fault_injected"),
+                  1u);
+        EXPECT_EQ(CounterSet::valueOf(run.delta, "chaos.fault_cleared"),
+                  1u);
     }
 }
 
@@ -860,10 +853,11 @@ traceDigest(const std::string &trace)
     return hash;
 }
 
-/** runChaosScenario(42, Zombie)'s trace, as recorded before SimClock
- *  moved onto TimerHeap. */
-constexpr size_t kPinnedTraceBytes = 3'681'781;
-constexpr uint64_t kPinnedTraceDigest = 0x35bec71d709fcf15ull;
+/** runChaosScenario(42, Zombie)'s trace. OpenLoopLoadGen issues its
+ *  248 arrivals inline after SimClock::sleepUntil, so they arm no
+ *  timers of their own. */
+constexpr size_t kPinnedTraceBytes = 3'665'338;
+constexpr uint64_t kPinnedTraceDigest = 0x0bfc34dd4cc384a3ull;
 
 TEST(SimChaosTest, SeededTraceDigestIsPinned)
 {

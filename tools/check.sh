@@ -12,9 +12,10 @@
 #      + bench/chaos_storm smoke -> BENCH_chaos.json (gray failures)
 #        (the three sim JSON files byte-identical to the committed
 #        copies, or the gate fails)
-#      + fig09 / fig19 sim-mode paper claims (PASS/FAIL, computed)
-#        -> BENCH_fig09.json / BENCH_fig19.json (sim tables, also
-#        byte-identical to the committed copies)
+#      + fig09 / fig10 / fig19 sim-mode paper claims (PASS/FAIL,
+#        computed) -> BENCH_fig09.json / BENCH_fig10.json /
+#        BENCH_fig19.json (sim tables, also byte-identical to the
+#        committed copies)
 #      + tools/mulint over src/ (static lock-rank, raw-sync, thread-role,
 #        rank-table, guarded-by, plus the
 #        interprocedural clock-seam and counter-registry rules and the
@@ -202,14 +203,15 @@ else
 fi
 
 # ---- stage 1c4: sim-mode figure claims -----------------------------------
-# fig09_saturation and fig19_cs_hitm compute the paper's claims from
-# their own sim-mode tables (saturation band and ordering; cs and hitm
-# rising with load, hitm above cs) and exit nonzero when one fails.
-# Each also writes its sim table to BENCH_fig09.json / BENCH_fig19.json;
-# the sim is deterministic, so a FAIL or any difference from the
-# committed copy is a behaviour change. ~5s.
-banner "figure claims: fig09 / fig19 (sim)"
-for fig in fig09_saturation fig19_cs_hitm; do
+# fig09_saturation, fig10_latency and fig19_cs_hitm compute the paper's
+# claims from their own sim-mode tables (saturation band and ordering;
+# median higher at 100 than at 1K QPS; cs and hitm rising with load,
+# hitm above cs) and exit nonzero when a gated one fails. Each also
+# writes its sim table to BENCH_fig09.json / BENCH_fig10.json /
+# BENCH_fig19.json; the sim is deterministic, so a FAIL or any
+# difference from the committed copy is a behaviour change. ~7s.
+banner "figure claims: fig09 / fig10 / fig19 (sim)"
+for fig in fig09_saturation fig10_latency fig19_cs_hitm; do
     json="BENCH_${fig%%_*}.json"
     if cmake --build build-check-werror --target "$fig" -j "$jobs" \
             >>build-check-werror/build.log 2>&1 \
