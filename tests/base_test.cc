@@ -313,5 +313,15 @@ TEST(ResultTest, HoldsValueOrStatus)
     EXPECT_EQ(bad.status().code(), StatusCode::Internal);
 }
 
+// value() and take() on an errored Result abort: the runtime check that
+// guards every unchecked access.
+TEST(ResultTest, AccessorsAbortOnError)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Result<int> bad(Status(StatusCode::Internal, "boom"));
+    EXPECT_DEATH((void)bad.value(), "accessing value of");
+    EXPECT_DEATH((void)bad.take(), "taking value of");
+}
+
 } // namespace
 } // namespace musuite

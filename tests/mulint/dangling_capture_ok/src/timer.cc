@@ -21,3 +21,13 @@ armByValue(Clock &clock)
     int hits = 0;
     clock.schedule(10, [hits] { (void)hits; }); // By value: safe.
 }
+
+void
+armInLoopThenDrain(Clock &clock)
+{
+    int hits = 0;
+    for (int i = 0; i < 3; ++i) {
+        clock.schedule(10, [&hits] { ++hits; });
+    }
+    clock.runUntilIdle(); // Enclosing block: drains every registration.
+}

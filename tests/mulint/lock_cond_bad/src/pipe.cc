@@ -1,8 +1,8 @@
-// Path-sensitive lock violations the old linear held-stack simulation
-// could not see. The unlock happens on the early-return path only, so
-// the blocking call on the fall-through still holds the lock; and the
-// one-sided manual unlock leaves the outer lock held on SOME paths at
-// the later acquisition.
+// Naked unlocks do not release on the held-lock walk. The unlock on
+// the early-return path leaves the lock held on the fall-through, so
+// the blocking call there still holds it; an unlock in an unbraced if
+// body is no release even in a block ending in `return`; and a
+// one-sided unlock leaves the outer lock held at a later acquisition.
 
 Mutex stateMutex{LockRank::state, "state"};
 Mutex outerMutex{LockRank::outer, "outer"};
@@ -25,6 +25,16 @@ mayHeldInversion(bool fast)
 {
     MutexLock outer(outerMutex); // rank 20
     if (fast)
-        outer.unlock();          // Released on this path only.
-    MutexLock inner(innerMutex); // rank 10 under 20 on !fast: finding.
+        outer.unlock();          // Not a release on the walk.
+    MutexLock inner(innerMutex); // rank 10 under 20: finding.
+}
+
+int
+popAfterUnbracedUnlock(bool fast)
+{
+    MutexLock guard(stateMutex);
+    if (fast)
+        guard.unlock(); // Some paths only: not a release.
+    jobs.pop();         // Held on !fast: lock-across-blocking.
+    return 0;
 }

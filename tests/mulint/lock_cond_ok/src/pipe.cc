@@ -1,24 +1,15 @@
-// Path-precise clean cases: the lock is released on EVERY path that
-// reaches the blocking call, a MutexUnlock window covers the blocking
-// call, and a conditional nested acquisition respects the rank order.
+// Clean cases: a MutexUnlock window covers the blocking call, an
+// unlock-then-return block releases for the rest of that block, the
+// unlock-then-notify shape of src/base/queue.h, and a conditional
+// nested acquisition that respects the rank order.
+
+#include <condition_variable>
+#include <mutex>
 
 Mutex stateMutex{LockRank::state, "state"};
 Mutex outerMutex{LockRank::outer, "outer"};
 Mutex innerMutex{LockRank::inner, "inner"};
 BlockingQueue<int> jobs;
-
-void
-popAfterFullRelease(bool fast)
-{
-    MutexLock guard(stateMutex);
-    if (fast) {
-        guard.unlock();
-        jobs.pop(); // Released above: ok.
-        return;
-    }
-    guard.unlock();
-    jobs.pop(); // Released on this path too: ok.
-}
 
 void
 popInWindow()
@@ -29,6 +20,45 @@ popInWindow()
         jobs.pop(); // Lock suspended for the window: ok.
     }
 }
+
+void
+popThenReturn(bool fast)
+{
+    MutexLock guard(stateMutex);
+    if (fast) {
+        guard.unlock();
+        jobs.pop(); // Released until the block returns: ok.
+        return;
+    }
+}
+
+template <typename T,
+          // mulint: allow(raw-sync): default only; traced builds pass TracedMutex
+          typename Mutex = std::mutex,
+          // mulint: allow(raw-sync): default only; traced builds pass TracedCondVar
+          typename CondVar = std::condition_variable>
+class Queue
+{
+  public:
+    bool
+    push(T item)
+    {
+        std::unique_lock<Mutex> lock(mutex);
+        notFull.wait(lock, [&] { return items.size() < capacity; });
+        items.push_back(std::move(item));
+        // mulint: allow(raw-sync): unlock-before-notify keeps the waiter off a held mutex
+        lock.unlock();
+        notEmpty.notify_one();
+        return true;
+    }
+
+  private:
+    size_t capacity = 8;
+    std::deque<T> items;
+    mutable Mutex mutex;
+    CondVar notEmpty;
+    CondVar notFull;
+};
 
 void
 orderedConditionalNesting(bool fast)

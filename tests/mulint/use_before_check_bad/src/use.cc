@@ -1,6 +1,6 @@
-// Three use-before-check violations: a Result consumed with no check
-// at all, a value() on the path where isOk() is known false, and an
-// access after a reassignment invalidated the earlier check.
+// Four use-before-check violations: no check at all, a value() where
+// isOk() is known false, an access after a reassignment invalidated
+// the check, and one after a negated check whose branch falls through.
 
 template <typename T> struct Result
 {
@@ -35,4 +35,14 @@ useAfterReassign()
         return 0;
     r = fetch();      // Reassignment invalidates the check.
     return r.value(); // Unchecked again: finding.
+}
+
+int
+useAfterFallThrough()
+{
+    Result<int> r = fetch();
+    if (!r.isOk()) {
+        log(); // Falls through: the error path reaches value().
+    }
+    return r.value(); // Not established: finding.
 }

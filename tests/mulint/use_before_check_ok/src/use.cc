@@ -42,3 +42,15 @@ useCheckMacro()
     MUSUITE_CHECK(r.isOk());
     return r.take(); // Ok: the check macro asserts isOk().
 }
+
+int
+useAfterBracedElse(bool strict)
+{
+    Result<int> r = fetch();
+    if (r.isOk()) {
+        strict = false;
+    } else {
+        return 0; // The error path leaves here.
+    }
+    return r.value(); // Ok: only the isOk() branch falls through.
+}

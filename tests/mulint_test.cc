@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "callgraph.h"
-#include "cfg.h"
 #include "mulint.h"
 #include "summary.h"
 
@@ -198,7 +197,7 @@ TEST(MulintFixtures, UseBeforeCheckBad)
 {
     const auto findings =
         lintFixture("use_before_check_bad", "use-before-check");
-    ASSERT_EQ(findings.size(), 3u);
+    ASSERT_EQ(findings.size(), 4u);
     EXPECT_EQ(findings[0].line, 18);
     EXPECT_NE(findings[0].message.find(
                   "'r.value()' without 'r.isOk()' established"),
@@ -211,6 +210,11 @@ TEST(MulintFixtures, UseBeforeCheckBad)
     // Reassignment invalidates the earlier check.
     EXPECT_EQ(findings[2].line, 37);
     EXPECT_NE(findings[2].message.find(
+                  "'r.value()' without 'r.isOk()' established"),
+              std::string::npos);
+    // A negated check whose branch falls through establishes nothing.
+    EXPECT_EQ(findings[3].line, 47);
+    EXPECT_NE(findings[3].message.find(
                   "'r.value()' without 'r.isOk()' established"),
               std::string::npos);
 }
@@ -226,13 +230,21 @@ TEST(MulintFixtures, DanglingCaptureBad)
 {
     const auto findings =
         lintFixture("dangling_capture_bad", "dangling-capture");
-    ASSERT_EQ(findings.size(), 2u);
-    EXPECT_EQ(findings[0].line, 15);
+    ASSERT_EQ(findings.size(), 4u);
+    EXPECT_EQ(findings[0].line, 17);
     EXPECT_NE(findings[0].message.find("captures by reference (&hits)"),
               std::string::npos);
-    // Drained on one path only: the other path still escapes.
-    EXPECT_EQ(findings[1].line, 22);
+    // Drained on one path only: the other path still escapes, whether
+    // the drain's if is braced or not.
+    EXPECT_EQ(findings[1].line, 24);
     EXPECT_NE(findings[1].message.find("captures by reference (&)"),
+              std::string::npos);
+    EXPECT_EQ(findings[2].line, 33);
+    EXPECT_NE(findings[2].message.find("captures by reference (&hits)"),
+              std::string::npos);
+    // The enclosing function's drain runs after the lambda returned.
+    EXPECT_EQ(findings[3].line, 44);
+    EXPECT_NE(findings[3].message.find("captures by reference (&)"),
               std::string::npos);
 }
 
@@ -243,36 +255,64 @@ TEST(MulintFixtures, DanglingCaptureOk)
             .empty());
 }
 
-// The cases the old linear held-stack simulation got wrong: an unlock
-// on the early-return path does not release the lock on the
-// fall-through, and a one-sided manual unlock leaves the lock held on
-// some (not all) paths at a later acquisition.
+// Naked unlocks on the held-lock walk: an unlock-then-return block
+// does not release the lock on the fall-through, an unlock in an
+// unbraced if body does not release even when its block ends in
+// `return`, and any other naked unlock leaves the lock held at a later
+// acquisition.
 TEST(MulintFixtures, ConditionalLockBad)
 {
     const auto blocking =
         lintFixture("lock_cond_bad", "lock-across-blocking");
-    ASSERT_EQ(blocking.size(), 1u);
-    EXPECT_EQ(blocking[0].line, 20);
-    EXPECT_NE(blocking[0].message.find(
-                  "blocking call 'jobs.pop' while holding "
-                  "'stateMutex' (rank 30)"),
-              std::string::npos);
+    ASSERT_EQ(blocking.size(), 2u);
+    for (size_t i = 0; i < blocking.size(); ++i) {
+        EXPECT_EQ(blocking[i].line, i == 0 ? 20 : 38);
+        EXPECT_NE(blocking[i].message.find(
+                      "blocking call 'jobs.pop' while holding "
+                      "'stateMutex' (rank 30)"),
+                  std::string::npos);
+    }
 
     const auto rank = lintFixture("lock_cond_bad", "lock-rank");
     ASSERT_EQ(rank.size(), 1u);
     EXPECT_EQ(rank[0].line, 29);
     EXPECT_NE(rank[0].message.find(
                   "acquires 'innerMutex' (rank 10 'inner') while "
-                  "holding 'outerMutex' (rank 20 'outer') "
-                  "(held on some paths)"),
+                  "holding 'outerMutex' (rank 20 'outer')"),
               std::string::npos);
 }
 
+// A blocking call inside a MutexUnlock window, one after an
+// unlock-then-return, queue.h's unlock-then-notify shape, and a
+// conditional nesting in rank order.
 TEST(MulintFixtures, ConditionalLockOk)
 {
     EXPECT_TRUE(
         lintFixture("lock_cond_ok", "lock-across-blocking").empty());
     EXPECT_TRUE(lintFixture("lock_cond_ok", "lock-rank").empty());
+
+    // raw-sync owns the naked unlocks the walk lets through: the one
+    // in popThenReturn is flagged, and the queue copy's pragmas absorb
+    // exactly its two std defaults and its unlock-then-notify.
+    mulint::Options options;
+    options.rules = {"raw-sync"};
+    options.keepSuppressed = true;
+    std::string error;
+    const auto raw = mulint::analyzeTree(
+        std::string(MULINT_FIXTURES_DIR) + "/lock_cond_ok", options,
+        &error);
+    EXPECT_EQ(error, "");
+    ASSERT_EQ(raw.size(), 4u);
+    const int lines[] = {29, 37, 39, 50};
+    for (size_t i = 0; i < raw.size(); ++i) {
+        EXPECT_EQ(raw[i].line, lines[i]);
+        EXPECT_EQ(raw[i].suppressed, i > 0) << "line " << lines[i];
+    }
+    EXPECT_NE(raw[3].message.find("unlock"), std::string::npos);
+
+    // Every pragma there absorbs a live finding: none is stale.
+    for (const Finding &f : lintFixture("lock_cond_ok", ""))
+        EXPECT_NE(f.rule, "stale-pragma") << "line " << f.line;
 }
 
 TEST(MulintFixtures, LockBlockingBad)
@@ -488,96 +528,6 @@ TEST(MulintCallGraph, RecursionReachesFixpoint)
     EXPECT_EQ(
         mulint::witnessChain(tree, g, summaries, ping, /*time=*/false),
         "pong -> sleepFor");
-}
-
-// --------------------------------------------------------------------
-// CFG construction unit tests, over in-memory functions.
-// --------------------------------------------------------------------
-
-const mulint::FunctionInfo &
-fnNamed(const mulint::FileModel &fm, const std::string &name)
-{
-    for (const auto &fn : fm.functions) {
-        if (fn.name == name)
-            return fn;
-    }
-    ADD_FAILURE() << "no function named " << name;
-    return fm.functions.front();
-}
-
-TEST(MulintCfg, BranchEdgesCarryAnnotatedSenses)
-{
-    const mulint::Tree tree = treeOf(
-        {{"src/a.cc", "int f(bool c) { int a = 0; if (c) { a = 1; } "
-                      "else { a = 2; } return a; }\n"}});
-    const mulint::FileModel &fm = tree.files[0];
-    const mulint::Cfg cfg = mulint::buildCfg(fm, fnNamed(fm, "f"));
-    int atoms = 0;
-    bool sawTrue = false;
-    bool sawFalse = false;
-    for (size_t b : cfg.rpo) {
-        for (const mulint::Stmt &st : cfg.blocks[b].stmts) {
-            if (st.kind == mulint::Stmt::Cond)
-                ++atoms;
-        }
-        for (const mulint::CfgEdge &e : cfg.blocks[b].succs) {
-            if (e.condBeginCi == SIZE_MAX)
-                continue;
-            if (e.condSense)
-                sawTrue = true;
-            else
-                sawFalse = true;
-        }
-    }
-    EXPECT_EQ(atoms, 1);
-    EXPECT_TRUE(sawTrue);
-    EXPECT_TRUE(sawFalse);
-}
-
-TEST(MulintCfg, ShortCircuitSplitsIntoOneAtomPerOperand)
-{
-    const mulint::Tree tree = treeOf(
-        {{"src/a.cc", "int f(bool a, bool b) { if (a && b) return 1; "
-                      "return 0; }\n"}});
-    const mulint::FileModel &fm = tree.files[0];
-    const mulint::Cfg cfg = mulint::buildCfg(fm, fnNamed(fm, "f"));
-    int atoms = 0;
-    for (size_t b : cfg.rpo) {
-        for (const mulint::Stmt &st : cfg.blocks[b].stmts) {
-            if (st.kind == mulint::Stmt::Cond)
-                ++atoms;
-        }
-    }
-    // `a && b` decomposes so dataflow can refine each operand's true
-    // and false edges independently.
-    EXPECT_EQ(atoms, 2);
-}
-
-TEST(MulintCfg, LoopsHaveBackedgesAndDeadCodeLeavesRpo)
-{
-    const mulint::Tree tree = treeOf(
-        {{"src/a.cc",
-          "void spin(int n) { while (n > 0) { n = n - 1; } }\n"
-          "int dead() { return 1; int unreached = 0; }\n"}});
-    const mulint::FileModel &fm = tree.files[0];
-
-    const mulint::Cfg loop = mulint::buildCfg(fm, fnNamed(fm, "spin"));
-    std::vector<size_t> pos(loop.blocks.size(), SIZE_MAX);
-    for (size_t i = 0; i < loop.rpo.size(); ++i)
-        pos[loop.rpo[i]] = i;
-    bool backedge = false;
-    for (size_t b : loop.rpo) {
-        for (const mulint::CfgEdge &e : loop.blocks[b].succs) {
-            if (pos[e.to] != SIZE_MAX && pos[e.to] <= pos[b])
-                backedge = true;
-        }
-    }
-    EXPECT_TRUE(backedge);
-
-    // Statements after an unconditional return are not reachable, so
-    // RPO (which drives every analysis) must exclude their block.
-    const mulint::Cfg dead = mulint::buildCfg(fm, fnNamed(fm, "dead"));
-    EXPECT_LT(dead.rpo.size(), dead.blocks.size());
 }
 
 // Dogfooding: the repository's own tree must lint clean with every

@@ -16,12 +16,11 @@
 #        computed) -> BENCH_fig09.json / BENCH_fig10.json /
 #        BENCH_fig19.json (sim tables, also byte-identical to the
 #        committed copies)
-#      + tools/mulint over src/ (static lock-rank, raw-sync, thread-role,
-#        rank-table, guarded-by, plus the
-#        interprocedural clock-seam and counter-registry rules and the
-#        CFG/dataflow lock-across-blocking, use-before-check,
-#        dangling-capture and stale-pragma rules; see
-#        DESIGN.md) with a runtime budget, archiving
+#      + tools/mulint over src/ (lock-rank, rank-table, raw-sync,
+#        guarded-by, thread-role, bad-pragma, clock-seam,
+#        lock-across-blocking, counter-registry, stale-pragma,
+#        use-before-check and dangling-capture; see DESIGN.md "Static
+#        analysis: mulint") with a runtime budget, archiving
 #        mulint_findings.json and diffing it against the committed
 #        tools/mulint/baseline.json (lost findings fail the gate)
 #      + deterministic sim replay suite under 8 distinct seeds
@@ -365,7 +364,10 @@ if [[ "$quick" -eq 0 ]]; then
     # ---- stage 4: ASan + UBSan -------------------------------------------
     # detect_leaks=0: LSan needs ptrace permissions that CI containers
     # often lack; ASan's memory-error checks are unaffected.
-    export ASAN_OPTIONS="detect_leaks=0"
+    # detect_stack_use_after_return=1: a by-reference lambda capture
+    # that a timer runs after its frame returned reads a dead stack
+    # slot; this makes ASan report it instead of reading reused memory.
+    export ASAN_OPTIONS="detect_leaks=0:detect_stack_use_after_return=1"
     export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
     run_stage "asan-ubsan" build-check-asan-ubsan \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMUSUITE_SANITIZE=address+undefined

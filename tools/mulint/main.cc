@@ -4,7 +4,7 @@
  * 3 = --budget-ms exceeded.
  *
  *   mulint [--root DIR] [--rule NAME]... [--list-rules]
- *          [--json PATH] [--sarif PATH] [--budget-ms N]
+ *          [--json PATH] [--budget-ms N]
  *
  * Findings print one per line as `path:line: [rule] message`, the
  * format tools/check.sh and editors both understand. --json addition-
@@ -12,9 +12,8 @@
  * "suppressed" flag, plus column and interprocedural witness chain —
  * as a JSON array to PATH ("-" = stdout), so the gate can archive the
  * full picture while the exit code still reflects only live findings.
- * --sarif writes the live findings as a SARIF 2.1.0 log so editors and
- * code-review UIs can ingest them directly. --budget-ms fails the run
- * if the whole analysis takes longer, pinning mulint's always-on cost.
+ * --budget-ms fails the run if the whole analysis takes longer,
+ * pinning mulint's always-on cost.
  */
 
 #include <chrono>
@@ -90,90 +89,6 @@ writeJson(const std::string &path,
     return true;
 }
 
-/**
- * Minimal SARIF 2.1.0 log: one run, the mulint driver with its rule
- * catalog, one result per live finding (suppressed findings stay out
- * — SARIF consumers treat the log as the actionable set). The witness
- * chain rides along as a per-result property bag.
- */
-bool
-writeSarif(const std::string &path,
-           const std::vector<mulint::Finding> &findings)
-{
-    std::FILE *out = path == "-" ? stdout : std::fopen(path.c_str(), "w");
-    if (!out)
-        return false;
-    std::fprintf(
-        out,
-        "{\n"
-        "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-        "  \"version\": \"2.1.0\",\n"
-        "  \"runs\": [\n"
-        "    {\n"
-        "      \"tool\": {\n"
-        "        \"driver\": {\n"
-        "          \"name\": \"mulint\",\n"
-        "          \"rules\": [\n");
-    const auto &rules = mulint::ruleNames();
-    size_t ri = 0;
-    for (const std::string &rule : rules) {
-        std::fprintf(out, "            {\"id\": \"%s\"}%s\n",
-                     jsonEscape(rule).c_str(),
-                     ++ri < rules.size() ? "," : "");
-    }
-    std::fprintf(out,
-                 "          ]\n"
-                 "        }\n"
-                 "      },\n"
-                 "      \"results\": [\n");
-    std::vector<const mulint::Finding *> live;
-    for (const mulint::Finding &f : findings)
-        if (!f.suppressed)
-            live.push_back(&f);
-    for (size_t i = 0; i < live.size(); ++i) {
-        const mulint::Finding &f = *live[i];
-        std::fprintf(
-            out,
-            "        {\n"
-            "          \"ruleId\": \"%s\",\n"
-            "          \"level\": \"warning\",\n"
-            "          \"message\": {\"text\": \"%s\"},\n"
-            "          \"locations\": [\n"
-            "            {\n"
-            "              \"physicalLocation\": {\n"
-            "                \"artifactLocation\": {\"uri\": \"%s\"},\n"
-            "                \"region\": {\"startLine\": %d",
-            jsonEscape(f.rule).c_str(), jsonEscape(f.message).c_str(),
-            jsonEscape(f.file).c_str(), f.line);
-        if (f.col > 0)
-            std::fprintf(out, ", \"startColumn\": %d", f.col);
-        std::fprintf(out,
-                     "}\n"
-                     "              }\n"
-                     "            }\n"
-                     "          ]");
-        if (!f.witness.empty()) {
-            std::fprintf(out,
-                         ",\n          \"properties\": "
-                         "{\"witness\": [");
-            for (size_t w = 0; w < f.witness.size(); ++w)
-                std::fprintf(out, "%s\"%s\"", w == 0 ? "" : ", ",
-                             jsonEscape(f.witness[w]).c_str());
-            std::fprintf(out, "]}");
-        }
-        std::fprintf(out, "\n        }%s\n",
-                     i + 1 < live.size() ? "," : "");
-    }
-    std::fprintf(out,
-                 "      ]\n"
-                 "    }\n"
-                 "  ]\n"
-                 "}\n");
-    if (out != stdout)
-        std::fclose(out);
-    return true;
-}
-
 } // namespace
 
 int
@@ -181,7 +96,6 @@ main(int argc, char **argv)
 {
     std::string root = ".";
     std::string jsonPath;
-    std::string sarifPath;
     long budgetMs = 0;
     mulint::Options options;
 
@@ -200,8 +114,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--json") == 0 && i + 1 < argc) {
             jsonPath = argv[++i];
             options.keepSuppressed = true;
-        } else if (std::strcmp(arg, "--sarif") == 0 && i + 1 < argc) {
-            sarifPath = argv[++i];
         } else if (std::strcmp(arg, "--budget-ms") == 0 &&
                    i + 1 < argc) {
             budgetMs = std::atol(argv[++i]);
@@ -220,7 +132,7 @@ main(int argc, char **argv)
             std::printf(
                 "usage: mulint [--root DIR] [--rule NAME]... "
                 "[--list-rules] [--json PATH]\n"
-                "              [--sarif PATH] [--budget-ms N]\n"
+                "              [--budget-ms N]\n"
                 "Lints DIR/src/**/*.{h,cc} (plus DIR/DESIGN.md) for "
                 "murpc concurrency and\nstatus invariants. Suppress "
                 "individual findings with\n"
@@ -249,11 +161,6 @@ main(int argc, char **argv)
     if (!jsonPath.empty() && !writeJson(jsonPath, findings)) {
         std::fprintf(stderr, "mulint: cannot write %s\n",
                      jsonPath.c_str());
-        return 2;
-    }
-    if (!sarifPath.empty() && !writeSarif(sarifPath, findings)) {
-        std::fprintf(stderr, "mulint: cannot write %s\n",
-                     sarifPath.c_str());
         return 2;
     }
 

@@ -43,14 +43,6 @@ struct MutexDecl
     int line = 0;
 };
 
-/** An ordered lock acquisition observed inside one function. */
-struct LockEvent
-{
-    std::string mutexName; //!< Last identifier of the mutex expression.
-    std::string guardVar;  //!< RAII guard variable name ("" if none).
-    int line = 0;
-};
-
 /** A call site inside one function. */
 struct CallSite
 {
@@ -119,7 +111,7 @@ struct Finding
     /** Interprocedural witness chain, outermost call first, ending at
      *  the primitive that grounds the property (e.g. ["drainOne",
      *  "jobs.pop"]). Empty for intraprocedural findings. Serialized
-     *  into --json / --sarif so archived findings diff cleanly. */
+     *  into --json so archived findings diff cleanly. */
     std::vector<std::string> witness;
     /** Absorbed by an allow pragma. Only present in the output when
      *  Options::keepSuppressed is set (the --json mode); the human

@@ -17,7 +17,7 @@
  *   lock-across-blocking  locks held across (transitively) blocking calls
  *   counter-registry counter names: src emission vs DESIGN.md vs tests
  *   stale-pragma     allow pragmas that no longer suppress anything
- *   use-before-check Result value()/take() where isOk() is unestablished
+ *   use-before-check Result value()/take() where isOk() is not established
  *   dangling-capture by-ref lambda captures handed to deferred schedule()
  *
  * clock-seam, lock-across-blocking, counter-registry, stale-pragma and
@@ -26,11 +26,11 @@
  * propagated to a fixpoint (summary.h), so a finding can cite a
  * transitive witness chain like "handle -> pollOnce -> nowNanos".
  *
- * lock-rank, lock-across-blocking, use-before-check and
- * dangling-capture are flow-sensitive: they run on a per-function
- * control-flow graph (cfg.h) under a forward-dataflow fixpoint
- * (dataflow.h), so conditional locks and check-dominated accesses are
- * analyzed path-precisely instead of linearly.
+ * Every rule reads the token stream in order; none builds a control-
+ * flow graph. Locks are held from a guard's declaration to the close
+ * of its brace scope, and a MutexUnlock window suspends one until its
+ * own scope closes (finalizeTree). Brace blocks and `if (r.isOk())`
+ * branches stand in for paths in use-before-check and dangling-capture.
  *
  * Fan-out deadline propagation is not a rule: services reach their
  * leaves only through services/common/fanout.h's Downstream pool,
@@ -68,11 +68,21 @@ FileModel parseFile(const std::string &rel, const std::string &content);
 
 /**
  * Finish a Tree after all files are parsed: locate the LockRank enum
- * and the lockRankName() switch, then run the per-function body
- * analysis (lock simulation + call extraction). Intra-function
- * lock-rank findings are appended to `findings`.
+ * and the lockRankName() switch, then run the per-function body walk
+ * (held locks + call extraction). Intra-function lock-rank findings
+ * are appended to `findings`.
  */
 void finalizeTree(Tree &tree, std::vector<Finding> &findings);
+
+/** Code index of the first code token at or after raw token index. */
+size_t codeIndexOf(const FileModel &fm, size_t rawIdx);
+
+/**
+ * Code indices of `fn`'s own body tokens, between its braces, with
+ * nested function bodies (lambdas, local classes) skipped: those run
+ * later, elsewhere, and are analyzed as functions of their own.
+ */
+std::vector<size_t> ownBody(const FileModel &fm, const FunctionInfo &fn);
 
 /**
  * Run the cross-file rules over a finalized tree. `designLines` holds

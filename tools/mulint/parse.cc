@@ -4,20 +4,17 @@
  * structure, function extents, mutex/queue declarations, annotation
  * references, and Status-returning declaration names.
  *
- * Pass 2 (finalizeTree): rank-table extraction and a per-function body
- * walk recording call sites and thread-role facts, followed by the
- * path-sensitive lock analysis (dataflow.cc) which emits the
- * intra-function lock-rank findings and annotates each call site with
- * the max rank that may be held there. Mutex resolution lives in
- * cfg.h/cfg.cc, shared with the dataflow analyses.
+ * Pass 2 (finalizeTree): rank-table extraction, then one token walk
+ * per function body that records call sites and thread-role facts and
+ * keeps a brace-scoped held-lock set: it emits the intra-function
+ * lock-rank findings and annotates each call site with the max rank
+ * held there, which the interprocedural rules consume.
  */
 
 #include "mulint.h"
 
 #include <algorithm>
 #include <cassert>
-
-#include "dataflow.h"
 
 namespace mulint {
 
@@ -628,6 +625,36 @@ parseFile(const std::string &rel, const std::string &content)
 // Pass 2: rank tables and function-body analysis.
 // ====================================================================
 
+size_t
+codeIndexOf(const FileModel &fm, size_t rawIdx)
+{
+    return size_t(std::lower_bound(fm.code.begin(), fm.code.end(),
+                                   rawIdx) -
+                  fm.code.begin());
+}
+
+std::vector<size_t>
+ownBody(const FileModel &fm, const FunctionInfo &fn)
+{
+    std::map<size_t, size_t> nested; // '{' -> '}' of each nested body.
+    for (const FunctionInfo &other : fm.functions) {
+        if (&other != &fn && other.bodyBegin > fn.bodyBegin &&
+            other.bodyEnd <= fn.bodyEnd)
+            nested.emplace(codeIndexOf(fm, other.bodyBegin),
+                           codeIndexOf(fm, other.bodyEnd - 1));
+    }
+    std::vector<size_t> out;
+    const size_t end = codeIndexOf(fm, fn.bodyEnd - 1);
+    for (size_t i = codeIndexOf(fm, fn.bodyBegin) + 1; i < end; ++i) {
+        auto it = nested.find(i);
+        if (it != nested.end())
+            i = it->second;
+        else
+            out.push_back(i);
+    }
+    return out;
+}
+
 namespace {
 
 /** Parse `enum class LockRank { ... }` out of one file, if present. */
@@ -703,62 +730,257 @@ parseRankImpl(const FileModel &fm, Tree &tree)
     return found;
 }
 
+/** A mutex name resolved against the module declaration table. */
+struct ResolvedMutex
+{
+    bool known = false;
+    int value = 0; //!< 0 = unranked (exempt from the order check).
+    std::string rankName;
+};
+
+/** Per-module (file-stem) mutex declarations: name -> (class scope,
+ *  resolution), possibly several classes in one module. */
+using MutexTable =
+    std::map<std::string,
+             std::vector<std::pair<std::string, ResolvedMutex>>>;
+
+ResolvedMutex
+resolveMutexDecl(const Tree &tree, const MutexDecl &decl)
+{
+    ResolvedMutex r;
+    if (!decl.rankName.empty()) {
+        auto it = tree.ranks.find(decl.rankName);
+        if (it == tree.ranks.end())
+            return r; // LockRank name missing from the enum: unknown.
+        r.known = true;
+        r.value = it->second.value;
+        r.rankName = decl.rankName;
+        return r;
+    }
+    if (decl.traced) {
+        auto it = tree.ranks.find("queue");
+        if (it == tree.ranks.end())
+            return r;
+        r.known = true;
+        r.value = it->second.value;
+        r.rankName = "queue";
+        return r;
+    }
+    r.known = true; // Plain Mutex: unranked by construction.
+    r.value = 0;
+    r.rankName = "unranked";
+    return r;
+}
+
 /**
- * Extract call sites and thread-role facts from one function body.
- * Lock semantics (who holds what where) are NOT computed here any
- * more — that is runLockAnalysis (dataflow.cc) over the CFG — but the
- * lock-construct token patterns are still recognized so a RAII guard
- * declaration like `MutexLock guard(mu)` is skipped instead of being
- * misread as a call to a function named `guard`.
+ * Look up `name` in the module table, preferring a declaration whose
+ * class scope matches `fnScope`. Ambiguity (several declarations with
+ * different resolutions and no scope match) yields unknown.
+ */
+ResolvedMutex
+lookupMutex(const MutexTable &table, const std::string &name,
+            const std::string &fnScope)
+{
+    auto it = table.find(name);
+    if (it == table.end())
+        return ResolvedMutex{};
+    const auto &candidates = it->second;
+    if (candidates.size() == 1)
+        return candidates[0].second;
+    const ResolvedMutex *scoped = nullptr;
+    for (const auto &cand : candidates) {
+        if (cand.first == fnScope) {
+            if (scoped)
+                return ResolvedMutex{}; // Two in the same class: odd.
+            scoped = &cand.second;
+        }
+    }
+    if (scoped)
+        return *scoped;
+    // All candidates agreeing is still usable.
+    for (size_t i = 1; i < candidates.size(); ++i) {
+        if (candidates[i].second.known != candidates[0].second.known ||
+            candidates[i].second.value != candidates[0].second.value)
+            return ResolvedMutex{};
+    }
+    return candidates[0].second;
+}
+
+/** One table per file stem: a header's mutexes are visible to its .cc. */
+std::map<std::string, MutexTable>
+buildMutexTables(const Tree &tree)
+{
+    std::map<std::string, MutexTable> modules;
+    for (const FileModel &fm : tree.files) {
+        MutexTable &table = modules[fm.stem];
+        for (const MutexDecl &decl : fm.mutexes)
+            table[decl.name].emplace_back(decl.scope,
+                                          resolveMutexDecl(tree, decl));
+    }
+    return modules;
+}
+
+/** One lock on the held-lock walk's state. */
+struct HeldLock
+{
+    std::string mutexName; //!< Last identifier of the mutex expression.
+    std::string guardVar;  //!< RAII guard variable name.
+    ResolvedMutex res;
+    size_t scopeClose = SIZE_MAX; //!< '}' that releases it (code index).
+    /** '}' closing a MutexUnlock window over this lock; SIZE_MAX while
+     *  the lock is held. */
+    size_t windowClose = SIZE_MAX;
+    /** Released by unlock-then-return: the path leaves at the '}', so
+     *  nothing re-locks there. */
+    bool returns = false;
+};
+
+/** Is the last top-level statement in [from, close) a `return`? */
+bool
+endsInReturn(const Ctx &c, size_t from, size_t close)
+{
+    size_t last = from;
+    for (size_t j = from; j < close; ++j) {
+        if ((c.isPunct(j, "(") || c.isPunct(j, "{") || c.isPunct(j, "[")) &&
+            c.match[j] != SIZE_MAX && c.match[j] < close) {
+            j = c.match[j];
+            if (c.isPunct(j, "}"))
+                last = j + 1;
+        } else if (c.isPunct(j, ";") && j + 1 < close) {
+            last = j + 1;
+        }
+    }
+    return c.isIdent(last, "return");
+}
+
+/**
+ * Extract call sites and thread-role facts from one function body, and
+ * walk its braces with a held-lock set: a `MutexLock` (or a
+ * `std::unique_lock<Mutex>`-style guard) holds its mutex until the
+ * brace scope it was declared in closes, and a `MutexUnlock` window
+ * suspends the guard until the window's own scope closes. Each call
+ * site gets the max rank held there (CallSite::heldRank), the body's
+ * acquisitions go to FunctionInfo::directRanks, and same-function rank
+ * inversions are appended to `findings`. A naked guard.unlock() does
+ * not release, except as a statement directly in a block whose last
+ * statement is `return`: raw-sync bans that shape outside the wrapper
+ * files.
  */
 void
-analyzeBody(FileModel &fm, FunctionInfo &fn)
+analyzeBody(FileModel &fm, FunctionInfo &fn, const MutexTable &table,
+            std::vector<Finding> &findings)
 {
     Ctx c{fm.toks, fm.code, fm.codeMatch};
     const auto &code = fm.code;
+    const size_t cb = codeIndexOf(fm, fn.bodyBegin);
 
-    auto codeIndexOf = [&](size_t rawIdx) {
-        return size_t(std::lower_bound(code.begin(), code.end(),
-                                       rawIdx) -
-                      code.begin());
+    // Held locks keyed by the mutex expression's text; ties on rank go
+    // to the smallest key, so annotations do not depend on order.
+    std::map<std::string, HeldLock> held;
+    std::vector<size_t> scopes{fm.codeMatch[cb]}; // Open '{' closes.
+
+    auto checkAgainst = [&](const HeldLock &in, const std::string &key,
+                            int line, int col) {
+        for (const auto &[k, h] : held) {
+            if (h.windowClose != SIZE_MAX)
+                continue;
+            if (k == key) {
+                findings.push_back({fm.rel, line, "lock-rank",
+                                    "recursive acquisition of '" + key +
+                                        "'",
+                                    col});
+                return;
+            }
+            if (h.res.known && h.res.value > 0 && in.res.known &&
+                in.res.value > 0 && h.res.value >= in.res.value)
+                findings.push_back(
+                    {fm.rel, line, "lock-rank",
+                     "acquires '" + in.mutexName + "' (rank " +
+                         std::to_string(in.res.value) + " '" +
+                         in.res.rankName + "') while holding '" +
+                         h.mutexName + "' (rank " +
+                         std::to_string(h.res.value) + " '" +
+                         h.res.rankName + "')",
+                     col});
+        }
     };
-    const size_t cb = codeIndexOf(fn.bodyBegin);
-    const size_t ce = codeIndexOf(fn.bodyEnd - 1); // Closing '}'.
+    // Guard `guard` over the mutex expression [from, to).
+    auto acquire = [&](size_t from, size_t to, const std::string &guard,
+                       const Token &at) {
+        HeldLock h;
+        std::string key;
+        for (size_t j = from; j < to; ++j) {
+            key += (key.empty() ? "" : " ") + c.tok(j).text;
+            if (c.isIdent(j) && c.tok(j).text != "this")
+                h.mutexName = c.tok(j).text;
+        }
+        h.guardVar = guard;
+        h.res = lookupMutex(table, h.mutexName, fn.scope);
+        h.scopeClose = scopes.back();
+        checkAgainst(h, key, at.line, at.col);
+        if (h.res.known && h.res.value > 0)
+            fn.directRanks.insert(h.res.value);
+        held[key] = std::move(h);
+    };
 
-    // Nested function (lambda / local-class method) ranges to skip:
-    // their bodies execute later, on another thread or call stack.
-    std::vector<std::pair<size_t, size_t>> nested;
-    for (const FunctionInfo &other : fm.functions) {
-        if (&other != &fn && other.bodyBegin > fn.bodyBegin &&
-            other.bodyEnd <= fn.bodyEnd)
-            nested.emplace_back(codeIndexOf(other.bodyBegin),
-                                codeIndexOf(other.bodyEnd - 1));
-    }
-
-    size_t nextNested = 0;
-    for (size_t i = cb; i <= ce && i < code.size(); ++i) {
-        // Skip nested function bodies.
-        while (nextNested < nested.size() &&
-               nested[nextNested].first < i)
-            ++nextNested;
-        if (nextNested < nested.size() &&
-            nested[nextNested].first == i) {
-            i = nested[nextNested].second;
-            ++nextNested;
+    size_t skipTo = 0;
+    for (size_t i : ownBody(fm, fn)) {
+        if (i < skipTo)
+            continue;
+        const Token &t = c.tok(i);
+        if (t.kind == Tok::Punct && t.text == "{" &&
+            fm.codeMatch[i] != SIZE_MAX) {
+            scopes.push_back(fm.codeMatch[i]);
             continue;
         }
-
-        const Token &t = c.tok(i);
+        if (t.kind == Tok::Punct && t.text == "}" && scopes.size() > 1 &&
+            scopes.back() == i) {
+            // Scope end: its guards release, and a MutexUnlock window
+            // closing here re-locks its guard.
+            scopes.pop_back();
+            std::erase_if(held, [&](const auto &kv) {
+                return kv.second.scopeClose == i;
+            });
+            for (auto &[key, h] : held) {
+                if (h.windowClose != i)
+                    continue;
+                if (!h.returns)
+                    checkAgainst(h, key, t.line, 0);
+                h.windowClose = SIZE_MAX;
+                h.returns = false;
+            }
+            continue;
+        }
         if (t.kind != Tok::Ident)
             continue;
 
-        // MutexLock guard(expr) / MutexLock guard{expr} — and the
-        // MutexUnlock window variant: RAII declarations, not calls.
-        if ((t.text == "MutexLock" || t.text == "MutexUnlock") &&
-            c.isIdent(i + 1) &&
+        // MutexLock guard(expr) / MutexLock guard{expr}.
+        if (t.text == "MutexLock" && c.isIdent(i + 1) &&
             (c.isPunct(i + 2, "(") || c.isPunct(i + 2, "{")) &&
             fm.codeMatch[i + 2] != SIZE_MAX) {
-            i = fm.codeMatch[i + 2];
+            acquire(i + 3, fm.codeMatch[i + 2], c.tok(i + 1).text, t);
+            skipTo = fm.codeMatch[i + 2] + 1;
+            continue;
+        }
+
+        // MutexUnlock relock(guard): suspended until the scope ends.
+        if (t.text == "MutexUnlock" && c.isIdent(i + 1) &&
+            (c.isPunct(i + 2, "(") || c.isPunct(i + 2, "{")) &&
+            fm.codeMatch[i + 2] != SIZE_MAX) {
+            const size_t close = fm.codeMatch[i + 2];
+            std::string target;
+            for (size_t j = i + 3; j < close; ++j) {
+                if (c.isIdent(j) && c.tok(j).text != "this")
+                    target = c.tok(j).text;
+            }
+            for (auto &[key, h] : held) {
+                if (h.windowClose == SIZE_MAX &&
+                    (h.guardVar == target || h.mutexName == target)) {
+                    h.windowClose = scopes.back();
+                    break;
+                }
+            }
+            skipTo = close + 1;
             continue;
         }
 
@@ -785,19 +1007,37 @@ analyzeBody(FileModel &fm, FunctionInfo &fn)
             }
             if (wrapped && c.isIdent(j) && c.isPunct(j + 1, "(") &&
                 fm.codeMatch[j + 1] != SIZE_MAX) {
-                i = fm.codeMatch[j + 1];
+                acquire(j + 2, fm.codeMatch[j + 1], c.tok(j).text,
+                        c.tok(j));
+                skipTo = fm.codeMatch[j + 1] + 1;
             }
             continue;
         }
 
         // guard.unlock() / guard.lock(): lock ops, not call sites the
-        // interprocedural rules should see (raw-sync flags them).
+        // interprocedural rules should see (raw-sync flags them). Only
+        // the unlock-then-return idiom releases, for the rest of its
+        // block, and only as a statement directly in that block (not
+        // the body of an unbraced if/else/loop, which runs on some
+        // paths only); any other naked unlock leaves the guard held.
         if ((c.isPunct(i + 1, ".") || c.isPunct(i + 1, "->")) &&
             c.isIdent(i + 2) &&
             (c.tok(i + 2).text == "lock" ||
              c.tok(i + 2).text == "unlock") &&
             c.isPunct(i + 3, "(") && c.isPunct(i + 4, ")")) {
-            i += 4;
+            auto h = std::find_if(held.begin(), held.end(), [&](auto &kv) {
+                return kv.second.guardVar == t.text;
+            });
+            const bool direct = c.isPunct(i - 1, ";") ||
+                                c.isPunct(i - 1, "{") ||
+                                c.isPunct(i - 1, "}");
+            if (c.tok(i + 2).text == "unlock" && h != held.end() &&
+                h->second.windowClose == SIZE_MAX && direct &&
+                endsInReturn(c, i + 5, scopes.back())) {
+                h->second.windowClose = scopes.back();
+                h->second.returns = true;
+            }
+            skipTo = i + 5;
             continue;
         }
 
@@ -807,7 +1047,7 @@ analyzeBody(FileModel &fm, FunctionInfo &fn)
             if (c.isIdent(i + 2, "ThreadRole") &&
                 c.isPunct(i + 3, "::") && c.isIdent(i + 4, "poller"))
                 fn.setsPollerRole = true;
-            i += 1;
+            skipTo = i + 2;
             continue;
         }
 
@@ -846,7 +1086,17 @@ analyzeBody(FileModel &fm, FunctionInfo &fn)
                 if (call.receiver == "std")
                     continue; // std:: free functions: never ours.
             }
-            // heldRank/heldName are filled by runLockAnalysis later.
+            const HeldLock *top = nullptr;
+            for (const auto &[key, h] : held) {
+                if (h.windowClose == SIZE_MAX && h.res.known &&
+                    h.res.value > 0 &&
+                    (!top || h.res.value > top->res.value))
+                    top = &h;
+            }
+            if (top) {
+                call.heldRank = top->res.value;
+                call.heldName = top->mutexName;
+            }
             fn.calls.push_back(std::move(call));
             continue;
         }
@@ -870,9 +1120,15 @@ finalizeTree(Tree &tree, std::vector<Finding> &findings)
             parseRankImpl(fm, tree);
     }
 
+    const std::map<std::string, MutexTable> modules =
+        buildMutexTables(tree);
+    static const MutexTable emptyTable;
     for (FileModel &fm : tree.files) {
+        auto mit = modules.find(fm.stem);
+        const MutexTable &table =
+            mit == modules.end() ? emptyTable : mit->second;
         for (FunctionInfo &fn : fm.functions)
-            analyzeBody(fm, fn);
+            analyzeBody(fm, fn, table, findings);
 
         // Record direct lambda nesting: L is directly nested in F when
         // F is the smallest enclosing function range.
@@ -895,11 +1151,6 @@ finalizeTree(Tree &tree, std::vector<Finding> &findings)
                 fm.functions[bestFn].nestedFns.push_back(li);
         }
     }
-
-    // Path-sensitive lock analysis (dataflow.cc): intra-function
-    // lock-rank findings plus CallSite::heldRank / directRanks, which
-    // the interprocedural rules consume.
-    runLockAnalysis(tree, findings);
 }
 
 } // namespace mulint

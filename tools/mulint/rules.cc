@@ -12,10 +12,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "callgraph.h"
-#include "dataflow.h"
 #include "summary.h"
 
 namespace mulint {
@@ -530,6 +530,359 @@ ruleLockAcrossBlocking(const Tree &tree, const CallGraph &g,
 }
 
 // --------------------------------------------------------------------
+// use-before-check: Result<T>::value()/take() on a local where isOk()
+// is not established. One token walk per body: `if (r.isOk())` and
+// `if (!r.isOk())` set the state inside their branches and, when a
+// branch always leaves the block (return/break/continue/throw), after
+// the if too; any other isOk()/ok() read (a check macro, a ternary, a
+// compound condition) establishes it for the rest of the body, and an
+// assignment drops it. MUSUITE_CHECK(isOk()) inside both accessors
+// aborts on whatever slips through at run time.
+// --------------------------------------------------------------------
+
+/** Does the identifier at b start `var.isOk()` (or ->, or the short
+ *  spelling ok())? */
+bool
+readsIsOk(const Ctx &c, size_t b)
+{
+    return (c.isPunct(b + 1, ".") || c.isPunct(b + 1, "->")) &&
+           (c.isIdent(b + 2, "isOk") || c.isIdent(b + 2, "ok")) &&
+           c.isPunct(b + 3, "(") && c.isPunct(b + 4, ")");
+}
+
+/** Last code index of the statement starting at `b`: a braced block,
+ *  an if (with its else chain), a loop, or a plain statement up to its
+ *  ';'. */
+size_t
+stmtLast(const Ctx &c, size_t b)
+{
+    if (c.isPunct(b, "{"))
+        return c.match[b] == SIZE_MAX ? b : c.match[b];
+    if (c.isIdent(b, "if") || c.isIdent(b, "while") ||
+        c.isIdent(b, "for") || c.isIdent(b, "switch")) {
+        if (!c.isPunct(b + 1, "(") || c.match[b + 1] == SIZE_MAX)
+            return b;
+        size_t last = stmtLast(c, c.match[b + 1] + 1);
+        if (c.isIdent(b, "if") && c.isIdent(last + 1, "else"))
+            last = stmtLast(c, last + 2);
+        return last;
+    }
+    size_t j = b;
+    while (j < c.code.size() && !c.isPunct(j, ";")) {
+        if (c.isPunct(j, "}"))
+            return j > b ? j - 1 : b; // The enclosing block ends first.
+        if ((c.isPunct(j, "(") || c.isPunct(j, "[") ||
+             c.isPunct(j, "{")) &&
+            c.match[j] != SIZE_MAX)
+            j = c.match[j];
+        ++j;
+    }
+    return j;
+}
+
+/** Does the statement [b, last] always leave its block: a jump, or a
+ *  braced block whose last statement is one? */
+bool
+stmtExits(const Ctx &c, size_t b, size_t last)
+{
+    if (c.isPunct(b, "{")) {
+        size_t tail = SIZE_MAX;
+        for (size_t s = b + 1; s < last; s = stmtLast(c, s) + 1)
+            tail = s;
+        return tail != SIZE_MAX && stmtExits(c, tail, stmtLast(c, tail));
+    }
+    return c.isIdent(b, "return") || c.isIdent(b, "break") ||
+           c.isIdent(b, "continue") || c.isIdent(b, "throw");
+}
+
+enum class Chk { Unchecked, Ok, NotOk };
+
+void
+ruleUseBeforeCheck(const Tree &tree, std::vector<Finding> &findings)
+{
+    // Names with Result evidence, minus names that also resolve to a
+    // non-Result definition (conservative: an ambiguous name is
+    // never flagged).
+    std::set<std::string> returners;
+    std::set<std::string> conflicted;
+    for (const FileModel &fm : tree.files) {
+        for (const auto &[name, kind] : fm.statusDeclNames) {
+            if (kind == "result")
+                returners.insert(name);
+        }
+        for (const FunctionInfo &fn : fm.functions) {
+            if (fn.returnKind == "result")
+                returners.insert(fn.name);
+            else if (fn.returnKind == "other" ||
+                     fn.returnKind == "status")
+                conflicted.insert(fn.name);
+        }
+    }
+    for (const std::string &name : conflicted)
+        returners.erase(name);
+
+    for (const FileModel &fm : tree.files) {
+        const Ctx c = ctxOf(fm);
+        for (const FunctionInfo &fn : fm.functions) {
+            std::map<std::string, Chk> state; // Result locals.
+            // Branch facts of `if (r.isOk())`, applied once the walk
+            // reaches their code index.
+            std::multimap<size_t, std::pair<std::string, Chk>> pending;
+            size_t skipTo = 0;
+            for (size_t i : ownBody(fm, fn)) {
+                while (!pending.empty() && pending.begin()->first <= i) {
+                    const auto &[var, chk] = pending.begin()->second;
+                    state[var] = chk;
+                    pending.erase(pending.begin());
+                }
+                if (i < skipTo || !c.isIdent(i))
+                    continue;
+                const std::string &name = c.tok(i).text;
+
+                // Result<...> var: a fresh unchecked Result binding.
+                if (name == "Result" && c.isPunct(i + 1, "<")) {
+                    int d = 1;
+                    size_t j = i + 2;
+                    while (j < fm.code.size() && d > 0) {
+                        if (c.isPunct(j, "<"))
+                            ++d;
+                        else if (c.isPunct(j, ">"))
+                            --d;
+                        ++j;
+                    }
+                    while (c.isPunct(j, "&") || c.isPunct(j, "*"))
+                        ++j;
+                    if (d == 0 && c.isIdent(j) &&
+                        (c.isPunct(j + 1, "=") || c.isPunct(j + 1, "(") ||
+                         c.isPunct(j + 1, "{") || c.isPunct(j + 1, ";")))
+                        state[c.tok(j).text] = Chk::Unchecked;
+                    continue;
+                }
+
+                // auto var = <call returning Result>(...).
+                if (name == "auto") {
+                    size_t j = i + 1;
+                    while (c.isPunct(j, "&") || c.isPunct(j, "*") ||
+                           c.isIdent(j, "const"))
+                        ++j;
+                    if (c.isIdent(j) && c.isPunct(j + 1, "=") &&
+                        !c.isPunct(j + 2, "=")) {
+                        for (size_t k = j + 2;
+                             k < fm.code.size() && !c.isPunct(k, ";");
+                             ++k) {
+                            if (c.isIdent(k) &&
+                                returners.count(c.tok(k).text) &&
+                                c.isPunct(k + 1, "(")) {
+                                state[c.tok(j).text] = Chk::Unchecked;
+                                break;
+                            }
+                        }
+                    }
+                    continue;
+                }
+
+                // if (r.isOk()) / if (!r.isOk()): the then-branch sees
+                // the condition, the else-branch its negation, and the
+                // code after the if sees whichever branch falls through.
+                if (name == "if" && c.isPunct(i + 1, "(") &&
+                    c.match[i + 1] != SIZE_MAX) {
+                    const size_t close = c.match[i + 1];
+                    const bool negated = c.isPunct(i + 2, "!");
+                    const size_t b = i + 2 + (negated ? 1 : 0);
+                    if (close != b + 5 || !readsIsOk(c, b) ||
+                        !state.count(c.tok(b).text))
+                        continue;
+                    const std::string &var = c.tok(b).text;
+                    const Chk yes = negated ? Chk::NotOk : Chk::Ok;
+                    const Chk no = negated ? Chk::Ok : Chk::NotOk;
+                    const size_t thenLast = stmtLast(c, close + 1);
+                    const bool thenExits =
+                        stmtExits(c, close + 1, thenLast);
+                    size_t after = thenLast + 1;
+                    bool elseExits = false;
+                    pending.emplace(close + 1, std::pair(var, yes));
+                    if (c.isIdent(after, "else")) {
+                        const size_t elseLast = stmtLast(c, after + 1);
+                        elseExits = stmtExits(c, after + 1, elseLast);
+                        pending.emplace(after + 1, std::pair(var, no));
+                        after = elseLast + 1;
+                    }
+                    if (!(thenExits && elseExits))
+                        pending.emplace(
+                            after,
+                            std::pair(var, thenExits   ? no
+                                           : elseExits ? yes
+                                                       : Chk::Unchecked));
+                    skipTo = close + 1;
+                    continue;
+                }
+
+                if (!state.count(name))
+                    continue;
+
+                // Reassignment drops any earlier check.
+                if (c.isPunct(i + 1, "=") && !c.isPunct(i + 2, "=") &&
+                    !(c.isPunct(i - 1, "=") || c.isPunct(i - 1, "!") ||
+                      c.isPunct(i - 1, "<") || c.isPunct(i - 1, ">"))) {
+                    state[name] = Chk::Unchecked;
+                    continue;
+                }
+                if (readsIsOk(c, i)) {
+                    state[name] = Chk::Ok;
+                    continue;
+                }
+                if (!(c.isPunct(i + 1, ".") || c.isPunct(i + 1, "->")) ||
+                    !(c.isIdent(i + 2, "value") ||
+                      c.isIdent(i + 2, "take")) ||
+                    !c.isPunct(i + 3, "(") || state[name] == Chk::Ok)
+                    continue;
+                const std::string access =
+                    "'" + name + "." + c.tok(i + 2).text + "()'";
+                findings.push_back(
+                    {fm.rel, c.tok(i).line, "use-before-check",
+                     state[name] == Chk::NotOk
+                         ? access + " on a path where '" + name +
+                               ".isOk()' is false"
+                         : access + " without '" + name +
+                               ".isOk()' established on this path",
+                     c.tok(i).col});
+            }
+        }
+    }
+}
+
+// --------------------------------------------------------------------
+// dangling-capture: a lambda handed to a deferred schedule()
+// registration captures by reference, and no drain of the clock
+// follows the registration unconditionally — the timer can run after
+// the captured locals are gone. A drain counts when it comes later in
+// the same function, in the registration's brace block or an enclosing
+// one, and not as the body of an unbraced if/else/loop.
+// --------------------------------------------------------------------
+
+bool
+isDrainCall(const CallSite &call)
+{
+    static const std::set<std::string> drains = {
+        "run",         "runFor",    "runUntil", "runUntilIdle",
+        "drain",       "flush",     "callSync", "simCallSync",
+        "cancel",      "cancelAll", "stop",     "join",
+        "wait",
+    };
+    return drains.count(call.callee) > 0;
+}
+
+/** Code index of the innermost '{' enclosing `pos` (SIZE_MAX: none). */
+size_t
+enclosingBrace(const Ctx &c, size_t pos)
+{
+    for (size_t j = pos; j-- > 0;) {
+        if (c.isPunct(j, "}") && c.match[j] != SIZE_MAX)
+            j = c.match[j];
+        else if (c.isPunct(j, "{"))
+            return j;
+    }
+    return SIZE_MAX;
+}
+
+/** Is the code at `pos` in the body of an unbraced if/else/loop, so
+ *  that it runs on some paths only? */
+bool
+inUnbracedBody(const Ctx &c, size_t pos)
+{
+    for (size_t j = pos; j-- > 0;) {
+        if (c.isPunct(j, ";") || c.isPunct(j, "{") || c.isPunct(j, "}"))
+            return false;
+        if (c.isIdent(j, "else") || c.isIdent(j, "do"))
+            return true;
+        if (c.isPunct(j, ")") && c.match[j] != SIZE_MAX) {
+            j = c.match[j];
+            if (c.isIdent(j - 1, "if") || c.isIdent(j - 1, "while") ||
+                c.isIdent(j - 1, "for") || c.isIdent(j - 1, "switch"))
+                return true;
+        }
+    }
+    return false;
+}
+
+/** By-ref capture list of the lambda argument inside (open, close)
+ *  (code indices of the call parens), e.g. "&" or "&stats, &machine".
+ *  Empty when every capture is by value or there is no lambda. */
+std::string
+byRefCaptures(const Ctx &c, size_t open, size_t close)
+{
+    for (size_t i = open + 1; i < close; ++i) {
+        // A lambda introducer follows '(' or ',' (argument position).
+        if (!c.isPunct(i, "[") ||
+            !(c.isPunct(i - 1, "(") || c.isPunct(i - 1, ",")))
+            continue;
+        const size_t m = c.match[i];
+        if (m == SIZE_MAX || m >= close)
+            continue;
+        std::string refs;
+        for (size_t j = i + 1; j < m; ++j) {
+            if (!c.isPunct(j, "&"))
+                continue;
+            std::string one = "&";
+            if (c.isIdent(j + 1)) {
+                one += c.tok(j + 1).text;
+                ++j;
+            } else if (!(c.isPunct(j + 1, ",") ||
+                         c.isPunct(j + 1, "]"))) {
+                continue; // `&&`-noise or odd shape: not a capture.
+            }
+            if (!refs.empty())
+                refs += ", ";
+            refs += one;
+        }
+        if (!refs.empty())
+            return refs;
+    }
+    return "";
+}
+
+void
+ruleDanglingCapture(const Tree &tree, std::vector<Finding> &findings)
+{
+    for (const FileModel &fm : tree.files) {
+        const Ctx c = ctxOf(fm);
+        for (const FunctionInfo &fn : fm.functions) {
+            for (const CallSite &reg : fn.calls) {
+                if (!callIsScheduleRegistration(reg) ||
+                    reg.argOpen == SIZE_MAX ||
+                    c.match[reg.argOpen] == SIZE_MAX)
+                    continue;
+                const std::string refs =
+                    byRefCaptures(c, reg.argOpen, c.match[reg.argOpen]);
+                const size_t regBlock = enclosingBrace(c, reg.argOpen);
+                const bool drained = std::any_of(
+                    fn.calls.begin(), fn.calls.end(),
+                    [&](const CallSite &call) {
+                        if (call.argOpen == SIZE_MAX ||
+                            call.argOpen <= reg.argOpen ||
+                            !isDrainCall(call))
+                            return false;
+                        const size_t b = enclosingBrace(c, call.argOpen);
+                        return b != SIZE_MAX && b <= regBlock &&
+                               c.match[b] > reg.argOpen &&
+                               !inUnbracedBody(c, call.argOpen);
+                    });
+                if (refs.empty() || drained)
+                    continue;
+                findings.push_back(
+                    {fm.rel, reg.line, "dangling-capture",
+                     "lambda scheduled on '" + reg.receiver +
+                         "' captures by reference (" + refs +
+                         ") and can run after the enclosing scope "
+                         "exits; capture by value or drain the clock "
+                         "before returning",
+                     c.tok(reg.argOpen).col});
+            }
+        }
+    }
+}
+
+// --------------------------------------------------------------------
 // counter-registry: three-way consistency between counter("...")
 // emission sites in src/, the DESIGN.md counter table, and the counter
 // names test sources reference.
@@ -775,9 +1128,9 @@ runRules(const Tree &tree, const std::vector<std::string> &designLines,
             ruleLockAcrossBlocking(tree, g, summaries, findings);
     }
     if (enabled("use-before-check"))
-        runUseBeforeCheck(tree, findings);
+        ruleUseBeforeCheck(tree, findings);
     if (enabled("dangling-capture"))
-        runDanglingCapture(tree, findings);
+        ruleDanglingCapture(tree, findings);
     if (enabled("counter-registry"))
         ruleCounterRegistry(tree, designLines, findings);
     if (enabled("rank-table"))

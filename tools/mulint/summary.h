@@ -115,7 +115,7 @@ std::string witnessChain(const Tree &tree, const CallGraph &g,
                          bool time);
 
 /** Same walk as witnessChain, one hop per element — the structured
- *  form carried on Finding::witness for --json / --sarif output. */
+ *  form carried on Finding::witness for --json output. */
 std::vector<std::string> witnessPath(const Tree &tree,
                                      const CallGraph &g,
                                      const Summaries &summaries,
