@@ -57,7 +57,7 @@ main()
             return 1;
         }
         setalgebra::PostingReply reply;
-        decodeMessage(result.value(), reply);
+        decodeMessage(result.payload(), reply);
 
         // Naive scan ground truth.
         std::vector<uint32_t> expected;

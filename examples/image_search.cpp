@@ -91,7 +91,7 @@ main()
         if (!result.isOk())
             continue;
         hdsearch::NNResponse response;
-        if (!decodeMessage(result.value(), response) ||
+        if (!decodeMessage(result.payload(), response) ||
             response.pointIds.empty()) {
             continue;
         }

@@ -35,7 +35,7 @@ issue(rpc::RpcClient &client, router::Op op, const std::string &key,
         client.callSync(router::kRoute, encodeMessage(request));
     router::KvReply reply;
     if (result.isOk())
-        decodeMessage(result.value(), reply);
+        decodeMessage(result.payload(), reply);
     return reply;
 }
 

@@ -71,7 +71,7 @@ main()
         if (!result.isOk())
             continue;
         recommend::RatingReply reply;
-        if (!decodeMessage(result.value(), reply))
+        if (!decodeMessage(result.payload(), reply))
             continue;
 
         const double target = item_mean(item);

@@ -61,7 +61,7 @@ main()
     }
 
     hdsearch::NNResponse response;
-    if (!decodeMessage(result.value(), response)) {
+    if (!decodeMessage(result.payload(), response)) {
         std::cerr << "malformed response\n";
         return 1;
     }

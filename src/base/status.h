@@ -1,17 +1,15 @@
 /**
  * @file
- * Lightweight Status / Result error-propagation types used across the
+ * Lightweight Status / Reply error-propagation types used across the
  * musuite RPC surface, mirroring gRPC's status-code vocabulary.
  */
 
 #ifndef MUSUITE_BASE_STATUS_H
 #define MUSUITE_BASE_STATUS_H
 
+#include <cstdint>
 #include <string>
 #include <utility>
-#include <variant>
-
-#include "base/logging.h"
 
 namespace musuite {
 
@@ -99,54 +97,31 @@ class [[nodiscard]] Status
 };
 
 /**
- * A value or a non-OK Status. Minimal expected-like type; access to the
- * value of an errored Result panics, so callers must test first.
+ * What a unary call completes with, in the shape every asynchronous
+ * completion callback already receives: the Status and the response
+ * payload. The payload is empty unless the call succeeded, so reading
+ * it can never abort; a caller that needs the difference between an
+ * empty reply and a failed call asks isOk().
  */
-template <typename T>
-class [[nodiscard]] Result
+class [[nodiscard]] Reply
 {
   public:
-    Result(T value) : _state(std::move(value)) {}
-    Result(Status status) : _state(std::move(status))
+    Reply(Status status, std::string payload = {})
+        : _status(std::move(status))
     {
-        MUSUITE_CHECK(!std::get<Status>(_state).isOk())
-            << "Result constructed from OK status without a value";
+        if (_status.isOk())
+            _payload = std::move(payload);
     }
 
-    bool isOk() const { return std::holds_alternative<T>(_state); }
+    bool isOk() const { return _status.isOk(); }
+    const Status &status() const { return _status; }
 
-    const Status &
-    status() const
-    {
-        static const Status ok_status = Status::ok();
-        if (isOk())
-            return ok_status;
-        return std::get<Status>(_state);
-    }
-
-    T &
-    value()
-    {
-        MUSUITE_CHECK(isOk()) << "accessing value of " << status().toString();
-        return std::get<T>(_state);
-    }
-
-    const T &
-    value() const
-    {
-        MUSUITE_CHECK(isOk()) << "accessing value of " << status().toString();
-        return std::get<T>(_state);
-    }
-
-    T
-    take()
-    {
-        MUSUITE_CHECK(isOk()) << "taking value of " << status().toString();
-        return std::move(std::get<T>(_state));
-    }
+    /** The response body; empty unless isOk(). */
+    const std::string &payload() const { return _payload; }
 
   private:
-    std::variant<T, Status> _state;
+    Status _status;
+    std::string _payload;
 };
 
 } // namespace musuite

@@ -236,7 +236,9 @@ class ScopedThread
 /**
  * Countdown latch: constructed with the fan-out width, counted down by
  * leaf response handlers, waited on by whoever merges. The last
- * countDown() wakes waiters.
+ * countDown() wakes waiters, still holding the lock: a waiter that sees
+ * the count reach zero may return and destroy the latch, so the
+ * notify must finish before the lock lets it see that.
  */
 class CountdownLatch
 {
@@ -250,12 +252,10 @@ class CountdownLatch
         MutexLock lock(mutex);
         if (remaining == 0)
             return false;
-        if (--remaining == 0) {
-            lock.unlock();
-            released.notifyAll();
-            return true;
-        }
-        return false;
+        if (--remaining != 0)
+            return false;
+        released.notifyAll();
+        return true;
     }
 
     /** Block until the count reaches zero. */

@@ -470,13 +470,13 @@ Channel::injectedCall(uint32_t method, std::string body,
                   std::move(inspected));
 }
 
-Result<std::string>
+Reply
 Channel::callSync(uint32_t method, std::string body)
 {
     return callSync(method, std::move(body), CallOptions{});
 }
 
-Result<std::string>
+Reply
 Channel::callSync(uint32_t method, std::string body,
                   const CallOptions &options)
 {
@@ -508,9 +508,7 @@ Channel::callSync(uint32_t method, std::string body,
 
     std::unique_lock<TracedMutex> lock(cell->mutex);
     cell->ready.wait(lock, [&] { return cell->done; });
-    if (!cell->status.isOk())
-        return Result<std::string>(cell->status);
-    return Result<std::string>(std::move(cell->payload));
+    return Reply(std::move(cell->status), std::move(cell->payload));
 }
 
 } // namespace rpc

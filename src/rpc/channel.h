@@ -171,10 +171,13 @@ class Channel
     virtual void corkWrites() {}
     virtual void uncorkWrites() {}
 
-    /** Blocking convenience wrappers over call(). */
-    Result<std::string> callSync(uint32_t method, std::string body);
-    Result<std::string> callSync(uint32_t method, std::string body,
-                                 const CallOptions &options);
+    /**
+     * Blocking convenience wrappers over call(): the Reply holds what
+     * the callback would have received.
+     */
+    Reply callSync(uint32_t method, std::string body);
+    Reply callSync(uint32_t method, std::string body,
+                   const CallOptions &options);
 
     /**
      * Attach (or clear) a fault injector consulted on every request

@@ -27,6 +27,8 @@ struct RpcClient::ClientConn
     int64_t nextDialAllowedNs GUARDED_BY(mutex) = 0;
     /** 0 until the first failed dial. */
     int64_t dialBackoffNs GUARDED_BY(mutex) = 0;
+    /** A dial is in flight (ensureConnected runs it unlocked). */
+    bool dialing GUARDED_BY(mutex) = false;
     /**
      * True from a successful dial until the connection's first
      * response. A connection that dies in this window proves the
@@ -95,19 +97,28 @@ RpcClient::~RpcClient()
 bool
 RpcClient::ensureConnected(ClientConn *conn)
 {
-    MutexLock guard(conn->mutex);
-    if (conn->fc && !conn->fc->isDead())
-        return true;
-    // Reconnect backoff: while the hold-off runs, fail fast without a
-    // dial so a dead server does not eat a connect storm.
-    const int64_t now = clock().nowNanos();
-    if (now < conn->nextDialAllowedNs) {
-        globalCounters().counter("rpc.client.dial_suppressed").add();
-        return false;
+    int64_t now = 0;
+    {
+        MutexLock guard(conn->mutex);
+        if (conn->fc && !conn->fc->isDead())
+            return true;
+        // Reconnect backoff: while the hold-off runs, fail fast without
+        // a dial so a dead server does not eat a connect storm. A dial
+        // already in flight on another thread gets the same answer.
+        now = clock().nowNanos();
+        if (conn->dialing || now < conn->nextDialAllowedNs) {
+            globalCounters().counter("rpc.client.dial_suppressed").add();
+            return false;
+        }
+        conn->dialing = true;
     }
     dialAttempts.fetch_add(1, std::memory_order_relaxed);
     globalCounters().counter("rpc.client.dial_attempts").add();
+    // connect(2) blocks, so the dial runs without the connection lock.
     TcpSocket sock = TcpSocket::connectLoopback(targetPort);
+
+    MutexLock guard(conn->mutex);
+    conn->dialing = false;
     // The backoff grows on a refused dial, and equally when the
     // previous connection died before ever answering (a flapping
     // server accepts and drops; its connect(2) "successes" must not
@@ -130,26 +141,6 @@ RpcClient::ensureConnected(ClientConn *conn)
     conn->fc->registerWithPoller();
     conn->shard->poller.wake();
     return true;
-}
-
-void
-RpcClient::killConnections()
-{
-    const Status killed(StatusCode::Unavailable,
-                        "connection killed (fault injection)");
-    for (auto &conn : conns) {
-        {
-            MutexLock guard(conn->mutex);
-            if (conn->fc)
-                conn->fc->shutdown();
-            conn->fc = nullptr;
-            // The *client* killed this connection; that is no
-            // evidence of a flapping server, so don't let the next
-            // dial grow the backoff.
-            conn->awaitingFirstResponse = false;
-        }
-        failPending(conn.get(), killed);
-    }
 }
 
 void

@@ -47,7 +47,8 @@ struct ClientOptions
      * and resetting on connect(2) success would re-enable a full-rate
      * connect storm. The backoff resets only once the new connection
      * delivers its first response. Calls during the hold-off fail
-     * fast with UNAVAILABLE without touching the network.
+     * fast with UNAVAILABLE without touching the network, and so do
+     * calls that find another caller's dial still in flight.
      */
     int64_t reconnectBackoffNs = 1'000'000;        //!< 1 ms.
     int64_t reconnectBackoffMaxNs = 1'000'000'000; //!< 1 s.
@@ -69,13 +70,6 @@ class RpcClient : public Channel
     {
         return dialAttempts.load(std::memory_order_relaxed);
     }
-
-    /**
-     * Fault injection: shut every live connection down as if the peer
-     * had died, failing all in-flight calls with UNAVAILABLE.
-     * Subsequent calls re-dial lazily (subject to reconnect backoff).
-     */
-    void killConnections();
 
     /**
      * Write-combining over every live connection: requests issued

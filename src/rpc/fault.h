@@ -13,9 +13,6 @@
  * executed on the owning channel's Clock (base/clock.h), so a fault
  * schedule replayed under the simulated clock perturbs virtual time
  * exactly as it perturbed wall time.
- *
- * Connection-level kills are transport-specific and live on
- * RpcClient::killConnections().
  */
 
 #ifndef MUSUITE_RPC_FAULT_H

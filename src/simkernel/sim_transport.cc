@@ -81,7 +81,7 @@ SimChannel::transportCall(uint32_t method, std::string body,
         });
 }
 
-Result<std::string>
+Reply
 simCallSync(SimClock &clock, rpc::Channel &channel, uint32_t method,
             std::string body, const rpc::CallOptions &options)
 {
@@ -105,9 +105,7 @@ simCallSync(SimClock &clock, rpc::Channel &channel, uint32_t method,
                       "sim went idle before the call completed "
                       "(lost timer or completion)");
     }
-    if (!cell->status.isOk())
-        return cell->status;
-    return std::move(cell->payload);
+    return Reply(std::move(cell->status), std::move(cell->payload));
 }
 
 } // namespace sim

@@ -105,9 +105,8 @@ class SimChannel final : public rpc::Channel
  * in a deterministic world means a real bug: somebody lost a timer or
  * a completion.
  */
-Result<std::string> simCallSync(SimClock &clock, rpc::Channel &channel,
-                                uint32_t method, std::string body,
-                                const rpc::CallOptions &options = {});
+Reply simCallSync(SimClock &clock, rpc::Channel &channel, uint32_t method,
+                  std::string body, const rpc::CallOptions &options = {});
 
 } // namespace sim
 } // namespace musuite

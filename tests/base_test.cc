@@ -302,25 +302,18 @@ TEST(StatusTest, OkAndErrors)
     EXPECT_EQ(err.toString(), "NOT_FOUND: missing");
 }
 
-TEST(ResultTest, HoldsValueOrStatus)
+// A Reply carries its payload only on success: a failed call's body
+// is dropped, so reading payload() never needs a check to be safe.
+TEST(ReplyTest, PayloadOnlyOnSuccess)
 {
-    Result<int> ok(42);
+    const Reply ok(Status::ok(), "body");
     EXPECT_TRUE(ok.isOk());
-    EXPECT_EQ(ok.value(), 42);
+    EXPECT_EQ(ok.payload(), "body");
 
-    Result<int> bad(Status(StatusCode::Internal, "boom"));
+    const Reply bad(Status(StatusCode::Internal, "boom"), "partial");
     EXPECT_FALSE(bad.isOk());
     EXPECT_EQ(bad.status().code(), StatusCode::Internal);
-}
-
-// value() and take() on an errored Result abort: the runtime check that
-// guards every unchecked access.
-TEST(ResultTest, AccessorsAbortOnError)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    Result<int> bad(Status(StatusCode::Internal, "boom"));
-    EXPECT_DEATH((void)bad.value(), "accessing value of");
-    EXPECT_DEATH((void)bad.take(), "taking value of");
+    EXPECT_EQ(bad.payload(), "");
 }
 
 } // namespace

@@ -75,7 +75,7 @@ TEST(FaultInjectionTest, RetryRecoversFromTransientErrors)
 
     auto result = client.callSync(kEcho, "persist", options);
     ASSERT_TRUE(result.isOk()) << result.status().message();
-    EXPECT_EQ(result.value(), "persist");
+    EXPECT_EQ(result.payload(), "persist");
     EXPECT_EQ(injector->requestsSeen(), 3u);
     EXPECT_EQ(injector->faultsInjected(), 2u);
 }
@@ -200,7 +200,7 @@ TEST(FaultInjectionTest, RetryAfterAttemptDeadlineBeatsDelayedFirstAttempt)
     auto result =
         sim::simCallSync(clock, channel, kEcho, "tail", options);
     ASSERT_TRUE(result.isOk()) << result.status().message();
-    EXPECT_EQ(result.value(), "tail");
+    EXPECT_EQ(result.payload(), "tail");
     EXPECT_EQ(clock.nowNanos(), 21'100'000);
 
     // The delayed original surfaces at t = 1.5s+ as one counted late
@@ -321,7 +321,7 @@ TEST(FaultInjectionTest, HdSearchSurvivesLeafDeathWithQuorum)
         if (!result.isOk())
             continue;
         hdsearch::NNResponse response;
-        ASSERT_TRUE(decodeMessage(result.value(), response));
+        ASSERT_TRUE(decodeMessage(result.payload(), response));
         ++ok;
         if (response.degraded)
             ++degraded;

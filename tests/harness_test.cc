@@ -56,7 +56,7 @@ TEST_P(DeploymentTest, DeploysAndAnswersQueries)
         ASSERT_TRUE(result.isOk())
             << serviceName(GetParam()) << ": "
             << result.status().toString();
-        EXPECT_TRUE(deployment->validateResponse(result.value()));
+        EXPECT_TRUE(deployment->validateResponse(result.payload()));
     }
 }
 

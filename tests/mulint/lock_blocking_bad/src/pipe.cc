@@ -1,6 +1,6 @@
-// Three lock-across-blocking violations: a direct sleep under the
-// lock, a callee that transitively blocks under the lock, and a timer
-// registration under the lock.
+// Four lock-across-blocking violations, each under the lock: a direct
+// sleep, a callee that transitively blocks, a timer registration, and
+// a TCP dial (a blocking connect(2)).
 
 struct Engine
 {
@@ -37,4 +37,11 @@ armUnderLock(Engine &eng)
 {
     MutexLock guard(stateMutex);
     eng.schedule([] {}, 50); // Finding: registration under the lock.
+}
+
+void
+dialUnderLock()
+{
+    MutexLock guard(stateMutex);
+    TcpSocket sock = TcpSocket::connectLoopback(80); // Finding: a dial.
 }

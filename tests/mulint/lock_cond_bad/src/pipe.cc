@@ -1,8 +1,8 @@
-// Naked unlocks do not release on the held-lock walk. The unlock on
-// the early-return path leaves the lock held on the fall-through, so
-// the blocking call there still holds it; an unlock in an unbraced if
-// body is no release even in a block ending in `return`; and a
-// one-sided unlock leaves the outer lock held at a later acquisition.
+// Naked unlocks never release on the held-lock walk: not on the
+// fall-through past an early-return unlock, not in an unbraced if body,
+// not before a later acquisition (a one-sided unlock leaves the outer
+// lock held), and not in the unlock-then-return shape, whose blocking
+// call before the return still holds the lock.
 
 Mutex stateMutex{LockRank::state, "state"};
 Mutex outerMutex{LockRank::outer, "outer"};
@@ -37,4 +37,15 @@ popAfterUnbracedUnlock(bool fast)
         guard.unlock(); // Some paths only: not a release.
     jobs.pop();         // Held on !fast: lock-across-blocking.
     return 0;
+}
+
+void
+popThenReturn(bool fast)
+{
+    MutexLock guard(stateMutex);
+    if (fast) {
+        guard.unlock();
+        jobs.pop(); // Still held on the walk: lock-across-blocking.
+        return;
+    }
 }

@@ -1,5 +1,4 @@
-// Clean cases: a MutexUnlock window covers the blocking call, an
-// unlock-then-return block releases for the rest of that block, the
+// Clean cases: a MutexUnlock window covers the blocking call, the
 // unlock-then-notify shape of src/base/queue.h, and a conditional
 // nested acquisition that respects the rank order.
 
@@ -18,17 +17,6 @@ popInWindow()
     {
         MutexUnlock window(guard);
         jobs.pop(); // Lock suspended for the window: ok.
-    }
-}
-
-void
-popThenReturn(bool fast)
-{
-    MutexLock guard(stateMutex);
-    if (fast) {
-        guard.unlock();
-        jobs.pop(); // Released until the block returns: ok.
-        return;
     }
 }
 

@@ -1,5 +1,5 @@
 # Compile-fail check: the compiler, not a lint rule, rejects a dropped
-# Status or Result<T>. status_dropped.cc must fail to compile under
+# Status or Reply. status_dropped.cc must fail to compile under
 # -Werror=unused-result with a nodiscard diagnostic for each type, and
 # status_checked.cc must compile. Invoked by ctest as
 #
@@ -25,10 +25,10 @@ endfunction()
 compile(status_dropped.cc rc output)
 if(rc EQUAL 0)
     message(FATAL_ERROR
-        "status_dropped.cc compiled: a dropped Status/Result is no "
+        "status_dropped.cc compiled: a dropped Status/Reply is no "
         "longer a compile error")
 endif()
-foreach(type "Status" "Result<int>")
+foreach(type "Status" "Reply")
     if(NOT output MATCHES
             "type '(musuite::)?${type}',? declared with ('nodiscard' attribute|attribute 'nodiscard')")
         message(FATAL_ERROR
@@ -40,4 +40,4 @@ compile(status_checked.cc rc output)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "status_checked.cc failed to compile:\n${output}")
 endif()
-message(STATUS "dropped Status and Result<int> are compile errors")
+message(STATUS "dropped Status and Reply are compile errors")

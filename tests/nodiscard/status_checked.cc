@@ -1,4 +1,4 @@
-// The control for status_dropped.cc: every Status and Result is
+// The control for status_dropped.cc: every Status and Reply is
 // consumed, so this compiles cleanly under -Werror=unused-result.
 
 #include "base/status.h"
@@ -6,7 +6,7 @@
 namespace musuite {
 
 Status doWork();
-Result<int> compute();
+Reply fetch();
 
 int
 caller()
@@ -15,8 +15,8 @@ caller()
     if (!status.isOk())
         return -1;
     (void)doWork(); // Explicitly discarded.
-    const Result<int> result = compute();
-    return result.isOk() ? result.value() : -1;
+    const Reply reply = fetch();
+    return reply.isOk() ? int(reply.payload().size()) : -1;
 }
 
 } // namespace musuite

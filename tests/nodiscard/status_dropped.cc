@@ -1,5 +1,5 @@
 // Must NOT compile under -Werror=unused-result: a dropped Status and
-// a dropped Result<T>. Status and Result are [[nodiscard]] types
+// a dropped Reply. Status and Reply are [[nodiscard]] types
 // (base/status.h), so the compiler itself rejects both statements.
 
 #include "base/status.h"
@@ -7,13 +7,13 @@
 namespace musuite {
 
 Status doWork();
-Result<int> compute();
+Reply fetch();
 
 void
 caller()
 {
-    doWork();  // Dropped Status.
-    compute(); // Dropped Result.
+    doWork(); // Dropped Status.
+    fetch();  // Dropped Reply.
 }
 
 } // namespace musuite

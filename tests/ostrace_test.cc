@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <thread>
 
 #include "base/queue.h"
 #include "base/threading.h"
@@ -129,6 +130,14 @@ TEST(TracedSyncTest, ContendedLockCountsFutexAndHitm)
     EXPECT_GE(snapshotSyscalls()[size_t(Sys::Futex)], 1u);
 }
 
+/** Spin until the traced primitives have counted `n` futex waits. */
+void
+awaitFutexWaits(uint64_t n)
+{
+    while (contentionStats().futexWaits.load() < n)
+        std::this_thread::yield();
+}
+
 TEST(TracedSyncTest, CondvarWaitRecordsBlockAndActiveExe)
 {
     osTrace().reset();
@@ -143,7 +152,15 @@ TEST(TracedSyncTest, CondvarWaitRecordsBlockAndActiveExe)
         condvar.wait(lock, [&] { return ready; });
     });
 
-    sleepForNanos(5'000'000); // Ensure the waiter is parked.
+    // Handshake instead of a sleep: the waiter counts its futex wait
+    // while it still holds the mutex, and releases it only inside
+    // wait(), after stamping the start of its block. Taking the mutex
+    // once therefore proves the waiter is parked.
+    awaitFutexWaits(1);
+    {
+        std::unique_lock<TracedMutex> lock(mutex);
+    }
+    sleepForNanos(5'000'000); // The park the Block histogram must cover.
     {
         std::unique_lock<TracedMutex> lock(mutex);
         ready = true;
@@ -189,7 +206,11 @@ TEST(TracedSyncTest, WorksInsideBlockingQueue)
                     sum.fetch_add(*item);
             });
         }
-        sleepForNanos(2'000'000); // Workers park on the condvar.
+        // Two futex waits include at least one condvar wait: a worker
+        // only contends while the other holds the mutex, and that one
+        // parks before it lets go. push() then takes the mutex only
+        // after a parked worker has registered, so its notify wakes it.
+        awaitFutexWaits(2);
         for (int i = 1; i <= 100; ++i)
             queue.push(i);
         queue.close();

@@ -49,7 +49,7 @@ TEST_P(RpcPayloadSweep, EchoPreservesEveryByte)
 
     auto result = client.callSync(1, body);
     ASSERT_TRUE(result.isOk());
-    EXPECT_EQ(result.value(), body);
+    EXPECT_EQ(result.payload(), body);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, RpcPayloadSweep,

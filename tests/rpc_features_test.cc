@@ -67,7 +67,7 @@ TEST(DeadlineTest, FastCallsUnaffected)
     for (int i = 0; i < 20; ++i) {
         auto result = client.callSync(kEcho, "quick", options);
         ASSERT_TRUE(result.isOk());
-        EXPECT_EQ(result.value(), "quick");
+        EXPECT_EQ(result.payload(), "quick");
     }
 }
 
@@ -79,7 +79,7 @@ TEST(DeadlineTest, GenerousDeadlineLetsSlowCallFinish)
     options.deadlineNs = 2'000'000'000;
     auto result = client.callSync(kSlow, "worth the wait", options);
     ASSERT_TRUE(result.isOk());
-    EXPECT_EQ(result.value(), "worth the wait");
+    EXPECT_EQ(result.payload(), "worth the wait");
 }
 
 TEST(DeadlineTest, ExpiredAndLiveCallsCoexist)
@@ -122,7 +122,7 @@ TEST(AdaptivePollTest, ServesTrafficCorrectly)
             auto result =
                 client.callSync(kEcho, std::to_string(i));
             ASSERT_TRUE(result.isOk());
-            EXPECT_EQ(result.value(), std::to_string(i));
+            EXPECT_EQ(result.payload(), std::to_string(i));
         }
         sleepForNanos(30'000'000); // Let the poller go idle & park.
     }

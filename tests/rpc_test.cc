@@ -142,7 +142,7 @@ TEST_F(RpcTest, SyncEchoOverTcp)
     RpcClient client(server->port());
     auto result = client.callSync(kEcho, "hello microservices");
     ASSERT_TRUE(result.isOk()) << result.status().toString();
-    EXPECT_EQ(result.value(), "hello microservices");
+    EXPECT_EQ(result.payload(), "hello microservices");
 }
 
 TEST_F(RpcTest, ReverseHandler)
@@ -151,7 +151,7 @@ TEST_F(RpcTest, ReverseHandler)
     RpcClient client(server->port());
     auto result = client.callSync(kReverse, "abcdef");
     ASSERT_TRUE(result.isOk());
-    EXPECT_EQ(result.value(), "fedcba");
+    EXPECT_EQ(result.payload(), "fedcba");
 }
 
 TEST_F(RpcTest, EmptyPayload)
@@ -160,7 +160,7 @@ TEST_F(RpcTest, EmptyPayload)
     RpcClient client(server->port());
     auto result = client.callSync(kEcho, "");
     ASSERT_TRUE(result.isOk());
-    EXPECT_EQ(result.value(), "");
+    EXPECT_EQ(result.payload(), "");
 }
 
 TEST_F(RpcTest, LargePayloadRoundTrip)
@@ -172,7 +172,7 @@ TEST_F(RpcTest, LargePayloadRoundTrip)
         big[i] = char('a' + (i / 4096) % 26);
     auto result = client.callSync(kEcho, big);
     ASSERT_TRUE(result.isOk());
-    EXPECT_EQ(result.value(), big);
+    EXPECT_EQ(result.payload(), big);
 }
 
 TEST_F(RpcTest, ErrorStatusPropagates)
@@ -199,7 +199,7 @@ TEST_F(RpcTest, AsynchronousCompletionFromOtherThread)
     RpcClient client(server->port());
     auto result = client.callSync(kAsyncEcho, "deferred");
     ASSERT_TRUE(result.isOk());
-    EXPECT_EQ(result.value(), "deferred");
+    EXPECT_EQ(result.payload(), "deferred");
 }
 
 TEST_F(RpcTest, ManyConcurrentCallsMultiplexed)
@@ -237,7 +237,7 @@ TEST_F(RpcTest, InlineExecutionMode)
     RpcClient client(server->port());
     auto result = client.callSync(kEcho, "inline");
     ASSERT_TRUE(result.isOk());
-    EXPECT_EQ(result.value(), "inline");
+    EXPECT_EQ(result.payload(), "inline");
 }
 
 TEST_F(RpcTest, MultiplePollerAndWorkerThreads)
@@ -277,7 +277,7 @@ TEST_F(RpcTest, MultipleClientsShareServer)
         for (auto &client : clients) {
             auto result = client->callSync(kEcho, "ping");
             ASSERT_TRUE(result.isOk());
-            EXPECT_EQ(result.value(), "ping");
+            EXPECT_EQ(result.payload(), "ping");
         }
     }
     EXPECT_GE(server->requestsServed(), 20u);
@@ -311,7 +311,7 @@ TEST_F(RpcTest, ServerRestartAllowsReconnect)
     RpcClient client(server->port());
     auto result = client.callSync(kEcho, "after-restart");
     ASSERT_TRUE(result.isOk());
-    EXPECT_EQ(result.value(), "after-restart");
+    EXPECT_EQ(result.payload(), "after-restart");
 }
 
 TEST_F(RpcTest, LocalChannelBypassesTransport)
@@ -320,7 +320,7 @@ TEST_F(RpcTest, LocalChannelBypassesTransport)
     LocalChannel channel(*server);
     auto result = channel.callSync(kReverse, "0123");
     ASSERT_TRUE(result.isOk());
-    EXPECT_EQ(result.value(), "3210");
+    EXPECT_EQ(result.payload(), "3210");
 }
 
 TEST_F(RpcTest, LocalChannelErrorPropagates)
@@ -483,7 +483,7 @@ TEST_F(RpcTest, OversizedPayloadFailsCallNotProcess)
 
     auto ok = client.callSync(kEcho, "after oversize");
     ASSERT_TRUE(ok.isOk()) << ok.status().toString();
-    EXPECT_EQ(ok.value(), "after oversize");
+    EXPECT_EQ(ok.payload(), "after oversize");
 }
 
 } // namespace

@@ -128,7 +128,7 @@ class HdSearchE2E : public ::testing::Test
             hdsearch::kNearestNeighbors, encodeMessage(request));
         EXPECT_TRUE(result.isOk()) << result.status().toString();
         hdsearch::NNResponse response;
-        EXPECT_TRUE(decodeMessage(result.value(), response));
+        EXPECT_TRUE(decodeMessage(result.payload(), response));
         return response;
     }
 
@@ -257,7 +257,7 @@ class RouterE2E : public ::testing::Test
                                              encodeMessage(request));
         EXPECT_TRUE(result.isOk()) << result.status().toString();
         router::KvReply reply;
-        EXPECT_TRUE(decodeMessage(result.value(), reply));
+        EXPECT_TRUE(decodeMessage(result.payload(), reply));
         return reply;
     }
 
@@ -414,7 +414,7 @@ class SetAlgebraE2E : public ::testing::Test
                                              encodeMessage(request));
         EXPECT_TRUE(result.isOk()) << result.status().toString();
         setalgebra::PostingReply reply;
-        EXPECT_TRUE(decodeMessage(result.value(), reply));
+        EXPECT_TRUE(decodeMessage(result.payload(), reply));
         return reply.docIds;
     }
 
@@ -535,7 +535,7 @@ class RecommendE2E : public ::testing::Test
                                              encodeMessage(request));
         EXPECT_TRUE(result.isOk()) << result.status().toString();
         recommend::RatingReply reply;
-        EXPECT_TRUE(decodeMessage(result.value(), reply));
+        EXPECT_TRUE(decodeMessage(result.payload(), reply));
         return reply.rating;
     }
 

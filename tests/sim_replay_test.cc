@@ -736,7 +736,7 @@ TEST(SimDagTest, CacheHitsShortCircuitTheTreeDeterministically)
                                     encodeMessage(request), options);
     ASSERT_TRUE(result.isOk());
     graph::GraphReply reply;
-    ASSERT_TRUE(decodeMessage(result.value(), reply));
+    ASSERT_TRUE(decodeMessage(result.payload(), reply));
     EXPECT_EQ(reply.nodesVisited, 4u); // Root + 3 cached mids.
     EXPECT_FALSE(reply.degraded);
     const CounterSnapshot delta =

@@ -16,12 +16,11 @@
 #        computed) -> BENCH_fig09.json / BENCH_fig10.json /
 #        BENCH_fig19.json (sim tables, also byte-identical to the
 #        committed copies)
-#      + tools/mulint over src/ (lock-rank, rank-table, raw-sync,
-#        guarded-by, thread-role, bad-pragma, clock-seam,
-#        lock-across-blocking, counter-registry, stale-pragma,
-#        use-before-check and dangling-capture; see DESIGN.md "Static
-#        analysis: mulint") with a runtime budget, archiving
-#        mulint_findings.json and diffing it against the committed
+#      + tools/mulint over src/ (lock-rank, raw-sync, guarded-by,
+#        thread-role, bad-pragma, clock-seam, lock-across-blocking,
+#        counter-registry, stale-pragma and dangling-capture; see
+#        DESIGN.md "Static analysis: mulint") with a runtime budget,
+#        archiving mulint_findings.json and diffing it against the committed
 #        tools/mulint/baseline.json (lost findings fail the gate)
 #      + deterministic sim replay suite under 8 distinct seeds
 #   2. MUSUITE_DEBUG_SYNC debug build   (lock-rank + thread-role checks)

@@ -65,7 +65,6 @@ struct FunctionInfo
     size_t fileIndex = 0; //!< Index into Tree::files.
     size_t bodyBegin = 0; //!< Token index of the opening '{'.
     size_t bodyEnd = 0;   //!< Token index one past the closing '}'.
-    std::string returnKind; //!< "status", "result", "other", or "".
 
     // Filled by the body analysis pass:
     std::vector<CallSite> calls;
@@ -93,8 +92,6 @@ struct FileModel
     std::set<std::string> blockingQueueVars;
     std::set<std::string> condVarVars; //!< CondVar variable declarations.
     std::vector<FunctionInfo> functions;
-    /** Class/namespace-scope declarations returning Status / Result. */
-    std::map<std::string, std::string> statusDeclNames;
     /** counter("name") emission sites: (counter name, line). */
     std::vector<std::pair<std::string, int>> counterSites;
 };
@@ -129,22 +126,11 @@ struct Finding
     }
 };
 
-/** One LockRank enumerator parsed from the sync_debug header. */
-struct RankEntry
-{
-    int value = 0;
-    int line = 0;
-};
-
 /** The whole analyzed tree plus cross-file derived tables. */
 struct Tree
 {
     std::vector<FileModel> files;
-    std::map<std::string, RankEntry> ranks; //!< LockRank enum entries.
-    std::map<std::string, std::string> rankImplNames; //!< enum -> display.
-    std::string rankHeaderRel; //!< File the enum was parsed from.
-    std::string rankImplRel;   //!< File lockRankName() was parsed from.
-    int rankImplLine = 0;
+    std::map<std::string, int> ranks; //!< LockRank enumerator -> value.
     /**
      * String literals appearing in the test sources (tests/ *.cc, flat
      * — the fixture corpus underneath is not scanned): literal text ->
@@ -159,11 +145,10 @@ inline const std::set<std::string> &
 ruleNames()
 {
     static const std::set<std::string> names = {
-        "lock-rank",   "rank-table",       "raw-sync",
-        "guarded-by",  "thread-role",      "bad-pragma",
-        "clock-seam",
+        "lock-rank",  "raw-sync",   "guarded-by",
+        "thread-role", "bad-pragma", "clock-seam",
         "lock-across-blocking", "counter-registry", "stale-pragma",
-        "use-before-check",     "dangling-capture",
+        "dangling-capture",
     };
     return names;
 }

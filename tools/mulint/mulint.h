@@ -8,7 +8,6 @@
  * Rule identifiers (also the pragma vocabulary, see DESIGN.md):
  *
  *   lock-rank        static acquisition-order analysis over LockRank
- *   rank-table       sync_debug.h enum vs sync_debug.cc names vs DESIGN.md
  *   raw-sync         raw std primitives / naked .lock()/.unlock()
  *   guarded-by       Mutex members never named in any annotation
  *   thread-role      blocking calls reachable from poller-role threads
@@ -17,7 +16,6 @@
  *   lock-across-blocking  locks held across (transitively) blocking calls
  *   counter-registry counter names: src emission vs DESIGN.md vs tests
  *   stale-pragma     allow pragmas that no longer suppress anything
- *   use-before-check Result value()/take() where isOk() is not established
  *   dangling-capture by-ref lambda captures handed to deferred schedule()
  *
  * clock-seam, lock-across-blocking, counter-registry, stale-pragma and
@@ -29,8 +27,14 @@
  * Every rule reads the token stream in order; none builds a control-
  * flow graph. Locks are held from a guard's declaration to the close
  * of its brace scope, and a MutexUnlock window suspends one until its
- * own scope closes (finalizeTree). Brace blocks and `if (r.isOk())`
- * branches stand in for paths in use-before-check and dangling-capture.
+ * own scope closes (finalizeTree). Brace blocks stand in for paths in
+ * dangling-capture.
+ *
+ * Two invariants hold by construction instead of by a rule: the sync
+ * wrappers return a Reply whose payload is empty unless the call
+ * succeeded (base/status.h), so there is no value to read unchecked,
+ * and the LockRank enum (base/sync_debug.h) is the only rank table;
+ * -Wswitch keeps lockRankName() complete.
  *
  * Fan-out deadline propagation is not a rule: services reach their
  * leaves only through services/common/fanout.h's Downstream pool,
@@ -67,8 +71,8 @@ struct Options
 FileModel parseFile(const std::string &rel, const std::string &content);
 
 /**
- * Finish a Tree after all files are parsed: locate the LockRank enum
- * and the lockRankName() switch, then run the per-function body walk
+ * Finish a Tree after all files are parsed: locate the LockRank enum,
+ * then run the per-function body walk
  * (held locks + call extraction). Intra-function lock-rank findings
  * are appended to `findings`.
  */
@@ -86,8 +90,8 @@ std::vector<size_t> ownBody(const FileModel &fm, const FunctionInfo &fn);
 
 /**
  * Run the cross-file rules over a finalized tree. `designLines` holds
- * DESIGN.md split into lines (empty = skip the doc half of rank-table).
- * Appends to `findings`.
+ * DESIGN.md split into lines (counter-registry reads its counter
+ * table). Appends to `findings`.
  */
 void runRules(const Tree &tree,
               const std::vector<std::string> &designLines,

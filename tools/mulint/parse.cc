@@ -1,10 +1,10 @@
 /**
  * @file
  * Pass 1 (parseFile): token-level extraction of pragmas, scope
- * structure, function extents, mutex/queue declarations, annotation
- * references, and Status-returning declaration names.
+ * structure, function extents, mutex/queue declarations and annotation
+ * references.
  *
- * Pass 2 (finalizeTree): rank-table extraction, then one token walk
+ * Pass 2 (finalizeTree): LockRank enum extraction, then one token walk
  * per function body that records call sites and thread-role facts and
  * keeps a brace-scoped held-lock set: it emits the intra-function
  * lock-rank findings and annotates each call site with the max rank
@@ -14,7 +14,6 @@
 #include "mulint.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace mulint {
 
@@ -188,7 +187,6 @@ struct BraceInfo
     Scope::Kind kind = Scope::Block;
     std::string name;   //!< Class/namespace/function simple name.
     std::string scope;  //!< Class qualifier for out-of-class functions.
-    std::string returnKind; //!< For functions: status/result/other/"".
 };
 
 /**
@@ -351,38 +349,8 @@ classifyBrace(const Ctx &c, size_t p)
                     beforeName = nameAt - 1; // Destructor.
                 if (beforeName > b + 1 &&
                     c.isPunct(beforeName - 1, "::") &&
-                    c.isIdent(beforeName - 2)) {
+                    c.isIdent(beforeName - 2))
                     info.scope = c.tok(beforeName - 2).text;
-                    beforeName -= 2;
-                }
-                // Return kind from the token(s) before the name chain.
-                if (beforeName > b) {
-                    const Token &rt = c.tok(beforeName - 1);
-                    if (rt.kind == Tok::Punct &&
-                        (rt.text == "&" || rt.text == "*")) {
-                        info.returnKind = "other";
-                    } else if (rt.kind == Tok::Ident) {
-                        info.returnKind =
-                            rt.text == "Status" ? "status" : "other";
-                    } else if (rt.kind == Tok::Punct &&
-                               rt.text == ">") {
-                        // Result<...> name(: walk back to the '<'.
-                        int depth = 1;
-                        size_t r = beforeName - 1;
-                        while (r > b && depth > 0) {
-                            --r;
-                            if (c.isPunct(r, ">"))
-                                ++depth;
-                            else if (c.isPunct(r, "<"))
-                                --depth;
-                        }
-                        info.returnKind =
-                            (depth == 0 && r > b &&
-                             c.isIdent(r - 1, "Result"))
-                                ? "result"
-                                : "other";
-                    }
-                }
                 return info;
             }
             if (open > b && c.isPunct(open - 1, "]")) {
@@ -411,16 +379,6 @@ currentClass(const std::vector<Scope> &stack)
     if (!stack.empty() && stack.back().kind == Scope::Class)
         return stack.back().name;
     return "";
-}
-
-bool
-insideFunction(const std::vector<Scope> &stack)
-{
-    for (const Scope &s : stack) {
-        if (s.kind == Scope::Function)
-            return true;
-    }
-    return false;
 }
 
 } // namespace
@@ -482,7 +440,6 @@ parseFile(const std::string &rel, const std::string &content)
                 fn.line = t.line;
                 fn.bodyBegin = code[i];
                 fn.bodyEnd = code[scope.closeIdx] + 1;
-                fn.returnKind = info.returnKind;
                 fm.functions.push_back(fn);
             }
             continue;
@@ -593,28 +550,6 @@ parseFile(const std::string &rel, const std::string &content)
                 fm.blockingQueueVars.insert(c.tok(j).text);
             continue;
         }
-
-        // Status/Result-returning declarations at class or namespace
-        // scope (function-local "Status s(...)" variable declarations
-        // are excluded by scope, avoiding the most-vexing-parse trap).
-        if (!insideFunction(stack)) {
-            if (t.text == "Status" && c.isIdent(i + 1) &&
-                c.isPunct(i + 2, "(")) {
-                fm.statusDeclNames.emplace(c.tok(i + 1).text, "status");
-            } else if (t.text == "Result" && c.isPunct(i + 1, "<")) {
-                int depth = 1;
-                size_t j = i + 2;
-                while (j < code.size() && depth > 0) {
-                    if (c.isPunct(j, "<"))
-                        ++depth;
-                    else if (c.isPunct(j, ">"))
-                        --depth;
-                    ++j;
-                }
-                if (depth == 0 && c.isIdent(j) && c.isPunct(j + 1, "("))
-                    fm.statusDeclNames.emplace(c.tok(j).text, "result");
-            }
-        }
     }
 
     // Attach file indices later (finalizeTree knows the position).
@@ -622,7 +557,7 @@ parseFile(const std::string &rel, const std::string &content)
 }
 
 // ====================================================================
-// Pass 2: rank tables and function-body analysis.
+// Pass 2: the LockRank enum and function-body analysis.
 // ====================================================================
 
 size_t
@@ -672,62 +607,24 @@ parseRankEnum(const FileModel &fm, Tree &tree)
         if (j >= fm.code.size() || fm.codeMatch[j] == SIZE_MAX)
             return false;
         const size_t close = fm.codeMatch[j];
-        int next_value = 0;
+        int value = 0;
         for (size_t k = j + 1; k < close; ++k) {
             if (!c.isIdent(k))
                 continue;
-            RankEntry entry;
-            entry.line = c.tok(k).line;
             const std::string name = c.tok(k).text;
             if (c.isPunct(k + 1, "=") &&
                 k + 2 < close && c.tok(k + 2).kind == Tok::Number) {
-                entry.value = std::atoi(c.tok(k + 2).text.c_str());
+                value = std::atoi(c.tok(k + 2).text.c_str());
                 k += 2;
-            } else {
-                entry.value = next_value;
             }
-            next_value = entry.value + 1;
-            tree.ranks.emplace(name, entry);
+            tree.ranks.emplace(name, value++);
             // Skip to the comma that ends this enumerator.
             while (k < close && !c.isPunct(k, ","))
                 ++k;
         }
-        tree.rankHeaderRel = fm.rel;
         return true;
     }
     return false;
-}
-
-/** Parse the `case LockRank::x: return "...";` table, if present. */
-bool
-parseRankImpl(const FileModel &fm, Tree &tree)
-{
-    Ctx c{fm.toks, fm.code, fm.codeMatch};
-    bool found = false;
-    for (size_t i = 0; i + 3 < fm.code.size(); ++i) {
-        if (!(c.isIdent(i, "case") && c.isIdent(i + 1, "LockRank") &&
-              c.isPunct(i + 2, "::") && c.isIdent(i + 3)))
-            continue;
-        const std::string name = c.tok(i + 3).text;
-        std::string display;
-        for (size_t j = i + 4; j < fm.code.size() && j < i + 10; ++j) {
-            if (c.tok(j).kind == Tok::Str) {
-                display = c.tok(j).text;
-                if (display.size() >= 2)
-                    display = display.substr(1, display.size() - 2);
-                break;
-            }
-            if (c.isPunct(j, ";"))
-                break;
-        }
-        if (!found) {
-            tree.rankImplRel = fm.rel;
-            tree.rankImplLine = c.tok(i).line;
-            found = true;
-        }
-        tree.rankImplNames.emplace(name, display);
-    }
-    return found;
 }
 
 /** A mutex name resolved against the module declaration table. */
@@ -753,7 +650,7 @@ resolveMutexDecl(const Tree &tree, const MutexDecl &decl)
         if (it == tree.ranks.end())
             return r; // LockRank name missing from the enum: unknown.
         r.known = true;
-        r.value = it->second.value;
+        r.value = it->second;
         r.rankName = decl.rankName;
         return r;
     }
@@ -762,7 +659,7 @@ resolveMutexDecl(const Tree &tree, const MutexDecl &decl)
         if (it == tree.ranks.end())
             return r;
         r.known = true;
-        r.value = it->second.value;
+        r.value = it->second;
         r.rankName = "queue";
         return r;
     }
@@ -830,28 +727,7 @@ struct HeldLock
     /** '}' closing a MutexUnlock window over this lock; SIZE_MAX while
      *  the lock is held. */
     size_t windowClose = SIZE_MAX;
-    /** Released by unlock-then-return: the path leaves at the '}', so
-     *  nothing re-locks there. */
-    bool returns = false;
 };
-
-/** Is the last top-level statement in [from, close) a `return`? */
-bool
-endsInReturn(const Ctx &c, size_t from, size_t close)
-{
-    size_t last = from;
-    for (size_t j = from; j < close; ++j) {
-        if ((c.isPunct(j, "(") || c.isPunct(j, "{") || c.isPunct(j, "[")) &&
-            c.match[j] != SIZE_MAX && c.match[j] < close) {
-            j = c.match[j];
-            if (c.isPunct(j, "}"))
-                last = j + 1;
-        } else if (c.isPunct(j, ";") && j + 1 < close) {
-            last = j + 1;
-        }
-    }
-    return c.isIdent(last, "return");
-}
 
 /**
  * Extract call sites and thread-role facts from one function body, and
@@ -862,9 +738,7 @@ endsInReturn(const Ctx &c, size_t from, size_t close)
  * site gets the max rank held there (CallSite::heldRank), the body's
  * acquisitions go to FunctionInfo::directRanks, and same-function rank
  * inversions are appended to `findings`. A naked guard.unlock() does
- * not release, except as a statement directly in a block whose last
- * statement is `return`: raw-sync bans that shape outside the wrapper
- * files.
+ * not release: raw-sync bans that shape outside the wrapper files.
  */
 void
 analyzeBody(FileModel &fm, FunctionInfo &fn, const MutexTable &table,
@@ -944,10 +818,8 @@ analyzeBody(FileModel &fm, FunctionInfo &fn, const MutexTable &table,
             for (auto &[key, h] : held) {
                 if (h.windowClose != i)
                     continue;
-                if (!h.returns)
-                    checkAgainst(h, key, t.line, 0);
+                checkAgainst(h, key, t.line, 0);
                 h.windowClose = SIZE_MAX;
-                h.returns = false;
             }
             continue;
         }
@@ -1015,28 +887,14 @@ analyzeBody(FileModel &fm, FunctionInfo &fn, const MutexTable &table,
         }
 
         // guard.unlock() / guard.lock(): lock ops, not call sites the
-        // interprocedural rules should see (raw-sync flags them). Only
-        // the unlock-then-return idiom releases, for the rest of its
-        // block, and only as a statement directly in that block (not
-        // the body of an unbraced if/else/loop, which runs on some
-        // paths only); any other naked unlock leaves the guard held.
+        // interprocedural rules should see (raw-sync flags them). They
+        // leave the guard held: a lock is released only at its scope
+        // end or inside a MutexUnlock window.
         if ((c.isPunct(i + 1, ".") || c.isPunct(i + 1, "->")) &&
             c.isIdent(i + 2) &&
             (c.tok(i + 2).text == "lock" ||
              c.tok(i + 2).text == "unlock") &&
             c.isPunct(i + 3, "(") && c.isPunct(i + 4, ")")) {
-            auto h = std::find_if(held.begin(), held.end(), [&](auto &kv) {
-                return kv.second.guardVar == t.text;
-            });
-            const bool direct = c.isPunct(i - 1, ";") ||
-                                c.isPunct(i - 1, "{") ||
-                                c.isPunct(i - 1, "}");
-            if (c.tok(i + 2).text == "unlock" && h != held.end() &&
-                h->second.windowClose == SIZE_MAX && direct &&
-                endsInReturn(c, i + 5, scopes.back())) {
-                h->second.windowClose = scopes.back();
-                h->second.returns = true;
-            }
             skipTo = i + 5;
             continue;
         }
@@ -1114,10 +972,8 @@ finalizeTree(Tree &tree, std::vector<Finding> &findings)
     }
 
     for (const FileModel &fm : tree.files) {
-        if (tree.ranks.empty())
-            parseRankEnum(fm, tree);
-        if (tree.rankImplNames.empty())
-            parseRankImpl(fm, tree);
+        if (parseRankEnum(fm, tree))
+            break;
     }
 
     const std::map<std::string, MutexTable> modules =

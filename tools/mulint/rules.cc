@@ -9,7 +9,6 @@
 #include "mulint.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -242,8 +241,8 @@ ruleLockRankCalls(const Tree &tree, const CallGraph &g,
                   std::vector<Finding> &findings)
 {
     std::map<int, std::string> valueToName;
-    for (const auto &[name, entry] : tree.ranks)
-        valueToName[entry.value] = name;
+    for (const auto &[name, value] : tree.ranks)
+        valueToName[value] = name;
 
     for (size_t i = 0; i < g.fns.size(); ++i) {
         const FileModel &fm = tree.files[g.fns[i].file];
@@ -530,228 +529,6 @@ ruleLockAcrossBlocking(const Tree &tree, const CallGraph &g,
 }
 
 // --------------------------------------------------------------------
-// use-before-check: Result<T>::value()/take() on a local where isOk()
-// is not established. One token walk per body: `if (r.isOk())` and
-// `if (!r.isOk())` set the state inside their branches and, when a
-// branch always leaves the block (return/break/continue/throw), after
-// the if too; any other isOk()/ok() read (a check macro, a ternary, a
-// compound condition) establishes it for the rest of the body, and an
-// assignment drops it. MUSUITE_CHECK(isOk()) inside both accessors
-// aborts on whatever slips through at run time.
-// --------------------------------------------------------------------
-
-/** Does the identifier at b start `var.isOk()` (or ->, or the short
- *  spelling ok())? */
-bool
-readsIsOk(const Ctx &c, size_t b)
-{
-    return (c.isPunct(b + 1, ".") || c.isPunct(b + 1, "->")) &&
-           (c.isIdent(b + 2, "isOk") || c.isIdent(b + 2, "ok")) &&
-           c.isPunct(b + 3, "(") && c.isPunct(b + 4, ")");
-}
-
-/** Last code index of the statement starting at `b`: a braced block,
- *  an if (with its else chain), a loop, or a plain statement up to its
- *  ';'. */
-size_t
-stmtLast(const Ctx &c, size_t b)
-{
-    if (c.isPunct(b, "{"))
-        return c.match[b] == SIZE_MAX ? b : c.match[b];
-    if (c.isIdent(b, "if") || c.isIdent(b, "while") ||
-        c.isIdent(b, "for") || c.isIdent(b, "switch")) {
-        if (!c.isPunct(b + 1, "(") || c.match[b + 1] == SIZE_MAX)
-            return b;
-        size_t last = stmtLast(c, c.match[b + 1] + 1);
-        if (c.isIdent(b, "if") && c.isIdent(last + 1, "else"))
-            last = stmtLast(c, last + 2);
-        return last;
-    }
-    size_t j = b;
-    while (j < c.code.size() && !c.isPunct(j, ";")) {
-        if (c.isPunct(j, "}"))
-            return j > b ? j - 1 : b; // The enclosing block ends first.
-        if ((c.isPunct(j, "(") || c.isPunct(j, "[") ||
-             c.isPunct(j, "{")) &&
-            c.match[j] != SIZE_MAX)
-            j = c.match[j];
-        ++j;
-    }
-    return j;
-}
-
-/** Does the statement [b, last] always leave its block: a jump, or a
- *  braced block whose last statement is one? */
-bool
-stmtExits(const Ctx &c, size_t b, size_t last)
-{
-    if (c.isPunct(b, "{")) {
-        size_t tail = SIZE_MAX;
-        for (size_t s = b + 1; s < last; s = stmtLast(c, s) + 1)
-            tail = s;
-        return tail != SIZE_MAX && stmtExits(c, tail, stmtLast(c, tail));
-    }
-    return c.isIdent(b, "return") || c.isIdent(b, "break") ||
-           c.isIdent(b, "continue") || c.isIdent(b, "throw");
-}
-
-enum class Chk { Unchecked, Ok, NotOk };
-
-void
-ruleUseBeforeCheck(const Tree &tree, std::vector<Finding> &findings)
-{
-    // Names with Result evidence, minus names that also resolve to a
-    // non-Result definition (conservative: an ambiguous name is
-    // never flagged).
-    std::set<std::string> returners;
-    std::set<std::string> conflicted;
-    for (const FileModel &fm : tree.files) {
-        for (const auto &[name, kind] : fm.statusDeclNames) {
-            if (kind == "result")
-                returners.insert(name);
-        }
-        for (const FunctionInfo &fn : fm.functions) {
-            if (fn.returnKind == "result")
-                returners.insert(fn.name);
-            else if (fn.returnKind == "other" ||
-                     fn.returnKind == "status")
-                conflicted.insert(fn.name);
-        }
-    }
-    for (const std::string &name : conflicted)
-        returners.erase(name);
-
-    for (const FileModel &fm : tree.files) {
-        const Ctx c = ctxOf(fm);
-        for (const FunctionInfo &fn : fm.functions) {
-            std::map<std::string, Chk> state; // Result locals.
-            // Branch facts of `if (r.isOk())`, applied once the walk
-            // reaches their code index.
-            std::multimap<size_t, std::pair<std::string, Chk>> pending;
-            size_t skipTo = 0;
-            for (size_t i : ownBody(fm, fn)) {
-                while (!pending.empty() && pending.begin()->first <= i) {
-                    const auto &[var, chk] = pending.begin()->second;
-                    state[var] = chk;
-                    pending.erase(pending.begin());
-                }
-                if (i < skipTo || !c.isIdent(i))
-                    continue;
-                const std::string &name = c.tok(i).text;
-
-                // Result<...> var: a fresh unchecked Result binding.
-                if (name == "Result" && c.isPunct(i + 1, "<")) {
-                    int d = 1;
-                    size_t j = i + 2;
-                    while (j < fm.code.size() && d > 0) {
-                        if (c.isPunct(j, "<"))
-                            ++d;
-                        else if (c.isPunct(j, ">"))
-                            --d;
-                        ++j;
-                    }
-                    while (c.isPunct(j, "&") || c.isPunct(j, "*"))
-                        ++j;
-                    if (d == 0 && c.isIdent(j) &&
-                        (c.isPunct(j + 1, "=") || c.isPunct(j + 1, "(") ||
-                         c.isPunct(j + 1, "{") || c.isPunct(j + 1, ";")))
-                        state[c.tok(j).text] = Chk::Unchecked;
-                    continue;
-                }
-
-                // auto var = <call returning Result>(...).
-                if (name == "auto") {
-                    size_t j = i + 1;
-                    while (c.isPunct(j, "&") || c.isPunct(j, "*") ||
-                           c.isIdent(j, "const"))
-                        ++j;
-                    if (c.isIdent(j) && c.isPunct(j + 1, "=") &&
-                        !c.isPunct(j + 2, "=")) {
-                        for (size_t k = j + 2;
-                             k < fm.code.size() && !c.isPunct(k, ";");
-                             ++k) {
-                            if (c.isIdent(k) &&
-                                returners.count(c.tok(k).text) &&
-                                c.isPunct(k + 1, "(")) {
-                                state[c.tok(j).text] = Chk::Unchecked;
-                                break;
-                            }
-                        }
-                    }
-                    continue;
-                }
-
-                // if (r.isOk()) / if (!r.isOk()): the then-branch sees
-                // the condition, the else-branch its negation, and the
-                // code after the if sees whichever branch falls through.
-                if (name == "if" && c.isPunct(i + 1, "(") &&
-                    c.match[i + 1] != SIZE_MAX) {
-                    const size_t close = c.match[i + 1];
-                    const bool negated = c.isPunct(i + 2, "!");
-                    const size_t b = i + 2 + (negated ? 1 : 0);
-                    if (close != b + 5 || !readsIsOk(c, b) ||
-                        !state.count(c.tok(b).text))
-                        continue;
-                    const std::string &var = c.tok(b).text;
-                    const Chk yes = negated ? Chk::NotOk : Chk::Ok;
-                    const Chk no = negated ? Chk::Ok : Chk::NotOk;
-                    const size_t thenLast = stmtLast(c, close + 1);
-                    const bool thenExits =
-                        stmtExits(c, close + 1, thenLast);
-                    size_t after = thenLast + 1;
-                    bool elseExits = false;
-                    pending.emplace(close + 1, std::pair(var, yes));
-                    if (c.isIdent(after, "else")) {
-                        const size_t elseLast = stmtLast(c, after + 1);
-                        elseExits = stmtExits(c, after + 1, elseLast);
-                        pending.emplace(after + 1, std::pair(var, no));
-                        after = elseLast + 1;
-                    }
-                    if (!(thenExits && elseExits))
-                        pending.emplace(
-                            after,
-                            std::pair(var, thenExits   ? no
-                                           : elseExits ? yes
-                                                       : Chk::Unchecked));
-                    skipTo = close + 1;
-                    continue;
-                }
-
-                if (!state.count(name))
-                    continue;
-
-                // Reassignment drops any earlier check.
-                if (c.isPunct(i + 1, "=") && !c.isPunct(i + 2, "=") &&
-                    !(c.isPunct(i - 1, "=") || c.isPunct(i - 1, "!") ||
-                      c.isPunct(i - 1, "<") || c.isPunct(i - 1, ">"))) {
-                    state[name] = Chk::Unchecked;
-                    continue;
-                }
-                if (readsIsOk(c, i)) {
-                    state[name] = Chk::Ok;
-                    continue;
-                }
-                if (!(c.isPunct(i + 1, ".") || c.isPunct(i + 1, "->")) ||
-                    !(c.isIdent(i + 2, "value") ||
-                      c.isIdent(i + 2, "take")) ||
-                    !c.isPunct(i + 3, "(") || state[name] == Chk::Ok)
-                    continue;
-                const std::string access =
-                    "'" + name + "." + c.tok(i + 2).text + "()'";
-                findings.push_back(
-                    {fm.rel, c.tok(i).line, "use-before-check",
-                     state[name] == Chk::NotOk
-                         ? access + " on a path where '" + name +
-                               ".isOk()' is false"
-                         : access + " without '" + name +
-                               ".isOk()' established on this path",
-                     c.tok(i).col});
-            }
-        }
-    }
-}
-
-// --------------------------------------------------------------------
 // dangling-capture: a lambda handed to a deferred schedule()
 // registration captures by reference, and no drain of the clock
 // follows the registration unconditionally — the timer can run after
@@ -1005,102 +782,6 @@ ruleCounterRegistry(const Tree &tree,
     }
 }
 
-// --------------------------------------------------------------------
-// rank-table
-// --------------------------------------------------------------------
-
-void
-ruleRankTable(const Tree &tree,
-              const std::vector<std::string> &designLines,
-              std::vector<Finding> &findings)
-{
-    if (tree.ranks.empty())
-        return;
-
-    // Enum <-> lockRankName() switch.
-    if (!tree.rankImplNames.empty()) {
-        for (const auto &[name, entry] : tree.ranks) {
-            if (!tree.rankImplNames.count(name))
-                findings.push_back(
-                    {tree.rankImplRel, tree.rankImplLine, "rank-table",
-                     "lockRankName() has no case for LockRank::" +
-                         name + " (defined at " + tree.rankHeaderRel +
-                         ":" + std::to_string(entry.line) + ")"});
-        }
-        for (const auto &[name, display] : tree.rankImplNames) {
-            if (!tree.ranks.count(name))
-                findings.push_back(
-                    {tree.rankImplRel, tree.rankImplLine, "rank-table",
-                     "lockRankName() names LockRank::" + name +
-                         " which is not in the enum"});
-        }
-    }
-
-    // Enum <-> DESIGN.md table.
-    if (designLines.empty())
-        return;
-    int headerLine = 0;
-    std::map<std::string, std::pair<int, int>> doc; // name->(value,line)
-    for (size_t li = 0; li < designLines.size(); ++li) {
-        const std::string &line = designLines[li];
-        if (headerLine == 0) {
-            if (line.find("| rank ") != std::string::npos &&
-                line.find("| value ") != std::string::npos)
-                headerLine = int(li) + 1;
-            continue;
-        }
-        std::string trimmed = line;
-        size_t b = trimmed.find_first_not_of(" \t");
-        if (b == std::string::npos || trimmed[b] != '|')
-            break; // Table ended.
-        const size_t t1 = line.find('`');
-        const size_t t2 =
-            t1 == std::string::npos ? t1 : line.find('`', t1 + 1);
-        if (t2 == std::string::npos)
-            continue; // Separator row.
-        const std::string name = line.substr(t1 + 1, t2 - t1 - 1);
-        const size_t bar = line.find('|', t2);
-        if (bar == std::string::npos)
-            continue;
-        doc[name] = {std::atoi(line.c_str() + bar + 1), int(li) + 1};
-    }
-    if (headerLine == 0) {
-        findings.push_back(
-            {"DESIGN.md", 1, "rank-table",
-             "no '| rank | value |' table found in DESIGN.md, but "
-             "LockRank defines " +
-                 std::to_string(tree.ranks.size()) + " ranks"});
-        return;
-    }
-    for (const auto &[name, entry] : tree.ranks) {
-        if (name == "unranked")
-            continue;
-        auto it = doc.find(name);
-        if (it == doc.end()) {
-            findings.push_back(
-                {"DESIGN.md", headerLine, "rank-table",
-                 "rank '" + name + "' (value " +
-                     std::to_string(entry.value) +
-                     ") is missing from the DESIGN.md rank table"});
-            continue;
-        }
-        if (it->second.first != entry.value)
-            findings.push_back(
-                {"DESIGN.md", it->second.second, "rank-table",
-                 "rank '" + name + "' documented as " +
-                     std::to_string(it->second.first) + " but " +
-                     tree.rankHeaderRel + " says " +
-                     std::to_string(entry.value)});
-    }
-    for (const auto &[name, vl] : doc) {
-        if (!tree.ranks.count(name))
-            findings.push_back(
-                {"DESIGN.md", vl.second, "rank-table",
-                 "documented rank '" + name +
-                     "' does not exist in LockRank"});
-    }
-}
-
 } // namespace
 
 void
@@ -1127,14 +808,10 @@ runRules(const Tree &tree, const std::vector<std::string> &designLines,
         if (enabled("lock-across-blocking"))
             ruleLockAcrossBlocking(tree, g, summaries, findings);
     }
-    if (enabled("use-before-check"))
-        ruleUseBeforeCheck(tree, findings);
     if (enabled("dangling-capture"))
         ruleDanglingCapture(tree, findings);
     if (enabled("counter-registry"))
         ruleCounterRegistry(tree, designLines, findings);
-    if (enabled("rank-table"))
-        ruleRankTable(tree, designLines, findings);
 }
 
 std::vector<Finding>

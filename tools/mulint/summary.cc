@@ -111,7 +111,10 @@ callIsBlocking(const CallSite &call,
             *what = call.receiver + "." + call.callee;
         return true;
     }
-    if (call.callee == "sendAll" || call.callee == "recvAll") {
+    // Blocking socket I/O, including the dial: connect(2) waits out
+    // the handshake (or the refusal) before it returns.
+    if (call.callee == "sendAll" || call.callee == "recvAll" ||
+        call.callee == "connectLoopback") {
         if (what)
             *what = call.callee;
         return true;
