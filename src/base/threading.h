@@ -93,7 +93,6 @@ class CAPABILITY("mutex") Mutex
 /**
  * RAII guard for Mutex. Relockable: unlock() early to call out without
  * the lock, lock() to reacquire; the destructor releases only if held.
- * Satisfies BasicLockable so CondVar can wait on it directly.
  */
 class SCOPED_CAPABILITY MutexLock
 {
@@ -171,9 +170,13 @@ class SCOPED_CAPABILITY MutexUnlock
 };
 
 /**
- * Condition variable paired with Mutex/MutexLock. The wait path goes
- * through MutexLock's lock()/unlock so the debug-sync held-lock stack
- * stays accurate across the block.
+ * Condition variable paired with Mutex/MutexLock: a plain
+ * std::condition_variable over the Mutex's own std::mutex, so it
+ * allocates nothing and a notify takes no lock of its own. A wait
+ * takes the mutex off the debug-sync held-lock stack, vets its
+ * reacquisition against the locks still held (the stack cannot change
+ * while the thread blocks), and pushes it back once the wait returns,
+ * so the stack is exact on both sides of the block.
  */
 class CondVar
 {
@@ -187,23 +190,47 @@ class CondVar
     void
     wait(MutexLock &lock)
     {
-        inner.wait(lock);
+        std::unique_lock<std::mutex> held = release(lock);
+        inner.wait(held);
+        reacquired(lock, held);
     }
 
     /** wait() with a relative timeout. Returns false on timeout. */
     bool
     waitFor(MutexLock &lock, int64_t timeoutNs)
     {
-        return inner.wait_for(lock,
-                              std::chrono::nanoseconds(timeoutNs)) ==
-               std::cv_status::no_timeout;
+        std::unique_lock<std::mutex> held = release(lock);
+        const bool woken =
+            inner.wait_for(held, std::chrono::nanoseconds(timeoutNs)) ==
+            std::cv_status::no_timeout;
+        reacquired(lock, held);
+        return woken;
     }
 
     void notifyOne() { inner.notify_one(); }
     void notifyAll() { inner.notify_all(); }
 
   private:
-    std::condition_variable_any inner;
+    /** Lend `lock`'s std::mutex to a unique_lock for the wait. */
+    static std::unique_lock<std::mutex>
+    release(MutexLock &lock)
+    {
+        Mutex &mutex = lock.target;
+        syncdbg::recordReleased(&mutex);
+        syncdbg::checkAcquire(&mutex, mutex.debugRank, mutex.debugName);
+        return std::unique_lock<std::mutex>(mutex.inner, std::adopt_lock);
+    }
+
+    /** Take the mutex back from the wait's unique_lock. */
+    static void
+    reacquired(MutexLock &lock, std::unique_lock<std::mutex> &held)
+    {
+        held.release();
+        Mutex &mutex = lock.target;
+        syncdbg::recordAcquired(&mutex, mutex.debugRank, mutex.debugName);
+    }
+
+    std::condition_variable inner;
 };
 
 /** Name the calling thread (visible in /proc and debuggers). */

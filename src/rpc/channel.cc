@@ -13,8 +13,6 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <thread>
-#include <vector>
 
 #include "base/clock.h"
 #include "base/logging.h"
@@ -64,23 +62,22 @@ isRetryable(const Status &status)
 /**
  * Whole-call state. Attempts (the first, then retries) share it; the
  * mutex serializes completion decisions, and the user callback always
- * runs outside it. Kept alive by the attempt closures and timers, so
- * a late transport response after completion is harmless.
+ * runs outside it. Kept alive by the attempt records and the retry
+ * timer, so a late transport response after completion is harmless.
  *
  * At most one attempt is ever in flight: a retry is scheduled only
  * once the previous attempt has settled (response or deadline, never
- * both — see `settled` in issueAttempt), and only while attempts
- * remain in the budget. So every settle finds the call still open,
- * and the budget cannot be overrun by construction.
+ * both — see Attempt::settled), and only while attempts remain in the
+ * budget. So every settle finds the call still open, and the budget
+ * cannot be overrun by construction.
  */
-struct CallState : std::enable_shared_from_this<CallState>
+struct CallState
 {
     Channel *channel = nullptr;
     uint32_t method = 0;
     std::string body;
     CallOptions options;
     Channel::Callback callback;
-    int64_t startNs = 0;
     int64_t totalDeadlineAt = 0; //!< 0 = none.
 
     /**
@@ -100,10 +97,43 @@ struct CallState : std::enable_shared_from_this<CallState>
      * (who may destroy the channel), so it must not fire while any
      * *other* thread is still on the transport's stack — e.g. a retry
      * issued from the timer thread whose response completes on a
-     * client completion thread before the issuing write returns.
+     * client completion thread before the issuing write returns. Each
+     * issuer also links an IssueFrame on its own stack, which is how
+     * completeCall tells its own thread's frames from the others.
      */
-    std::vector<std::thread::id> issuers GUARDED_BY(mutex);
+    int issuers GUARDED_BY(mutex) = 0;
     CondVar issuersQuiet;
+};
+
+/**
+ * One link in the calling thread's chain of attempts it is issuing,
+ * innermost first. Frames live on issueAttempt's stack, so the
+ * quiescence guard needs no heap storage.
+ */
+struct IssueFrame
+{
+    const CallState *call;
+    IssueFrame *outer;
+};
+
+thread_local IssueFrame *t_issuing = nullptr;
+
+/**
+ * One attempt of a call. Its transport response and its deadline
+ * timer race to settle it; whoever loses becomes a no-op (a late
+ * response is counted). The winner records the attempt's one outcome
+ * into the channel's peer-health tracker, so each attempt yields
+ * exactly one outcome record. The response callback and the deadline
+ * timer share this one record.
+ */
+struct Attempt
+{
+    std::shared_ptr<CallState> call;
+    int number = 0;
+    int64_t deadlineNs = 0; //!< Effective attempt deadline; 0 = none.
+    int64_t issuedAtNs = 0; //!< On the channel's clock.
+    std::atomic<bool> settled{false};
+    std::atomic<uint64_t> timerId{0}; //!< Deadline timer; 0 = none.
 };
 
 void issueAttempt(const std::shared_ptr<CallState> &state);
@@ -148,19 +178,12 @@ completeCall(const std::shared_ptr<CallState> &state,
         // Quiesce: wait (microseconds) until no other thread is inside
         // transportCall. Our own frames are fine — they unwind on this
         // thread before the caller can regain control.
-        const std::thread::id self = std::this_thread::get_id();
-        while (true) {
-            bool quiet = true;
-            for (const std::thread::id &id : state->issuers) {
-                if (id != self) {
-                    quiet = false;
-                    break;
-                }
-            }
-            if (quiet)
-                break;
+        int own = 0;
+        for (const IssueFrame *frame = t_issuing; frame != nullptr;
+             frame = frame->outer)
+            own += frame->call == state.get() ? 1 : 0;
+        while (state->issuers > own)
             state->issuersQuiet.wait(lock);
-        }
     }
     state->callback(status, payload);
 }
@@ -194,39 +217,92 @@ onAttemptDone(const std::shared_ptr<CallState> &state, int attempt,
     }
 
     if (!schedule_retry) {
-        if (status.isOk() && attempt > 1)
-            globalCounters().counter("rpc.call.secondary_won").add();
+        if (status.isOk() && attempt > 1) {
+            static Counter &secondary_won =
+                globalCounters().counter("rpc.call.secondary_won");
+            secondary_won.add();
+        }
         // A failed call reports its status only, never an error body.
         completeCall(state, status,
                      status.isOk() ? payload : std::string_view{});
         return;
     }
 
-    globalCounters().counter("rpc.retry.scheduled").add();
+    static Counter &retry_scheduled =
+        globalCounters().counter("rpc.retry.scheduled");
+    retry_scheduled.add();
     // A shed response that lost its pacing hint somewhere along a
     // multi-hop chain makes us retry on our own (shorter) backoff
     // schedule — the retry-amplification signature. With hints
     // propagated end-to-end this stays at zero.
     if (status.code() == StatusCode::ResourceExhausted &&
-        status.retryAfterNs() == 0)
-        globalCounters().counter("rpc.call.retry_amplified").add();
+        status.retryAfterNs() == 0) {
+        static Counter &retry_amplified =
+            globalCounters().counter("rpc.call.retry_amplified");
+        retry_amplified.add();
+    }
     state->channel->clock().schedule(retry_delay, [state] {
         assertOnTimerThread();
         issueAttempt(state);
     });
 }
 
+/** The transport answered the attempt. */
+void
+onAttemptResponse(Attempt &attempt, const Status &status,
+                  std::string_view payload)
+{
+    if (attempt.settled.exchange(true)) {
+        static Counter &late_response =
+            globalCounters().counter("rpc.call.late_response");
+        late_response.add();
+        return;
+    }
+    Channel &channel = *attempt.call->channel;
+    // The tracker classifies the status (rpc/health.h): a shedding
+    // peer is alive, not failing. The latency is the attempt's real
+    // round trip, injected delays included — that signal is how gray
+    // (slow but successful) peers become ejectable at all.
+    channel.recordAttemptOutcome(
+        status, channel.clock().nowNanos() - attempt.issuedAtNs);
+    if (const uint64_t id = attempt.timerId.load())
+        channel.clock().cancel(id);
+    onAttemptDone(attempt.call, attempt.number, status, payload);
+}
+
+/** The attempt's deadline timer fired. */
+void
+onAttemptDeadline(Attempt &attempt)
+{
+    if (attempt.settled.exchange(true))
+        return;
+    static Counter &deadline_expired =
+        globalCounters().counter("rpc.call.deadline_expired");
+    deadline_expired.add();
+    const Status expired(StatusCode::DeadlineExceeded,
+                         "attempt deadline expired");
+    // The attempt settles locally: the transport has gone silent past
+    // the deadline, and for a blackholed request it never answers.
+    // Record the outcome here or a peer that swallows every request is
+    // never recorded at all (see recordAttemptOutcome). The deadline
+    // doubles as the latency observation: a zombie peer took at least
+    // this long, and the tracker's EWMA must feel it.
+    attempt.call->channel->recordAttemptOutcome(expired, attempt.deadlineNs);
+    onAttemptDone(attempt.call, attempt.number, expired, {});
+}
+
 void
 issueAttempt(const std::shared_ptr<CallState> &state)
 {
-    int attempt = 0;
+    int number = 0;
     {
         MutexLock guard(state->mutex);
         MUSUITE_CHECK(!state->done) << "attempt issued on a completed call";
-        attempt = ++state->attemptsIssued;
+        number = ++state->attemptsIssued;
     }
 
-    Clock &clock = state->channel->clock();
+    Channel &channel = *state->channel;
+    Clock &clock = channel.clock();
 
     // Effective per-attempt deadline: the attempt budget clamped by
     // whatever remains of the whole-call budget (both instants come
@@ -236,7 +312,7 @@ issueAttempt(const std::shared_ptr<CallState> &state)
         const int64_t remaining =
             state->totalDeadlineAt - clock.nowNanos();
         if (remaining <= 0) {
-            onAttemptDone(state, attempt,
+            onAttemptDone(state, number,
                           Status(StatusCode::DeadlineExceeded,
                                  "call deadline expired"),
                           {});
@@ -247,75 +323,42 @@ issueAttempt(const std::shared_ptr<CallState> &state)
                           : std::min(deadline_ns, remaining);
     }
 
-    // The transport response and the deadline timer race to settle
-    // the attempt; whoever loses becomes a no-op (and is counted).
-    auto settled = std::make_shared<std::atomic<bool>>(false);
-    auto timer_id = std::make_shared<std::atomic<uint64_t>>(0);
-
-    Channel::Callback on_response =
-        [state, attempt, settled, timer_id](const Status &status,
-                                            std::string_view payload) {
-            if (settled->exchange(true)) {
-                globalCounters()
-                    .counter("rpc.call.late_response")
-                    .add();
-                return;
-            }
-            const uint64_t id = timer_id->load();
-            if (id)
-                state->channel->clock().cancel(id);
-            onAttemptDone(state, attempt, status, payload);
-        };
-
+    auto attempt = std::make_shared<Attempt>();
+    attempt->call = state;
+    attempt->number = number;
+    attempt->deadlineNs = deadline_ns;
+    attempt->issuedAtNs = clock.nowNanos();
     if (deadline_ns > 0) {
         const uint64_t id = clock.schedule(
-            deadline_ns, [state, attempt, settled, deadline_ns] {
-                if (settled->exchange(true))
-                    return;
-                globalCounters()
-                    .counter("rpc.call.deadline_expired")
-                    .add();
-                const Status expired(StatusCode::DeadlineExceeded,
-                                     "attempt deadline expired");
-                // The attempt settles locally: the transport has gone
-                // silent past the deadline, and for a blackholed
-                // request its own outcome recorder never runs. Feed
-                // the health tracker here or a peer that swallows
-                // every request is never recorded at all (see
-                // recordAttemptOutcome). The deadline doubles as the
-                // latency observation: a zombie peer took at least
-                // this long, and the tracker's EWMA must feel it.
-                state->channel->recordAttemptOutcome(expired,
-                                                     deadline_ns);
-                onAttemptDone(state, attempt, expired, {});
-            });
-        timer_id->store(id);
+            deadline_ns, [attempt] { onAttemptDeadline(*attempt); });
+        attempt->timerId.store(id);
         // The response may have settled before the timer was armed;
         // make sure an orphaned timer cannot linger until it fires.
-        if (settled->load())
+        if (attempt->settled.load())
             clock.cancel(id);
     }
 
+    IssueFrame frame{state.get(), t_issuing};
     {
         MutexLock guard(state->mutex);
-        state->issuers.push_back(std::this_thread::get_id());
+        ++state->issuers;
     }
+    t_issuing = &frame;
     // The effective attempt deadline doubles as the wire budget: the
     // server learns exactly how long this attempt is worth queueing.
-    // `settled` is handed down so a response arriving after the
-    // deadline timer already settled (and recorded) the attempt is
-    // not recorded a second time.
-    state->channel->attemptCall(state->method, state->body,
-                                deadline_ns, std::move(on_response),
-                                settled);
-    {
-        MutexLock guard(state->mutex);
-        auto it = std::find(state->issuers.begin(),
-                            state->issuers.end(),
-                            std::this_thread::get_id());
-        if (it != state->issuers.end())
-            state->issuers.erase(it);
-    }
+    // The last attempt the budget allows takes the body; earlier ones
+    // send a copy a retry can resend.
+    channel.attemptCall(
+        state->method,
+        number == state->options.maxAttempts ? std::move(state->body)
+                                             : state->body,
+        deadline_ns,
+        [attempt](const Status &status, std::string_view payload) {
+            onAttemptResponse(*attempt, status, payload);
+        });
+    t_issuing = frame.outer;
+    MutexLock guard(state->mutex);
+    --state->issuers;
     state->issuersQuiet.notifyAll();
 }
 
@@ -343,54 +386,17 @@ Channel::recordAttemptOutcome(const Status &status, int64_t latency_ns)
 void
 Channel::call(uint32_t method, std::string body, Callback callback)
 {
-    attemptCall(method, std::move(body), 0, std::move(callback));
-}
-
-void
-Channel::attemptCall(uint32_t method, std::string body,
-                     int64_t budget_ns, Callback callback,
-                     std::shared_ptr<std::atomic<bool>> settled)
-{
-    if (health) {
-        // Record the outcome the transport (or injector) reports —
-        // unless the attempt already settled locally via its deadline
-        // timer (the `settled` flag), which recorded DEADLINE_EXCEEDED
-        // for it; one attempt yields exactly one outcome record, or a
-        // gray peer whose every answer overshoots its deadline would
-        // keep feeding "successes" to the health tracker and bounce
-        // out of ejection forever. The tracker classifies the status
-        // (rpc/health.h): a shedding peer is alive, not failing. The
-        // issue instant is captured so the tracker's EWMA sees the
-        // attempt's real round trip, injected delays included — that
-        // latency signal is how gray (slow but successful) peers
-        // become ejectable at all.
-        const int64_t issued_at_ns = boundClock->nowNanos();
-        callback = [this, issued_at_ns, settled,
-                    inner = std::move(callback)](
-                       const Status &status,
-                       std::string_view payload) {
-            if (!settled || !settled->load())
-                recordAttemptOutcome(
-                    status, boundClock->nowNanos() - issued_at_ns);
-            inner(status, payload);
-        };
-    }
-
-    if (!injector) {
-        transportCall(method, std::move(body), budget_ns,
-                      std::move(callback));
-        return;
-    }
-    injectedCall(method, std::move(body), budget_ns,
-                 std::move(callback));
+    call(method, std::move(body), CallOptions{}, std::move(callback));
 }
 
 void
 Channel::call(uint32_t method, std::string body,
               const CallOptions &options, Callback callback)
 {
-    if (options.plain()) {
-        call(method, std::move(body), std::move(callback));
+    // A bare call on an untracked channel has nothing to settle and
+    // no outcome to record: hand it straight to the transport.
+    if (options.plain() && !health) {
+        attemptCall(method, std::move(body), 0, std::move(callback));
         return;
     }
 
@@ -400,21 +406,26 @@ Channel::call(uint32_t method, std::string body,
     state->body = std::move(body);
     state->options = options;
     state->callback = std::move(callback);
-    state->startNs = clock().nowNanos();
     if (options.backoffJitterSeed != 0) {
         state->jitterState.store(options.backoffJitterSeed,
                                  std::memory_order_relaxed);
     }
     if (options.totalDeadlineNs > 0)
-        state->totalDeadlineAt = state->startNs + options.totalDeadlineNs;
+        state->totalDeadlineAt = clock().nowNanos() + options.totalDeadlineNs;
 
     issueAttempt(state);
 }
 
 void
-Channel::injectedCall(uint32_t method, std::string body,
-                      int64_t budget_ns, Callback callback)
+Channel::attemptCall(uint32_t method, std::string body, int64_t budget_ns,
+                     Callback callback)
 {
+    if (!injector) {
+        transportCall(method, std::move(body), budget_ns,
+                      std::move(callback));
+        return;
+    }
+
     // Hold our own reference: the injector may be swapped mid-call.
     std::shared_ptr<FaultInjector> fi = injector;
     const FaultDecision request_decision = fi->onRequest();
@@ -422,9 +433,12 @@ Channel::injectedCall(uint32_t method, std::string body,
       case FaultDecision::Kind::Error:
         callback(request_decision.status, {});
         return;
-      case FaultDecision::Kind::Drop:
-        globalCounters().counter("rpc.fault.dropped_request").add();
+      case FaultDecision::Kind::Drop: {
+        static Counter &dropped_request =
+            globalCounters().counter("rpc.fault.dropped_request");
+        dropped_request.add();
         return; // Never completes; a per-call deadline recovers.
+      }
       default:
         break;
     }
@@ -434,11 +448,12 @@ Channel::injectedCall(uint32_t method, std::string body,
             const Status &status, std::string_view payload) {
             const FaultDecision decision = fi->onResponse();
             switch (decision.kind) {
-              case FaultDecision::Kind::Drop:
-                globalCounters()
-                    .counter("rpc.fault.dropped_response")
-                    .add();
+              case FaultDecision::Kind::Drop: {
+                static Counter &dropped_response =
+                    globalCounters().counter("rpc.fault.dropped_response");
+                dropped_response.add();
                 return;
+              }
               case FaultDecision::Kind::Delay: {
                 std::string copy = acquireWireBuffer(payload.size());
                 if (!payload.empty())

@@ -42,7 +42,6 @@
 #define MUSUITE_RPC_CHANNEL_H
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -166,9 +165,12 @@ class Channel
      * fan-out, a pipelined batch) pays one sendmsg instead of one per
      * call. Purely advisory: the defaults are no-ops (in-process
      * channels have no wire), calls stay asynchronous, and nesting is
-     * allowed. Prefer ScopedWriteBatch over raw cork/uncork pairs.
+     * allowed. corkWrites() returns whether it held anything back,
+     * i.e. whether the uncorkWrites() that ends the batch does any
+     * work; the defaults return false. Prefer ScopedWriteBatch over
+     * raw cork/uncork pairs.
      */
-    virtual void corkWrites() {}
+    virtual bool corkWrites() { return false; }
     virtual void uncorkWrites() {}
 
     /**
@@ -195,46 +197,39 @@ class Channel
     /**
      * Attach (or clear) a per-peer health tracker (rpc/health.h) fed
      * every attempt outcome through this channel, with the measured
-     * attempt latency when one is available. Usually installed by
-     * EjectionPolicy::watch() rather than directly. Must share the
-     * channel's clock (outcome instants and EWMA samples are pinned
-     * to this channel's timeline); mixing domains aborts. Install
-     * before traffic, like the fault injector.
+     * attempt latency when one is available. With a tracker attached,
+     * even a call with plain() options runs as a one-attempt call of
+     * the resilience layer, so its outcome is recorded. Usually
+     * installed by EjectionPolicy::watch() rather than directly. Must
+     * share the channel's clock (outcome instants and EWMA samples are
+     * pinned to this channel's timeline); mixing domains aborts.
+     * Install before traffic, like the fault injector.
      */
     void setPeerHealth(std::shared_ptr<PeerHealth> health_in);
 
     PeerHealth *peerHealth() const { return health.get(); }
 
     /**
-     * One attempt: fault injection, transport, then peer-health
-     * outcome recording around the callback. budget_ns is the remaining
-     * deadline this attempt grants the server (0 = unlimited); it is
-     * carried in the request header so downstream queues can shed the
-     * request once it expires. The retry layer funnels every
-     * attempt through here; services needing a bare single-shot call
-     * with an explicit budget may use it directly.
-     *
-     * `settled` (optional) is the retry layer's attempt-settled flag:
-     * when it is already true by the time the transport answers, the
-     * attempt's outcome was recorded elsewhere (the deadline timer
-     * settled it via recordAttemptOutcome) and the late response is
-     * NOT recorded again — one attempt yields exactly one outcome.
-     * Without the flag every transport response is recorded.
+     * One attempt: fault injection at both boundaries around the
+     * transport, and nothing else — no deadline, retry or outcome
+     * recording. budget_ns is the remaining deadline this attempt
+     * grants the server (0 = unlimited); it is carried in the request
+     * header so downstream queues can shed the request once it
+     * expires. The resilience layer funnels every attempt through
+     * here.
      */
     void attemptCall(uint32_t method, std::string body,
-                     int64_t budget_ns, Callback callback,
-                     std::shared_ptr<std::atomic<bool>> settled = nullptr);
+                     int64_t budget_ns, Callback callback);
 
     /**
      * Feed one attempt outcome to the peer-health tracker without
-     * issuing a call. The retry layer uses this when an attempt
-     * settles *locally* — its deadline timer fires while the
-     * transport is still silent — because a blackholed attempt would
-     * otherwise never be recorded at all, and a peer that swallows
-     * every request would look perfectly idle to outlier ejection.
-     * The transport's own late outcome, if it ever arrives, is
-     * suppressed by attemptCall's wrapper (via the `settled` flag), so
-     * each attempt yields exactly one outcome record. A late success after a deadline
+     * issuing a call (tests script a peer's history this way). The
+     * resilience layer calls it once per attempt, from whichever of
+     * the attempt's transport response and its deadline timer settles
+     * it: a blackholed attempt is recorded by its timer, so a peer
+     * that swallows every request still looks failing to outlier
+     * ejection, and a response arriving after the timer settled the
+     * attempt is not recorded at all. A late success after a deadline
      * expiry is per-call trivia, not peer-health evidence: counting
      * it would let a peer whose every answer overshoots its deadline
      * keep "succeeding" its way out of ejection forever.
@@ -261,10 +256,6 @@ class Channel
                                int64_t budget_ns, Callback callback) = 0;
 
   private:
-    /** One attempt with fault injection at both boundaries. */
-    void injectedCall(uint32_t method, std::string body,
-                      int64_t budget_ns, Callback callback);
-
     std::shared_ptr<FaultInjector> injector;
     std::shared_ptr<PeerHealth> health;
     Clock *boundClock; //!< Never null; see clock().
@@ -273,9 +264,11 @@ class Channel
 /**
  * RAII write batch over a set of channels: add() corks a channel the
  * first time it appears (duplicates are fine), the destructor uncorks
- * everything. Scope it around a burst of call()s; responses cannot
- * arrive before the frames flush, so the batch must end before any
- * blocking wait on completions.
+ * every channel whose cork held writes back. A batch over channels
+ * without a wire (in-process, simulated) remembers nothing and so
+ * allocates nothing. Scope it around a burst of call()s; responses
+ * cannot arrive before the frames flush, so the batch must end before
+ * any blocking wait on completions.
  */
 class ScopedWriteBatch
 {
@@ -299,8 +292,8 @@ class ScopedWriteBatch
             std::find(corked.begin(), corked.end(), channel) !=
                 corked.end())
             return;
-        channel->corkWrites();
-        corked.push_back(channel);
+        if (channel->corkWrites())
+            corked.push_back(channel);
     }
 
   private:

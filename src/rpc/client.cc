@@ -143,7 +143,7 @@ RpcClient::ensureConnected(ClientConn *conn)
     return true;
 }
 
-void
+bool
 RpcClient::corkWrites()
 {
     // Snapshot the live transports first (conn->mutex), then cork
@@ -163,6 +163,7 @@ RpcClient::corkWrites()
         fc->cork();
     MutexLock guard(corkMutex);
     corkStack.push_back(std::move(fcs));
+    return true;
 }
 
 void

@@ -76,7 +76,7 @@ class RpcClient : public Channel
      * between cork and uncork flush together at uncork, one
      * scatter-gather sendmsg per connection (see Channel).
      */
-    void corkWrites() override;
+    bool corkWrites() override;
     void uncorkWrites() override;
 
   protected:

@@ -22,6 +22,17 @@ inHealthyFlapWindow(uint64_t flap_period, uint64_t ordinal)
 
 } // namespace
 
+namespace {
+
+Counter &
+injectedCounter()
+{
+    static Counter &injected = globalCounters().counter("rpc.fault.injected");
+    return injected;
+}
+
+} // namespace
+
 FaultDecision
 FaultInjector::onRequest()
 {
@@ -30,7 +41,7 @@ FaultInjector::onRequest()
     FaultDecision decision = decideRequest(ordinal);
     if (decision.kind != FaultDecision::Kind::None) {
         faultCount.fetch_add(1, std::memory_order_relaxed);
-        globalCounters().counter("rpc.fault.injected").add();
+        injectedCounter().add();
     }
     return decision;
 }
@@ -89,7 +100,7 @@ FaultInjector::onResponse()
     FaultDecision decision = decideResponse(ordinal);
     if (decision.kind != FaultDecision::Kind::None) {
         faultCount.fetch_add(1, std::memory_order_relaxed);
-        globalCounters().counter("rpc.fault.injected").add();
+        injectedCounter().add();
     }
     return decision;
 }

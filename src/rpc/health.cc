@@ -50,9 +50,7 @@ PeerHealth::recordOutcome(const Status &status, int64_t latency_ns)
     else
         totalSuccesses.fetch_add(1, std::memory_order_relaxed);
 
-    const int64_t now_ns = boundClock->nowNanos();
     MutexLock guard(mutex);
-    lastOutcomeAt = now_ns;
     if (latency_ns >= 0) {
         if (!ewmaSeeded) {
             ewmaNs = double(latency_ns);
@@ -96,13 +94,6 @@ PeerHealth::consecutiveFailures() const
 {
     MutexLock guard(mutex);
     return streak;
-}
-
-int64_t
-PeerHealth::lastOutcomeAtNs() const
-{
-    MutexLock guard(mutex);
-    return lastOutcomeAt;
 }
 
 // --- EjectionPolicy --------------------------------------------------
@@ -204,11 +195,12 @@ EjectionPolicy::tryEject(Peer &peer)
     peer.consultsWhileEjected = 0;
     peer.successesAtEject = peer.health->successes();
     ejected++;
-    lastEjectAt = boundClock->nowNanos();
     if (firstEjectAt < 0)
-        firstEjectAt = lastEjectAt;
+        firstEjectAt = boundClock->nowNanos();
     ejectCount.fetch_add(1, std::memory_order_relaxed);
-    globalCounters().counter("health.ejected").add();
+    static Counter &ejected_counter =
+        globalCounters().counter("health.ejected");
+    ejected_counter.add();
     return true;
 }
 
@@ -235,9 +227,10 @@ EjectionPolicy::admitLeg(Channel *channel)
             peer->state = PeerState::SlowStart;
             peer->failuresAtReinstate = peer->health->failures();
             ejected--;
-            lastReinstateAt = boundClock->nowNanos();
             reinstateCount.fetch_add(1, std::memory_order_relaxed);
-            globalCounters().counter("health.reinstated").add();
+            static Counter &reinstated =
+                globalCounters().counter("health.reinstated");
+            reinstated.add();
             // This consult is the first slow-start leg: admit it.
             peer->slowStartConsults = 1;
             return LegDecision::Admit;
@@ -246,7 +239,9 @@ EjectionPolicy::admitLeg(Channel *channel)
         if (options.probeEveryNth > 0 &&
             peer->consultsWhileEjected % options.probeEveryNth == 0) {
             probeCount.fetch_add(1, std::memory_order_relaxed);
-            globalCounters().counter("health.probe_sent").add();
+            static Counter &probe_sent =
+                globalCounters().counter("health.probe_sent");
+            probe_sent.add();
             return LegDecision::Probe; // Out-of-band, never merged.
         }
         return LegDecision::Skip;
@@ -289,32 +284,11 @@ EjectionPolicy::firstEjectAtNs() const
     return firstEjectAt;
 }
 
-int64_t
-EjectionPolicy::lastEjectAtNs() const
-{
-    MutexLock guard(mutex);
-    return lastEjectAt;
-}
-
-int64_t
-EjectionPolicy::lastReinstateAtNs() const
-{
-    MutexLock guard(mutex);
-    return lastReinstateAt;
-}
-
 size_t
 EjectionPolicy::ejectedCount() const
 {
     MutexLock guard(mutex);
     return ejected;
-}
-
-size_t
-EjectionPolicy::peerCount() const
-{
-    MutexLock guard(mutex);
-    return peers.size();
 }
 
 } // namespace rpc

@@ -100,8 +100,6 @@ class PeerHealth
     uint64_t outcomes() const { return totalOutcomes.load(); }
     uint64_t successes() const { return totalSuccesses.load(); }
     uint64_t failures() const { return totalFailures.load(); }
-    /** Instant of the most recent outcome on this peer's clock. */
-    int64_t lastOutcomeAtNs() const;
 
   private:
     const PeerHealthOptions options;
@@ -115,7 +113,6 @@ class PeerHealth
     uint32_t windowFailures GUARDED_BY(mutex) = 0;
     uint32_t windowPos GUARDED_BY(mutex) = 0;
     uint32_t streak GUARDED_BY(mutex) = 0;
-    int64_t lastOutcomeAt GUARDED_BY(mutex) = 0;
     std::atomic<uint64_t> totalOutcomes{0};
     std::atomic<uint64_t> totalSuccesses{0};
     std::atomic<uint64_t> totalFailures{0};
@@ -215,13 +212,9 @@ class EjectionPolicy
     uint64_t probesSent() const { return probeCount.load(); }
     /** First ejection instant on the policy clock; -1 = never. The
      *  time-to-detect anchor: later ejections (reintroduction churn
-     *  while a peer's EWMA memory drains) update lastEjectAtNs only. */
+     *  while a peer's EWMA memory drains) do not move it. */
     int64_t firstEjectAtNs() const;
-    /** Most recent ejection instant on the policy clock; -1 = never. */
-    int64_t lastEjectAtNs() const;
-    int64_t lastReinstateAtNs() const;
     size_t ejectedCount() const;
-    size_t peerCount() const;
 
   private:
     struct Peer
@@ -254,8 +247,6 @@ class EjectionPolicy
     std::vector<double> medianScratch GUARDED_BY(mutex);
     size_t ejected GUARDED_BY(mutex) = 0;
     int64_t firstEjectAt GUARDED_BY(mutex) = -1;
-    int64_t lastEjectAt GUARDED_BY(mutex) = -1;
-    int64_t lastReinstateAt GUARDED_BY(mutex) = -1;
     std::atomic<uint64_t> ejectCount{0};
     std::atomic<uint64_t> reinstateCount{0};
     std::atomic<uint64_t> probeCount{0};

@@ -424,7 +424,9 @@ Server::enter(ServerCallPtr call)
     // responder, like every other shed.
     if (options.admission) {
         if (!options.admission->admit()) {
-            globalCounters().counter("overload.admission_rejected").add();
+            static Counter &admission_rejected =
+                globalCounters().counter("overload.admission_rejected");
+            admission_rejected.add();
             call->respond(StatusCode::ResourceExhausted, "",
                           options.admission->retryAfterHintNs());
             return;
@@ -468,7 +470,9 @@ Server::dispatchBatch(std::vector<ServerCallPtr> batch)
 void
 Server::shedCall(const ServerCallPtr &call, int64_t retry_after_ns)
 {
-    globalCounters().counter("overload.queue_rejected").add();
+    static Counter &queue_rejected =
+        globalCounters().counter("overload.queue_rejected");
+    queue_rejected.add();
     // No latency sample for the limiter: the request never ran, and a
     // near-zero "residence" would teach an adaptive policy that the
     // server is fast precisely while it is drowning.
@@ -516,17 +520,32 @@ Server::enterStation(ServerCallPtr call)
     // actual load.
     const int64_t now_ns = boundClock->nowNanos();
     auto slot = std::min_element(slotFreeAtNs.begin(), slotFreeAtNs.end());
-    if (stationOccupancy >=
+    if (station.size() - stationHead >=
         size_t(options.workerThreads) + options.queueCapacity) {
         shedCall(call, std::max<int64_t>(*slot - now_ns, 0) +
                            options.serviceNs);
         return;
     }
+    // An arrival takes the earliest-free slot and frees it later than
+    // any slot was free before, so handler instants never decrease and
+    // (equal instants firing in arm order) the handlers run in arrival
+    // order. The timer therefore only names the call at the head of
+    // the station; the station owns it.
     *slot = std::max(now_ns, *slot) + options.serviceNs;
-    ++stationOccupancy;
-    boundClock->schedule(*slot - now_ns, [this, call = std::move(call)] {
-        --stationOccupancy;
-        execute(call);
+    const ServerCall *arrival = call.get();
+    station.push_back(std::move(call));
+    boundClock->schedule(*slot - now_ns, [this, arrival] {
+        ServerCallPtr next = std::move(station[stationHead++]);
+        MUSUITE_CHECK(next.get() == arrival)
+            << "station handlers ran out of arrival order";
+        // Drop the spent prefix once it is at least half the vector:
+        // amortized O(1) per call, and at most twice the occupancy.
+        if (2 * stationHead >= station.size()) {
+            station.erase(station.begin(),
+                          station.begin() + std::ptrdiff_t(stationHead));
+            stationHead = 0;
+        }
+        execute(next);
     });
 }
 

@@ -324,8 +324,12 @@ class Server
     // one thread (simclock.h), so its state needs no lock.
     /** Virtual instant each worker slot next becomes free. */
     std::vector<int64_t> slotFreeAtNs;
-    /** Requests queued or in service in the station. */
-    size_t stationOccupancy = 0;
+    /** Requests queued or in service in the station, in the order
+     *  their handlers run: station[stationHead...]. A vector, not a
+     *  deque, so a server that never uses the station allocates
+     *  nothing for it. */
+    std::vector<ServerCallPtr> station;
+    size_t stationHead = 0;
 };
 
 } // namespace rpc

@@ -54,13 +54,6 @@ releaseWireBuffer(std::string &&buffer)
     pool.push_back(std::move(buffer));
 }
 
-size_t
-wireBufferPoolSize()
-{
-    MutexLock lock(poolMutex);
-    return pool.size();
-}
-
 void
 WireWriter::putVarint(uint64_t value)
 {

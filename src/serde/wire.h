@@ -45,9 +45,6 @@ std::string acquireWireBuffer(size_t reserve = 0);
 /** Recycle a spent buffer (contents discarded). */
 void releaseWireBuffer(std::string &&buffer);
 
-/** Buffers currently sitting in the pool (tests/metrics). */
-size_t wireBufferPoolSize();
-
 /** Serializer appending to an internal byte buffer. */
 class WireWriter
 {

@@ -58,8 +58,10 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/logging.h"
@@ -209,7 +211,9 @@ failFastIfExpired(const rpc::ServerCallPtr &call)
 {
     if (!call->budgetSpent())
         return false;
-    globalCounters().counter("fanout.expired_before_fanout").add();
+    static Counter &expired_before_fanout =
+        globalCounters().counter("fanout.expired_before_fanout");
+    expired_before_fanout.add();
     call->respond(StatusCode::DeadlineExceeded, "");
     return true;
 }
@@ -264,6 +268,205 @@ respondFailure(const rpc::ServerCallPtr &call, const Status &status)
     call->respond(status.code(), "", status.retryAfterNs());
 }
 
+namespace detail {
+
+/**
+ * The count-down behind fanoutCall and Downstream::serve: issue every
+ * leg of `legs` (each with a `.body` the call consumes) at
+ * `channel_of(leg)`, tag its result with `tag_of(leg)`, and run
+ * `merge(FanoutOutcome)` exactly once (see the threading contract
+ * above). The merge functor, the results and the count-down share one
+ * allocation; a leg adds only its own channel call.
+ */
+template <typename LegT, typename ChannelOf, typename TagOf, typename Merge>
+void
+fanout(uint32_t method, std::vector<LegT> &legs, ChannelOf channel_of,
+       TagOf tag_of, const FanoutOptions &options, Merge merge)
+{
+    MUSUITE_CHECK(!legs.empty()) << "empty fan-out";
+    const uint32_t leg_count = uint32_t(legs.size());
+
+    struct SharedState
+    {
+        Mutex mutex{LockRank::fanout, "fanout"};
+        /** One result per leg. A leg starts out as an abandoned
+         *  straggler; its answer, or its ejection, overwrites that. */
+        FanoutOutcome outcome GUARDED_BY(mutex);
+        uint32_t completedLegs GUARDED_BY(mutex) = 0;
+        bool done GUARDED_BY(mutex) = false;
+        uint32_t legs;
+        uint32_t quorum;
+        Merge merge;
+
+        SharedState(uint32_t legs_in, uint32_t quorum_in, Merge merge_in)
+            : legs(legs_in), quorum(quorum_in), merge(std::move(merge_in))
+        {}
+
+        /** Leg `leg` answered. */
+        void
+        arrive(uint32_t leg, const Status &status, std::string_view payload)
+        {
+            FanoutOutcome ready;
+            {
+                MutexLock guard(mutex);
+                if (done) {
+                    // Straggler beyond the quorum: the parent has
+                    // already answered. Never touch the results here —
+                    // they have been moved out.
+                    static Counter &late_leg =
+                        globalCounters().counter("fanout.late_leg");
+                    late_leg.add();
+                    return;
+                }
+                LeafResult &result = outcome.results[leg];
+                result.status = status;
+                result.payload.assign(payload.data(), payload.size());
+                completedLegs++;
+                if (status.isOk())
+                    outcome.okLegs++;
+
+                // Early completion needs both quorum OKs and an
+                // observed terminal failure (completed > ok);
+                // all-healthy fan-outs wait for every leg.
+                const bool fire =
+                    completedLegs == legs ||
+                    (quorum != 0 && outcome.okLegs >= quorum &&
+                     completedLegs > outcome.okLegs);
+                if (!fire)
+                    return;
+                done = true;
+                if (completedLegs < legs) {
+                    static Counter &abandoned_leg =
+                        globalCounters().counter("fanout.abandoned_leg");
+                    abandoned_leg.add(legs - completedLegs);
+                }
+                outcome.degraded = outcome.okLegs < legs;
+                ready = std::move(outcome);
+            }
+            finish(std::move(ready));
+        }
+
+        void
+        finish(FanoutOutcome ready)
+        {
+            if (ready.degraded) {
+                static Counter &degraded =
+                    globalCounters().counter("fanout.degraded");
+                degraded.add();
+            }
+            merge(std::move(ready));
+        }
+    };
+
+    const uint32_t quorum =
+        options.quorum == 0 ? 0 : std::min(options.quorum, leg_count);
+    auto state =
+        std::make_shared<SharedState>(leg_count, quorum, std::move(merge));
+    {
+        MutexLock guard(state->mutex);
+        state->outcome.results.resize(leg_count);
+        const Status abandoned(StatusCode::DeadlineExceeded, "abandoned");
+        for (uint32_t i = 0; i < leg_count; ++i) {
+            state->outcome.results[i].status = abandoned;
+            state->outcome.results[i].tag = tag_of(legs[i]);
+        }
+    }
+    static Counter &calls = globalCounters().counter("fanout.calls");
+    calls.add();
+
+    // Outlier ejection: consult the policy per leg before anything is
+    // issued. A refused leg never touches its channel in-band — no
+    // transport traffic, no health recording (skips
+    // are not evidence about the peer, and counting them would
+    // double-book the original failures that caused the ejection).
+    // The leg is pre-marked as an instant UNAVAILABLE completion so
+    // the quorum arithmetic sees a terminal failure immediately: with
+    // a quorum set, the parent completes as soon as the healthy legs
+    // answer instead of waiting out the ejected peer's deadline. Probe
+    // legs are pre-marked the same way for the merge, then fired
+    // out-of-band below: their outcomes feed the peer's health tracker
+    // through the normal channel path, but a zombie probe burning its
+    // deadline never drags this fan-out. The decisions live on the
+    // stack up to 64 legs.
+    using Decision = rpc::EjectionPolicy::LegDecision;
+    Decision inline_decisions[64];
+    std::vector<Decision> spilled_decisions;
+    Decision *decisions = nullptr;
+    if (options.ejection != nullptr) {
+        if (leg_count > std::size(inline_decisions)) {
+            spilled_decisions.resize(leg_count);
+            decisions = spilled_decisions.data();
+        } else {
+            decisions = inline_decisions;
+        }
+        uint32_t skipped = 0;
+        for (uint32_t i = 0; i < leg_count; ++i) {
+            decisions[i] = options.ejection->admitLeg(channel_of(legs[i]));
+            if (decisions[i] != Decision::Admit)
+                skipped++;
+        }
+        if (skipped > 0) {
+            static Counter &outlier_skipped =
+                globalCounters().counter("fanout.outlier_skipped");
+            outlier_skipped.add(skipped);
+            MutexLock guard(state->mutex);
+            for (uint32_t i = 0; i < leg_count; ++i) {
+                if (decisions[i] == Decision::Admit)
+                    continue;
+                state->outcome.results[i].status = Status(
+                    StatusCode::Unavailable, "peer ejected as outlier");
+                state->completedLegs++;
+            }
+        }
+        for (uint32_t i = 0; i < leg_count; ++i) {
+            if (decisions[i] != Decision::Probe)
+                continue;
+            channel_of(legs[i])->call(
+                method, std::move(legs[i].body), options.leg,
+                [](const Status &, std::string_view) {
+                    // Fire-and-forget: the channel already recorded
+                    // the outcome into the peer's health tracker.
+                });
+        }
+        if (skipped == leg_count) {
+            // Degenerate: every leg ejected (only reachable with
+            // maxEjectedFraction == 1). Nothing will ever call back,
+            // so complete the all-failed outcome here.
+            FanoutOutcome outcome;
+            {
+                MutexLock guard(state->mutex);
+                state->done = true;
+                outcome = std::move(state->outcome);
+            }
+            outcome.okLegs = 0;
+            outcome.degraded = true;
+            state->finish(std::move(outcome));
+            return;
+        }
+    }
+
+    // Cork every distinct channel for the duration of the issue loop:
+    // all legs sharing a transport connection leave in one
+    // scatter-gather syscall when the batch closes. Safe even when a
+    // leg completes inline — the merge runs after uncork at the
+    // latest, and responses cannot precede the flushed requests.
+    rpc::ScopedWriteBatch batch;
+    for (const LegT &leg : legs)
+        batch.add(channel_of(leg));
+
+    for (uint32_t i = 0; i < leg_count; ++i) {
+        if (decisions != nullptr && decisions[i] != Decision::Admit)
+            continue; // Ejected: pre-completed above, channel untouched.
+        channel_of(legs[i])->call(
+            method, std::move(legs[i].body), options.leg,
+            [state, i](const Status &status, std::string_view payload) {
+                state->arrive(i, status, payload);
+            });
+    }
+}
+
+} // namespace detail
+
 /**
  * Issue all requests asynchronously; invoke on_complete exactly once
  * (see the threading contract above) with one result per request in
@@ -276,182 +479,11 @@ fanoutCall(uint32_t method, std::vector<FanoutRequest> requests,
            FanoutOptions options,
            std::function<void(FanoutOutcome)> on_complete)
 {
-    MUSUITE_CHECK(!requests.empty()) << "empty fan-out";
-
-    struct SharedState
-    {
-        Mutex mutex{LockRank::fanout, "fanout"};
-        std::vector<LeafResult> results GUARDED_BY(mutex);
-        std::vector<bool> arrived GUARDED_BY(mutex);
-        uint32_t completedLegs GUARDED_BY(mutex) = 0;
-        uint32_t okLegs GUARDED_BY(mutex) = 0;
-        bool done GUARDED_BY(mutex) = false;
-        uint32_t legs;
-        uint32_t quorum;
-        std::function<void(FanoutOutcome)> merge;
-
-        SharedState(const std::vector<FanoutRequest> &requests,
-                    uint32_t quorum)
-            : results(requests.size()), arrived(requests.size(), false),
-              legs(uint32_t(requests.size())), quorum(quorum)
-        {
-            for (size_t i = 0; i < requests.size(); ++i)
-                results[i].tag = requests[i].tag;
-        }
-    };
-    const uint32_t quorum =
-        options.quorum == 0
-            ? 0
-            : std::min<uint32_t>(options.quorum,
-                                 uint32_t(requests.size()));
-    auto state = std::make_shared<SharedState>(requests, quorum);
-    state->merge = std::move(on_complete);
-    globalCounters().counter("fanout.calls").add();
-
-    // Outlier ejection: consult the policy per leg before anything is
-    // issued. A refused leg never touches its channel in-band — no
-    // transport traffic, no health recording (skips
-    // are not evidence about the peer, and counting them would
-    // double-book the original failures that caused the ejection).
-    // The leg is pre-marked as an instant UNAVAILABLE completion so
-    // the quorum arithmetic below sees a terminal failure
-    // immediately: with a quorum set, the parent completes as soon as
-    // the healthy legs answer instead of waiting out the ejected
-    // peer's deadline. Probe legs are pre-marked the same way for the
-    // merge, then fired out-of-band below: their outcomes feed the
-    // peer's health tracker through the normal channel path, but a
-    // zombie probe burning its deadline never drags this fan-out.
-    std::vector<bool> skip;
-    std::vector<size_t> probes;
-    uint32_t skipped = 0;
-    if (options.ejection != nullptr) {
-        skip.assign(requests.size(), false);
-        for (size_t i = 0; i < requests.size(); ++i) {
-            switch (options.ejection->admitLeg(requests[i].channel)) {
-            case rpc::EjectionPolicy::LegDecision::Admit:
-                break;
-            case rpc::EjectionPolicy::LegDecision::Probe:
-                probes.push_back(i);
-                [[fallthrough]];
-            case rpc::EjectionPolicy::LegDecision::Skip:
-                skip[i] = true;
-                skipped++;
-                break;
-            }
-        }
-        if (skipped > 0) {
-            globalCounters()
-                .counter("fanout.outlier_skipped")
-                .add(skipped);
-            MutexLock guard(state->mutex);
-            for (size_t i = 0; i < requests.size(); ++i) {
-                if (!skip[i])
-                    continue;
-                state->results[i].status = Status(
-                    StatusCode::Unavailable, "peer ejected as outlier");
-                state->arrived[i] = true;
-                state->completedLegs++;
-            }
-        }
-        for (size_t i : probes) {
-            requests[i].channel->call(
-                method, std::move(requests[i].body), options.leg,
-                [](const Status &, std::string_view) {
-                    // Fire-and-forget: the channel already recorded
-                    // the outcome into the peer's health tracker.
-                });
-        }
-        if (skipped == requests.size()) {
-            // Degenerate: every leg ejected (only reachable with
-            // maxEjectedFraction == 1). Nothing will ever call back,
-            // so complete the all-failed outcome here.
-            FanoutOutcome outcome;
-            {
-                MutexLock guard(state->mutex);
-                state->done = true;
-                outcome.results = std::move(state->results);
-            }
-            outcome.okLegs = 0;
-            outcome.degraded = true;
-            globalCounters().counter("fanout.degraded").add();
-            state->merge(std::move(outcome));
-            return;
-        }
-    }
-
-    // Cork every distinct channel for the duration of the issue loop:
-    // all legs sharing a transport connection leave in one
-    // scatter-gather syscall when the batch closes. Safe even when a
-    // leg completes inline — the merge runs after uncork at the
-    // latest, and responses cannot precede the flushed requests.
-    rpc::ScopedWriteBatch batch;
-    for (const FanoutRequest &request : requests)
-        batch.add(request.channel);
-
-    for (size_t i = 0; i < requests.size(); ++i) {
-        FanoutRequest &request = requests[i];
-        if (!skip.empty() && skip[i])
-            continue; // Ejected: pre-completed above, channel untouched.
-        request.channel->call(
-            method, std::move(request.body), options.leg,
-            [state, i](const Status &status, std::string_view payload) {
-                FanoutOutcome outcome;
-                bool fire = false;
-                {
-                    MutexLock guard(state->mutex);
-                    if (state->done) {
-                        // Straggler beyond the quorum: the parent has
-                        // already answered. Never touch results here —
-                        // they have been moved out.
-                        globalCounters()
-                            .counter("fanout.late_leg")
-                            .add();
-                        return;
-                    }
-                    state->results[i].status = status;
-                    state->results[i].payload.assign(payload.data(),
-                                                     payload.size());
-                    state->arrived[i] = true;
-                    state->completedLegs++;
-                    if (status.isOk())
-                        state->okLegs++;
-
-                    // Early completion needs both quorum OKs and an
-                    // observed terminal failure (completed > ok);
-                    // all-healthy fan-outs wait for every leg.
-                    fire = state->completedLegs == state->legs ||
-                           (state->quorum != 0 &&
-                            state->okLegs >= state->quorum &&
-                            state->completedLegs > state->okLegs);
-                    if (fire) {
-                        state->done = true;
-                        outcome.results = std::move(state->results);
-                        outcome.okLegs = state->okLegs;
-                        for (size_t leg = 0; leg < outcome.results.size();
-                             ++leg) {
-                            if (state->arrived[leg])
-                                continue;
-                            outcome.results[leg].status = Status(
-                                StatusCode::DeadlineExceeded,
-                                "straggler abandoned at quorum");
-                            globalCounters()
-                                .counter("fanout.abandoned_leg")
-                                .add();
-                        }
-                        outcome.degraded =
-                            outcome.okLegs < outcome.results.size();
-                    }
-                }
-                if (fire) {
-                    if (outcome.degraded) {
-                        globalCounters()
-                            .counter("fanout.degraded")
-                            .add();
-                    }
-                    state->merge(std::move(outcome));
-                }
-            });
-    }
+    detail::fanout(
+        method, requests,
+        [](const FanoutRequest &request) { return request.channel; },
+        [](const FanoutRequest &request) { return request.tag; }, options,
+        std::move(on_complete));
 }
 
 /** One leg a mid-tier hands its Downstream pool: which leaf, with
@@ -530,15 +562,11 @@ class Downstream
     {
         if (failFastIfExpired(call))
             return;
-        std::vector<FanoutRequest> requests;
-        requests.reserve(legs.size());
-        for (Leg &leg : legs) {
-            requests.push_back(FanoutRequest{channels[leg.leaf].get(),
-                                             std::move(leg.body), leg.leaf});
-        }
-        const FanoutOptions options = policy.resolve(requests.size(), *call);
-        fanoutCall(
-            method, std::move(requests), options,
+        const FanoutOptions options = policy.resolve(legs.size(), *call);
+        detail::fanout(
+            method, legs,
+            [this](const Leg &leg) { return channels[leg.leaf].get(); },
+            [](const Leg &leg) { return leg.leaf; }, options,
             [this, call,
              fold = std::move(fold)](FanoutOutcome outcome) mutable {
                 uint32_t answered = 0;

@@ -66,8 +66,11 @@ GraphNode::handle(rpc::ServerCallPtr call)
         options.cacheHitRatio > 0.0 &&
         Rng(options.seed ^ work_id).nextBool(options.cacheHitRatio);
     if (cache_hit || downstream.empty()) {
-        if (cache_hit)
-            globalCounters().counter("graph.node.cache_hit").add();
+        if (cache_hit) {
+            static Counter &cache_hits =
+                globalCounters().counter("graph.node.cache_hit");
+            cache_hits.add();
+        }
         GraphReply reply;
         reply.workId = work_id;
         reply.nodesVisited = 1;

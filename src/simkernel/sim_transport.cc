@@ -44,41 +44,72 @@ void
 SimChannel::transportCall(uint32_t method, std::string body,
                           int64_t budget_ns, Callback callback)
 {
-    sim.traceEvent(label + " send m=" + std::to_string(method));
-    sim.schedule(
-        sampleLatencyNs(link.requestLatencyNs),
-        [this, method, body = std::move(body), budget_ns,
-         callback = std::move(callback)]() mutable {
-            if (down) {
-                sim.traceEvent(label + " refused");
-                callback(Status(StatusCode::Unavailable,
-                                "sim link down"),
-                         {});
-                return;
-            }
-            sim.traceEvent(label + " deliver m=" +
-                           std::to_string(method));
-            server.invokeLocal(
-                method, std::move(body), budget_ns,
-                [this, callback = std::move(callback)](
-                    StatusCode code, std::string_view payload,
+    Hop *hop = nullptr;
+    if (idleHops.empty()) {
+        hops.push_back(std::make_unique<Hop>());
+        hop = hops.back().get();
+    } else {
+        hop = idleHops.back();
+        idleHops.pop_back();
+    }
+    hop->method = method;
+    hop->body = std::move(body);
+    hop->budgetNs = budget_ns;
+    hop->callback = std::move(callback);
+    if (sim.isTracing())
+        sim.traceEvent(label + " send m=" + std::to_string(method));
+    sim.schedule(sampleLatencyNs(link.requestLatencyNs),
+                 [this, hop] { deliver(hop); });
+}
+
+void
+SimChannel::deliver(Hop *hop)
+{
+    if (down) {
+        if (sim.isTracing())
+            sim.traceEvent(label + " refused");
+        Callback callback = std::move(hop->callback);
+        recycle(hop);
+        callback(Status(StatusCode::Unavailable, "sim link down"), {});
+        return;
+    }
+    if (sim.isTracing())
+        sim.traceEvent(label + " deliver m=" + std::to_string(hop->method));
+    server.invokeLocal(
+        hop->method, std::move(hop->body), hop->budgetNs,
+        [this, hop](StatusCode code, std::string_view payload,
                     int64_t retry_after_ns) {
-                    // The handler may respond asynchronously (e.g.
-                    // from a fan-out merge); whenever it does, the
-                    // response crosses the link from that instant.
-                    sim.schedule(
-                        sampleLatencyNs(link.responseLatencyNs),
-                        [this, callback, code, retry_after_ns,
-                         payload = std::string(payload)] {
-                            sim.traceEvent(
-                                label + " recv code=" +
-                                std::to_string(int(code)));
-                            callback(
-                                rpc::responseStatus(code, retry_after_ns),
-                                payload);
-                        });
-                });
+            // The handler may respond asynchronously (e.g. from a
+            // fan-out merge); whenever it does, the response crosses
+            // the link from that instant.
+            hop->code = code;
+            hop->retryAfterNs = retry_after_ns;
+            hop->payload.assign(payload.data(), payload.size());
+            sim.schedule(sampleLatencyNs(link.responseLatencyNs),
+                         [this, hop] { receive(hop); });
         });
+}
+
+void
+SimChannel::receive(Hop *hop)
+{
+    if (sim.isTracing())
+        sim.traceEvent(label + " recv code=" +
+                       std::to_string(int(hop->code)));
+    // The hop goes back to the pool before the callback runs: the
+    // callback may issue calls on this channel, or destroy it.
+    Callback callback = std::move(hop->callback);
+    const std::string payload = std::move(hop->payload);
+    const Status status = rpc::responseStatus(hop->code, hop->retryAfterNs);
+    recycle(hop);
+    callback(status, payload);
+}
+
+void
+SimChannel::recycle(Hop *hop)
+{
+    hop->callback = nullptr;
+    idleHops.push_back(hop);
 }
 
 Reply

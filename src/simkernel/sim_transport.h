@@ -21,7 +21,9 @@
 #ifndef MUSUITE_SIMKERNEL_SIM_TRANSPORT_H
 #define MUSUITE_SIMKERNEL_SIM_TRANSPORT_H
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "base/rng.h"
 #include "rpc/channel.h"
@@ -86,8 +88,33 @@ class SimChannel final : public rpc::Channel
                        int64_t budget_ns, Callback callback) override;
 
   private:
+    /**
+     * One call crossing the link: what the request hop carries to the
+     * server and what the response hop carries back. Every event of
+     * the call captures only (this, hop), which a std::function keeps
+     * without allocating. Hops are pooled per channel and recycled,
+     * so a steady stream of calls allocates none.
+     */
+    struct Hop
+    {
+        uint32_t method = 0;
+        std::string body;
+        int64_t budgetNs = 0;
+        Callback callback;
+        StatusCode code = StatusCode::Ok;
+        int64_t retryAfterNs = 0;
+        std::string payload;
+    };
+
     /** Sample one direction's latency from the link distribution. */
     int64_t sampleLatencyNs(int64_t base_ns);
+
+    /** The request reaches the server end of the link. */
+    void deliver(Hop *hop);
+    /** The response reaches the client end: finish the call. */
+    void receive(Hop *hop);
+    /** Return a spent hop to the pool, keeping its buffers. */
+    void recycle(Hop *hop);
 
     SimClock &sim;
     rpc::Server &server;
@@ -95,6 +122,8 @@ class SimChannel final : public rpc::Channel
     std::string label;
     Rng latencyRng; //!< Per-channel stream; unused when seed == 0.
     bool down = false;
+    std::vector<std::unique_ptr<Hop>> hops; //!< Every hop ever made.
+    std::vector<Hop *> idleHops;           //!< Those not in flight.
 };
 
 /**

@@ -9,7 +9,10 @@
  * sequence breaks ties), so a seeded scenario replays byte-identically
  * run after run — the property the sim-mode regression tests and the
  * check.sh seed sweep assert. Arming, firing and cancelling allocate
- * nothing beyond the callback itself once the heap has warmed up.
+ * nothing beyond the callback itself once the heap has warmed up, and
+ * the callback allocates nothing either when its captures are at most
+ * two pointers (libstdc++'s std::function stores a trivially copyable
+ * callable that small in place).
  *
  * SINGLE-THREADED BY CONTRACT: a SimClock and every object bound to it
  * (channels, unstarted servers, health trackers) must be driven from
@@ -110,6 +113,10 @@ class SimClock final : public Clock
 
     /** Start recording; clears any previous trace. */
     void enableTrace();
+
+    /** True once enableTrace() ran: a caller builds a label for
+     *  traceEvent only then, so an untraced run pays nothing. */
+    bool isTracing() const { return tracing; }
 
     /** Append "t=<now> <label>" to the trace (no-op if not tracing). */
     void traceEvent(std::string_view label);

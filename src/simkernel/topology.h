@@ -75,7 +75,7 @@ struct Topology
     std::vector<LinkRef> links;
     /** Outlier-ejection policies, one per parent of a stage with
      *  ejectOutliers set (construction order) — inspect for
-     *  ejections()/lastEjectAtNs() in benches and tests. */
+     *  ejections()/firstEjectAtNs() in benches and tests. */
     std::vector<std::shared_ptr<rpc::EjectionPolicy>> ejectionPolicies;
     /** Client-side channel into the root node. */
     std::shared_ptr<rpc::Channel> root;

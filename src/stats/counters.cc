@@ -46,13 +46,6 @@ CounterSet::valueOf(const CounterSnapshot &snapshot, const std::string &name)
     return it == snapshot.end() ? 0 : it->second;
 }
 
-void
-CounterSet::clear()
-{
-    MutexLock guard(mutex);
-    counters.clear();
-}
-
 CounterSet &
 globalCounters()
 {

@@ -43,8 +43,10 @@ using CounterSnapshot = std::map<std::string, uint64_t>;
 
 /**
  * A registry of named counters. Lookup is mutex-guarded (cold);
- * increments through the returned reference are lock-free. Counter
- * references remain valid for the life of the set.
+ * increments through the returned reference are lock-free. A counter
+ * is never removed, so its reference stays valid for the life of the
+ * set: a per-call path looks its counter up once and keeps the
+ * reference (a function-local `static Counter &`).
  */
 class CounterSet
 {
@@ -62,9 +64,6 @@ class CounterSet
     /** `name`'s value in a snapshot or a diff; 0 when absent. */
     static uint64_t valueOf(const CounterSnapshot &snapshot,
                             const std::string &name);
-
-    /** Zero is impossible for monotonic counters; reset drops them. */
-    void clear();
 
   private:
     mutable Mutex mutex{LockRank::counters, "stats.counters"};

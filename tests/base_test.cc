@@ -272,6 +272,28 @@ TEST(LatchTest, ExtraCountDownIsIgnored)
     EXPECT_FALSE(latch.countDown());
 }
 
+TEST(CondVarTest, WaitForReturnsFalseOnTimeoutAndTrueWhenWoken)
+{
+    Mutex mutex;
+    CondVar cv;
+    MutexLock lock(mutex);
+    const int64_t start = nowNanos();
+    EXPECT_FALSE(cv.waitFor(lock, 2'000'000 /* 2 ms */));
+    EXPECT_GE(nowNanos() - start, 2'000'000);
+    EXPECT_TRUE(lock.ownsLock());
+
+    bool ready = false;
+    ScopedThread notifier("notifier", [&] {
+        MutexLock guard(mutex);
+        ready = true;
+        cv.notifyOne();
+    });
+    bool woken = true;
+    while (!ready)
+        woken = cv.waitFor(lock, 10'000'000'000 /* 10 s */);
+    EXPECT_TRUE(woken);
+}
+
 TEST(TimeTest, MonotonicAdvances)
 {
     const int64_t a = nowNanos();

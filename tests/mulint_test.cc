@@ -227,12 +227,13 @@ TEST(MulintFixtures, ConditionalLockBad)
                   "acquires 'innerMutex' (rank 10 'inner') while "
                   "holding 'outerMutex' (rank 20 'outer')"),
               std::string::npos);
-    // raw-sync flags the naked unlocks written as statements of their
-    // own; the two in unbraced if bodies (lines 28, 37) escape it.
+    // raw-sync flags every naked unlock written as a statement, the
+    // two that are unbraced if bodies (lines 28, 37) included.
     const auto raw = lintFixture("lock_cond_bad", "raw-sync");
-    ASSERT_EQ(raw.size(), 2u);
-    EXPECT_EQ(raw[0].line, 17);
-    EXPECT_EQ(raw[1].line, 47);
+    ASSERT_EQ(raw.size(), 4u);
+    const int raw_lines[] = {17, 28, 37, 47};
+    for (size_t i = 0; i < raw.size(); ++i)
+        EXPECT_EQ(raw[i].line, raw_lines[i]);
 }
 
 // A blocking call inside a MutexUnlock window, queue.h's

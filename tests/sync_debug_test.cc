@@ -211,6 +211,53 @@ TEST(SyncDebugTest, HeldLockCountTracksScopes)
     EXPECT_EQ(syncdbg::heldLockCount(), 0u);
 }
 
+TEST(SyncDebugTest, CondVarWaitLeavesTheHeldLockStackExact)
+{
+    Mutex outer(LockRank::fanout, "test.outer");
+    Mutex inner(LockRank::call, "test.inner");
+    Mutex after(LockRank::counters, "test.after");
+    CondVar cv;
+    bool ready = false;
+    {
+        MutexLock a(outer);
+        MutexLock b(inner);
+        ScopedThread notifier("notifier", [&] {
+            MutexLock lock(inner);
+            ready = true;
+            cv.notifyAll();
+        });
+        while (!ready)
+            cv.wait(b);
+        EXPECT_EQ(syncdbg::heldLockCount(), 2u);
+        EXPECT_FALSE(cv.waitFor(b, 1'000'000 /* 1 ms */));
+        EXPECT_EQ(syncdbg::heldLockCount(), 2u);
+        // inner is back on top of the stack: a lock ranked above it is
+        // in order after the waits.
+        MutexLock c(after);
+        EXPECT_EQ(syncdbg::heldLockCount(), 3u);
+    }
+    // Each lock left the stack exactly once: none lingers to make the
+    // next acquisition look recursive.
+    EXPECT_EQ(syncdbg::heldLockCount(), 0u);
+    MutexLock again(inner);
+    EXPECT_EQ(syncdbg::heldLockCount(), 1u);
+}
+
+TEST(SyncDebugDeathTest, RankViolationAfterCondVarWaitAborts)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Mutex high(LockRank::counters, "test.high");
+    Mutex low(LockRank::fanout, "test.low");
+    CondVar cv;
+    EXPECT_DEATH(
+        {
+            MutexLock a(high);
+            (void)cv.waitFor(a, 1'000'000 /* 1 ms */);
+            MutexLock b(low); // Still holding high(80): backwards.
+        },
+        "lock rank violation");
+}
+
 TEST(SyncDebugTest, MatchingRoleAssertionPasses)
 {
     ScopedThread poller("poller", [] {

@@ -130,7 +130,9 @@ chainStart(const Ctx &c, size_t pos)
     return pos;
 }
 
-/** Is the chain beginning at `start` the first thing in a statement? */
+/** Is the chain beginning at `start` the first thing in a statement?
+ *  That includes the unbraced body of an if/while/for, which follows
+ *  the `)` closing its condition. */
 bool
 atStatementStart(const Ctx &c, size_t start)
 {
@@ -143,6 +145,13 @@ atStatementStart(const Ctx &c, size_t start)
     if (prev.kind == Tok::Ident &&
         (prev.text == "else" || prev.text == "do"))
         return true;
+    if (prev.kind == Tok::Punct && prev.text == ")" &&
+        c.match[start - 1] != SIZE_MAX) {
+        const size_t open = c.match[start - 1];
+        return open > 0 && (c.isIdent(open - 1, "if") ||
+                            c.isIdent(open - 1, "while") ||
+                            c.isIdent(open - 1, "for"));
+    }
     return false;
 }
 
