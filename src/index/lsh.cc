@@ -68,9 +68,56 @@ LshIndex::combine(const std::vector<int32_t> &quantized)
 }
 
 void
+LshIndex::Table::grow()
+{
+    std::vector<Slot> old = std::move(slots);
+    slots.assign(std::max<size_t>(16, old.size() * 2), Slot{});
+    for (const Slot &slot : old) {
+        if (slot.head != kNone)
+            slots[probe(slot.key)] = slot;
+    }
+}
+
+size_t
+LshIndex::Table::probe(uint64_t key) const
+{
+    // Keys are already mixed (combine), so their low bits index well.
+    const size_t mask = slots.size() - 1;
+    size_t at = size_t(key) & mask;
+    while (slots[at].head != kNone && slots[at].key != key)
+        at = (at + 1) & mask;
+    return at;
+}
+
+void
+LshIndex::Table::add(uint64_t key, uint32_t index)
+{
+    if (2 * (buckets + 1) > slots.size())
+        grow();
+    next.push_back(kNone);
+    Slot &slot = slots[probe(key)];
+    if (slot.head == kNone) {
+        slot = {key, index, index};
+        ++buckets;
+    } else {
+        next[slot.tail] = index;
+        slot.tail = index;
+    }
+}
+
+uint32_t
+LshIndex::Table::find(uint64_t key) const
+{
+    return slots.empty() ? kNone : slots[probe(key)].head;
+}
+
+void
 LshIndex::insert(std::span<const float> vector, LshEntry entry)
 {
     MUSUITE_CHECK(vector.size() == dim) << "dimension mismatch";
+    MUSUITE_CHECK(points.size() < kNone) << "LSH index is full";
+    const uint32_t index = uint32_t(points.size());
+    points.push_back(entry);
     std::vector<float> raw;
     std::vector<int32_t> quantized(size_t(params.hashesPerTable));
     for (size_t t = 0; t < tables.size(); ++t) {
@@ -78,9 +125,8 @@ LshIndex::insert(std::span<const float> vector, LshEntry entry)
         for (size_t j = 0; j < raw.size(); ++j)
             quantized[j] =
                 int32_t(std::floor(raw[j] / params.bucketWidth));
-        tables[t][combine(quantized)].push_back(entry);
+        tables[t].add(combine(quantized), index);
     }
-    ++entries;
 }
 
 std::unordered_map<uint32_t, std::vector<uint32_t>>
@@ -90,8 +136,9 @@ LshIndex::query(std::span<const float> vector) const
 
     std::unordered_set<uint64_t> seen;
     std::unordered_map<uint32_t, std::vector<uint32_t>> by_leaf;
-    auto admit = [&](const std::vector<LshEntry> &bucket) {
-        for (const LshEntry &entry : bucket) {
+    auto admit = [&](const Table &table, uint32_t index) {
+        for (; index != kNone; index = table.next[index]) {
+            const LshEntry &entry = points[index];
             const uint64_t token =
                 (uint64_t(entry.leaf) << 32) | entry.pointId;
             if (seen.insert(token).second)
@@ -102,14 +149,13 @@ LshIndex::query(std::span<const float> vector) const
     std::vector<float> raw;
     std::vector<int32_t> quantized(size_t(params.hashesPerTable));
     for (size_t t = 0; t < tables.size(); ++t) {
+        const Table &table = tables[t];
         projectRaw(t, vector, raw);
         for (size_t j = 0; j < raw.size(); ++j)
             quantized[j] =
                 int32_t(std::floor(raw[j] / params.bucketWidth));
 
-        auto it = tables[t].find(combine(quantized));
-        if (it != tables[t].end())
-            admit(it->second);
+        admit(table, table.find(combine(quantized)));
 
         if (params.multiProbes > 0) {
             // Probe the buckets adjacent along the coordinates whose
@@ -137,10 +183,9 @@ LshIndex::query(std::span<const float> vector) const
                 std::min(probes.size(), size_t(params.multiProbes));
             for (size_t p = 0; p < limit; ++p) {
                 quantized[probes[p].coordinate] += probes[p].delta;
-                auto probe_it = tables[t].find(combine(quantized));
+                const uint32_t head = table.find(combine(quantized));
                 quantized[probes[p].coordinate] -= probes[p].delta;
-                if (probe_it != tables[t].end())
-                    admit(probe_it->second);
+                admit(table, head);
             }
         }
     }
@@ -151,14 +196,11 @@ double
 LshIndex::meanBucketSize() const
 {
     size_t buckets = 0;
-    size_t total = 0;
-    for (const auto &table : tables) {
-        for (const auto &[key, bucket] : table) {
-            ++buckets;
-            total += bucket.size();
-        }
-    }
-    return buckets ? double(total) / double(buckets) : 0.0;
+    for (const Table &table : tables)
+        buckets += table.buckets;
+    return buckets ? double(points.size() * tables.size()) /
+                         double(buckets)
+                   : 0.0;
 }
 
 std::vector<Neighbor>

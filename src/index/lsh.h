@@ -66,12 +66,45 @@ class LshIndex
     query(std::span<const float> vector) const;
 
     /** Total entries inserted. */
-    size_t size() const { return entries; }
+    size_t size() const { return points.size(); }
 
     /** Mean bucket occupancy of non-empty buckets (diagnostics). */
     double meanBucketSize() const;
 
   private:
+    /** No link: an empty slot's head, the end of a bucket's chain. */
+    static constexpr uint32_t kNone = UINT32_MAX;
+
+    /**
+     * One of the L hash tables, flat: an open-addressed array of
+     * bucket slots whose chains run through `next`, which is indexed
+     * like LshIndex::points. A bucket is the chain head..tail in
+     * insertion order, so nothing is allocated per bucket and an
+     * insert appends in O(1).
+     */
+    struct Table
+    {
+        struct Slot
+        {
+            uint64_t key = 0;
+            uint32_t head = kNone; //!< kNone marks an empty slot.
+            uint32_t tail = kNone;
+        };
+
+        /** Append point `index` to bucket `key`, creating the bucket. */
+        void add(uint64_t key, uint32_t index);
+        /** First point of bucket `key`'s chain, or kNone. */
+        uint32_t find(uint64_t key) const;
+        /** Slot holding `key`, or the empty slot where it would go. */
+        size_t probe(uint64_t key) const;
+        /** Double the slots (16 at first) and reinsert every bucket. */
+        void grow();
+
+        std::vector<Slot> slots; //!< Power-of-two size, at most half full.
+        std::vector<uint32_t> next; //!< next[i]: point after i, or kNone.
+        size_t buckets = 0;      //!< Occupied slots.
+    };
+
     /** Raw (unquantized) projections of a vector for one table. */
     void projectRaw(size_t table, std::span<const float> vector,
                     std::vector<float> &raw) const;
@@ -84,10 +117,9 @@ class LshIndex
     std::vector<float> projections;
     /** Offsets b in [0, w). */
     std::vector<float> offsets;
-    /** One hash table per L: bucket key -> entries. */
-    std::vector<std::unordered_map<uint64_t, std::vector<LshEntry>>>
-        tables;
-    size_t entries = 0;
+    /** Every inserted entry, in insertion order; chains index it. */
+    std::vector<LshEntry> points;
+    std::vector<Table> tables;
 };
 
 /**

@@ -4,10 +4,12 @@
  *
  * HDSearch represents every image as an n-dimensional feature vector
  * (2048-d Inception embeddings in the paper). FeatureStore keeps
- * vectors contiguous for cache- and SIMD-friendly scans; the distance
- * kernels are written as straight reduction loops that GCC/Clang
- * auto-vectorize, which is the paper's "accelerated with SIMD" leaf
- * distance computation.
+ * vectors contiguous for cache- and SIMD-friendly scans. The distance
+ * kernels are the paper's "accelerated with SIMD" leaf distance
+ * computation: a plain float reduction loop does not vectorize without
+ * -ffast-math (the compiler may not reorder the sum), so they are
+ * written with GCC/Clang vector extensions, four 4-lane accumulators
+ * and a scalar tail, and run as SSE2 on baseline x86-64.
  */
 
 #ifndef MUSUITE_INDEX_VECTORS_H

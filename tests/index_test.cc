@@ -9,9 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "base/rng.h"
+#include "dataset/datasets.h"
 #include "index/lsh.h"
 #include "index/postings.h"
 #include "index/vectors.h"
@@ -45,6 +51,47 @@ TEST(VectorsTest, CosineOfZeroVectorIsZero)
     const std::vector<float> zero = {0, 0};
     const std::vector<float> a = {1, 2};
     EXPECT_EQ(cosineSimilarity(zero, a), 0.0f);
+}
+
+/**
+ * Both kernels against a double-precision reference, at every length
+ * class of their 16-float unrolled body and scalar tail, on spans that
+ * start 16-byte aligned and one float past it. Every term is at least
+ * 0.25 in magnitude, so a skipped or repeated element moves the sum by
+ * far more than the float rounding bound allows.
+ */
+TEST(VectorsTest, KernelsMatchDoubleReferenceAtEveryLengthAndOffset)
+{
+    Rng rng(2024);
+    for (size_t n : {0, 1, 3, 4, 15, 16, 17, 127, 128, 129, 2048}) {
+        for (size_t offset : {0, 1}) {
+            std::vector<float> a_store(n + offset), b_store(n + offset);
+            for (size_t i = 0; i < n + offset; ++i) {
+                // Opposite signs: |a - b| >= 1 and |a * b| >= 0.25.
+                const float sign = rng.nextBool(0.5) ? 1.0f : -1.0f;
+                a_store[i] = sign * float(0.5 + rng.nextDouble());
+                b_store[i] = -sign * float(0.5 + rng.nextDouble());
+            }
+            const std::span<const float> a(a_store.data() + offset, n);
+            const std::span<const float> b(b_store.data() + offset, n);
+
+            double l2 = 0, dot = 0, dot_abs = 0;
+            for (size_t i = 0; i < n; ++i) {
+                const double d = double(a[i]) - double(b[i]);
+                l2 += d * d;
+                dot += double(a[i]) * double(b[i]);
+                dot_abs += std::abs(double(a[i]) * double(b[i]));
+            }
+            // Each of 16 lanes sums n/16 terms, then the lanes fold and
+            // up to 15 tail terms follow: (n/16 + 32) roundings of at
+            // most FLT_EPSILON relative to the absolute sum.
+            const double ulps = double(n / 16 + 32) * FLT_EPSILON;
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " offset=" + std::to_string(offset));
+            EXPECT_NEAR(squaredL2(a, b), l2, ulps * l2);
+            EXPECT_NEAR(dotProduct(a, b), dot, ulps * dot_abs);
+        }
+    }
 }
 
 TEST(VectorsTest, FeatureStoreRoundTrip)
@@ -256,6 +303,212 @@ TEST(LshTest, DeduplicatesAcrossTables)
     const auto candidates = index.query(vec);
     ASSERT_EQ(candidates.size(), 1u);
     EXPECT_EQ(candidates.at(0).size(), 1u); // Not 8.
+}
+
+TEST(LshTest, MeanBucketSizeCountsNonEmptyBuckets)
+{
+    constexpr size_t dim = 1;
+    LshParams params;
+    params.numTables = 4;
+    params.hashesPerTable = 2;
+    params.bucketWidth = 1.0f;
+    LshIndex index(dim, params);
+    EXPECT_EQ(index.meanBucketSize(), 0.0);
+
+    // Two points share a bucket in every table; the third, a thousand
+    // bucket widths away, has one to itself: buckets of 2 and 1.
+    index.insert(std::vector<float>{0.0f}, {0, 1});
+    index.insert(std::vector<float>{0.0f}, {0, 2});
+    EXPECT_EQ(index.meanBucketSize(), 2.0);
+    index.insert(std::vector<float>{1000.0f}, {1, 3});
+    EXPECT_EQ(index.meanBucketSize(), 1.5);
+}
+
+/**
+ * The E2LSH index as std::unordered_map buckets of std::vector entries,
+ * with the same projections (drawn in LshIndex's order from the same
+ * seed), keys, multi-probe order and deduplication: the reference for
+ * LshIndex's flat tables.
+ */
+class ReferenceLsh
+{
+  public:
+    ReferenceLsh(size_t dimension, LshParams params)
+        : dim(dimension), params(params), tables(size_t(params.numTables))
+    {
+        Rng rng(params.seed);
+        const size_t rows =
+            size_t(params.numTables) * size_t(params.hashesPerTable);
+        projections.resize(rows * dim);
+        for (float &coefficient : projections)
+            coefficient = float(rng.nextGaussian());
+        offsets.resize(rows);
+        for (float &offset : offsets)
+            offset = float(rng.nextDouble()) * params.bucketWidth;
+    }
+
+    void
+    insert(std::span<const float> vector, LshEntry entry)
+    {
+        for (size_t t = 0; t < tables.size(); ++t)
+            tables[t][key(quantize(project(t, vector)))].push_back(entry);
+    }
+
+    std::unordered_map<uint32_t, std::vector<uint32_t>>
+    query(std::span<const float> vector) const
+    {
+        std::unordered_set<uint64_t> seen;
+        std::unordered_map<uint32_t, std::vector<uint32_t>> by_leaf;
+        auto admit = [&](size_t t, const std::vector<int32_t> &cell) {
+            const auto it = tables[t].find(key(cell));
+            if (it == tables[t].end())
+                return;
+            for (const LshEntry &entry : it->second) {
+                if (seen.insert((uint64_t(entry.leaf) << 32) |
+                                entry.pointId)
+                        .second)
+                    by_leaf[entry.leaf].push_back(entry.pointId);
+            }
+        };
+        for (size_t t = 0; t < tables.size(); ++t) {
+            const std::vector<float> raw = project(t, vector);
+            std::vector<int32_t> cell = quantize(raw);
+            admit(t, cell);
+            struct Probe
+            {
+                size_t coordinate;
+                int32_t delta;
+                float boundaryGap;
+            };
+            std::vector<Probe> probes;
+            for (size_t j = 0; j < raw.size(); ++j) {
+                const float within =
+                    raw[j] / params.bucketWidth - float(cell[j]);
+                probes.push_back({j, -1, within});
+                probes.push_back({j, +1, 1.0f - within});
+            }
+            std::sort(probes.begin(), probes.end(),
+                      [](const Probe &a, const Probe &b) {
+                          return a.boundaryGap < b.boundaryGap;
+                      });
+            const size_t limit = std::min(
+                probes.size(), size_t(std::max(params.multiProbes, 0)));
+            for (size_t p = 0; p < limit; ++p) {
+                cell[probes[p].coordinate] += probes[p].delta;
+                admit(t, cell);
+                cell[probes[p].coordinate] -= probes[p].delta;
+            }
+        }
+        return by_leaf;
+    }
+
+    /** Non-empty buckets in one table. */
+    size_t
+    buckets(size_t table) const
+    {
+        return tables[table].size();
+    }
+
+  private:
+    std::vector<float>
+    project(size_t table, std::span<const float> vector) const
+    {
+        const size_t k = size_t(params.hashesPerTable);
+        std::vector<float> raw(k);
+        for (size_t j = 0; j < k; ++j) {
+            const size_t row = table * k + j;
+            raw[j] = dotProduct({projections.data() + row * dim, dim},
+                                vector) +
+                     offsets[row];
+        }
+        return raw;
+    }
+
+    std::vector<int32_t>
+    quantize(const std::vector<float> &raw) const
+    {
+        std::vector<int32_t> cell;
+        for (float projection : raw)
+            cell.push_back(
+                int32_t(std::floor(projection / params.bucketWidth)));
+        return cell;
+    }
+
+    static uint64_t
+    key(const std::vector<int32_t> &cell)
+    {
+        uint64_t key = 0x243F6A8885A308D3ull;
+        for (int32_t q : cell) {
+            key ^= uint64_t(uint32_t(q)) + 0x9E3779B97F4A7C15ull +
+                   (key << 6) + (key >> 2);
+            key *= 0xBF58476D1CE4E5B9ull;
+            key ^= key >> 29;
+        }
+        return key;
+    }
+
+    size_t dim;
+    LshParams params;
+    std::vector<float> projections;
+    std::vector<float> offsets;
+    std::vector<std::unordered_map<uint64_t, std::vector<LshEntry>>>
+        tables;
+};
+
+TEST(LshTest, FlatTablesMatchTheMapOfVectorsReference)
+{
+    GmmOptions gmm;
+    gmm.numVectors = 3000;
+    gmm.dimension = 24;
+    gmm.clusters = 12;
+    gmm.seed = 5;
+    GmmDataset dataset(gmm);
+
+    // Few, wide hashes: buckets of many points, so per-bucket order
+    // matters, and hundreds of buckets per table, so each flat table
+    // (16 slots at first, doubled whenever it passes half full) is
+    // rebuilt several times while it fills.
+    LshParams params;
+    params.numTables = 6;
+    params.hashesPerTable = 4;
+    params.bucketWidth = 2.0f;
+    params.multiProbes = 6;
+    params.seed = 9;
+    constexpr uint32_t leaves = 4;
+    LshIndex index(gmm.dimension, params);
+    ReferenceLsh reference(gmm.dimension, params);
+    for (uint64_t i = 0; i < dataset.vectors().size(); ++i) {
+        const LshEntry entry{uint32_t(i % leaves), uint32_t(i / leaves)};
+        index.insert(dataset.vectors().view(i), entry);
+        reference.insert(dataset.vectors().view(i), entry);
+    }
+
+    size_t buckets = 0;
+    for (size_t t = 0; t < size_t(params.numTables); ++t) {
+        EXPECT_GT(reference.buckets(t), 64u) << "table " << t;
+        buckets += reference.buckets(t);
+    }
+    EXPECT_DOUBLE_EQ(index.meanBucketSize(),
+                     double(dataset.vectors().size() *
+                            size_t(params.numTables)) /
+                         double(buckets));
+    EXPECT_GT(index.meanBucketSize(), 4.0);
+
+    Rng rng(31);
+    size_t candidates = 0;
+    for (int q = 0; q < 200; ++q) {
+        const std::vector<float> query = dataset.sampleQuery(rng);
+        const auto expected = reference.query(query);
+        const auto got = index.query(query);
+        ASSERT_EQ(got.size(), expected.size()) << "query " << q;
+        for (const auto &[leaf, ids] : expected) {
+            ASSERT_TRUE(got.count(leaf)) << "query " << q;
+            EXPECT_EQ(got.at(leaf), ids)
+                << "query " << q << " leaf " << leaf;
+            candidates += ids.size();
+        }
+    }
+    EXPECT_GT(candidates, 200u * 50);
 }
 
 // --------------------------------------------------------------------
