@@ -40,6 +40,7 @@ RealClock::schedule(int64_t delay_ns, std::function<void()> fn)
     const int64_t deadline =
         musuite::nowNanos() + (delay_ns > 0 ? delay_ns : 0);
     TimerId id;
+    bool earliest;
     {
         MutexLock guard(mutex);
         if (stopping) {
@@ -52,13 +53,18 @@ RealClock::schedule(int64_t delay_ns, std::function<void()> fn)
             fn();
             return 0;
         }
+        // The timer thread sleeps toward the earliest deadline, or
+        // without end on an empty heap; only a new earliest timer
+        // changes when it must wake.
+        earliest = timers.empty() || deadline < timers.nextDeadline();
         id = timers.arm(deadline, std::move(fn));
         if (!started) {
             started = true;
             thread = std::thread([this] { timerMain(); });
         }
     }
-    wakeup.notifyOne();
+    if (earliest)
+        wakeup.notifyOne();
     return id;
 }
 

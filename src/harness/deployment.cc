@@ -67,7 +67,9 @@ struct TierWiring
 {
     /**
      * Start `count` leaf servers using `register_leaf(i, server)` to
-     * attach handlers, then open one client channel to each.
+     * attach handlers, then open one client channel to each. The
+     * channels share one CompletionPool: the mid-tier's single pool
+     * of response threads (Fig. 8).
      */
     static void
     buildLeaves(const DeploymentOptions &options, uint32_t count,
@@ -76,6 +78,9 @@ struct TierWiring
                 std::vector<std::unique_ptr<rpc::Server>> &servers,
                 std::vector<std::shared_ptr<rpc::Channel>> &channels)
     {
+        const rpc::ClientOptions &leaf_client = options.midToLeafClient;
+        auto pool = std::make_shared<rpc::CompletionPool>(
+            leaf_client.completionThreads, leaf_client.name);
         for (uint32_t i = 0; i < count; ++i) {
             rpc::ServerOptions server_options = options.leafServer;
             server_options.name = "leaf" + std::to_string(i);
@@ -83,10 +88,8 @@ struct TierWiring
             register_leaf(i, *server);
             server->start();
 
-            rpc::ClientOptions client_options = options.midToLeafClient;
-            client_options.name = "m2l" + std::to_string(i);
             channels.push_back(std::make_shared<rpc::RpcClient>(
-                server->port(), client_options));
+                server->port(), pool, leaf_client));
             servers.push_back(std::move(server));
         }
     }

@@ -64,9 +64,11 @@ struct DeploymentOptions
         options.name = "leaf";
         return options;
     }();
+    /** Options of every mid-tier → leaf client. completionThreads
+     *  sizes the one response pool all of them share (DESIGN.md,
+     *  "Mid-tier response threads"). */
     rpc::ClientOptions midToLeafClient{
-        /*connections=*/1, /*completionThreads=*/1,
-        /*blockingPoll=*/true, /*name=*/"mid2leaf"};
+        /*connections=*/1, /*completionThreads=*/1, /*name=*/"mid2leaf"};
 
     /** Data-set scales (defaults sized for a small machine; the fig*
      *  benches expose flags to restore paper scale). */

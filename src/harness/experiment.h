@@ -25,8 +25,7 @@ struct WindowOptions
     int64_t durationNs = 1'000'000'000;
     uint64_t seed = 1;
     rpc::ClientOptions frontEndClient{
-        /*connections=*/2, /*completionThreads=*/1,
-        /*blockingPoll=*/true, /*name=*/"frontend"};
+        /*connections=*/2, /*completionThreads=*/1, /*name=*/"frontend"};
 };
 
 /** Everything measured over one open-loop window. */

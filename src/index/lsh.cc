@@ -146,8 +146,19 @@ LshIndex::query(std::span<const float> vector) const
         }
     };
 
+    // Multi-probe candidates: the bucket one step along a coordinate,
+    // ranked by how close its projection landed to that boundary.
+    struct Probe
+    {
+        size_t coordinate;
+        int32_t delta;
+        float boundaryGap;
+    };
+    // Scratch reused by every table, so a query allocates these once.
     std::vector<float> raw;
     std::vector<int32_t> quantized(size_t(params.hashesPerTable));
+    std::vector<Probe> probes;
+    probes.reserve(quantized.size() * 2);
     for (size_t t = 0; t < tables.size(); ++t) {
         const Table &table = tables[t];
         projectRaw(t, vector, raw);
@@ -161,14 +172,7 @@ LshIndex::query(std::span<const float> vector) const
             // Probe the buckets adjacent along the coordinates whose
             // projection landed closest to a quantization boundary
             // (the core multi-probe LSH heuristic).
-            struct Probe
-            {
-                size_t coordinate;
-                int32_t delta;
-                float boundaryGap;
-            };
-            std::vector<Probe> probes;
-            probes.reserve(raw.size() * 2);
+            probes.clear();
             for (size_t j = 0; j < raw.size(); ++j) {
                 const float cell =
                     raw[j] / params.bucketWidth - float(quantized[j]);

@@ -66,17 +66,14 @@ Poller::remove(int fd)
     epoll_ctl(epollFd, EPOLL_CTL_DEL, fd, nullptr);
 }
 
-std::vector<PollEvent>
-Poller::wait(int timeout_ms)
+void
+Poller::wait(int timeout_ms, std::vector<PollEvent> &events)
 {
     epoll_event raw[64];
     countSyscall(Sys::EpollPwait);
     const int n = epoll_pwait(epollFd, raw, 64, timeout_ms, nullptr);
 
-    std::vector<PollEvent> events;
-    if (n <= 0)
-        return events;
-    events.reserve(size_t(n));
+    events.clear();
     for (int i = 0; i < n; ++i) {
         PollEvent event;
         if (raw[i].data.ptr == nullptr) {
@@ -94,7 +91,6 @@ Poller::wait(int timeout_ms)
         }
         events.push_back(event);
     }
-    return events;
 }
 
 void

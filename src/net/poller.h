@@ -52,11 +52,13 @@ class Poller
     void remove(int fd);
 
     /**
-     * Wait for events.
+     * Wait for events and put them in `events`, replacing what it
+     * held. The caller keeps the vector across waits, so a wake
+     * allocates nothing once its capacity has grown.
      * @param timeout_ms -1 blocks indefinitely (blocking design), 0
      *        returns immediately (polling design).
      */
-    std::vector<PollEvent> wait(int timeout_ms);
+    void wait(int timeout_ms, std::vector<PollEvent> &events);
 
     /** Wake a blocked wait() from another thread. */
     void wake();

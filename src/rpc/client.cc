@@ -36,7 +36,9 @@ struct RpcClient::ClientConn
      * instead of resetting; only a real response wipes the slate.
      */
     bool awaitingFirstResponse GUARDED_BY(mutex) = false;
-    CompletionShard *shard = nullptr;
+    RpcClient *owner = nullptr;
+    /** The pool poller this connection's socket registers with. */
+    Poller *poller = nullptr;
 
     bool
     healthy()
@@ -46,72 +48,159 @@ struct RpcClient::ClientConn
     }
 };
 
-/** Per-completion-thread poller. */
-struct RpcClient::CompletionShard
+/** One pick-up thread's poller and its finished-batch count. */
+struct CompletionPool::Shard
 {
     Poller poller;
+    /**
+     * Batches this thread has finished; bumped after each batch, never
+     * inside one. 32-bit so std::atomic::wait is a plain futex wait
+     * and a notify with no waiter costs one load.
+     */
+    std::atomic<uint32_t> batchesDone{0};
 };
 
+namespace {
+/** The pool whose thread this is (null off pool threads). */
+thread_local const CompletionPool *currentPool = nullptr;
+} // namespace
+
+CompletionPool::CompletionPool(int threads, const std::string &name)
+{
+    MUSUITE_CHECK(threads >= 1) << "need >= 1 completion thread";
+    for (int i = 0; i < threads; ++i)
+        shards.push_back(std::make_unique<Shard>());
+    for (int i = 0; i < threads; ++i) {
+        countSyscall(Sys::Clone);
+        this->threads.emplace_back(name + "-cq" + std::to_string(i),
+                                   [this, i] { threadMain(size_t(i)); });
+    }
+}
+
+CompletionPool::~CompletionPool()
+{
+    stopping.store(true, std::memory_order_release);
+    for (auto &shard : shards)
+        shard->poller.wake();
+    threads.clear(); // Joins.
+}
+
+Poller &
+CompletionPool::nextPoller()
+{
+    return shards[nextShard.fetch_add(1, std::memory_order_relaxed) %
+                  shards.size()]
+        ->poller;
+}
+
+void
+CompletionPool::quiesce()
+{
+    MUSUITE_CHECK(currentPool != this)
+        << "an RpcClient must not be destroyed on a thread of its pool";
+    for (auto &shard : shards) {
+        // A batch the thread holds now ends with a bump. A thread
+        // parked in epoll_pwait holds none, but the wake makes it
+        // finish an empty batch, so the wait below always ends.
+        const uint32_t seen = shard->batchesDone.load();
+        shard->poller.wake();
+        while (shard->batchesDone.load() == seen)
+            shard->batchesDone.wait(seen);
+    }
+}
+
+void
+CompletionPool::threadMain(size_t index)
+{
+    setCurrentThreadRole(ThreadRole::completion);
+    currentPool = this;
+    Shard &shard = *shards[index];
+    std::vector<PollEvent> events;
+
+    while (!stopping.load(std::memory_order_acquire)) {
+        shard.poller.wait(-1, events);
+        for (const PollEvent &event : events) {
+            if (!event.isWakeup)
+                RpcClient::onConnEvent(
+                    static_cast<RpcClient::ClientConn *>(event.data),
+                    event);
+        }
+        shard.batchesDone.fetch_add(1);
+        shard.batchesDone.notify_all();
+    }
+}
+
 RpcClient::RpcClient(uint16_t port, ClientOptions options_in)
-    : options(std::move(options_in)), targetPort(port)
+    : RpcClient(port,
+                std::make_shared<CompletionPool>(
+                    options_in.completionThreads, options_in.name),
+                options_in)
+{
+}
+
+RpcClient::RpcClient(uint16_t port, std::shared_ptr<CompletionPool> pool_in,
+                     ClientOptions options_in)
+    : options(std::move(options_in)), targetPort(port),
+      pool(std::move(pool_in))
 {
     MUSUITE_CHECK(options.connections >= 1) << "need >= 1 connection";
-    MUSUITE_CHECK(options.completionThreads >= 1)
-        << "need >= 1 completion thread";
-
-    for (int i = 0; i < options.completionThreads; ++i)
-        shards.push_back(std::make_unique<CompletionShard>());
+    MUSUITE_CHECK(pool != nullptr) << "need a completion pool";
 
     for (int i = 0; i < options.connections; ++i) {
         auto conn = std::make_unique<ClientConn>();
-        conn->shard = shards[size_t(i) % shards.size()].get();
+        conn->owner = this;
+        conn->poller = &pool->nextPoller();
         conns.push_back(std::move(conn));
     }
     for (auto &conn : conns)
         ensureConnected(conn.get());
-
-    for (int i = 0; i < options.completionThreads; ++i) {
-        countSyscall(Sys::Clone);
-        threads.emplace_back(options.name + "-cq" + std::to_string(i),
-                             [this, i] { completionMain(size_t(i)); });
-    }
 }
 
 RpcClient::~RpcClient()
 {
-    stopping.store(true);
-    for (auto &shard : shards)
-        shard->poller.wake();
-    threads.clear(); // Joins.
-    const Status cancelled(StatusCode::Cancelled, "client destroyed");
+    closing.store(true);
     for (auto &conn : conns) {
-        {
-            MutexLock guard(conn->mutex);
-            if (conn->fc)
-                conn->fc->shutdown();
-        }
-        failPending(conn.get(), cancelled);
+        MutexLock guard(conn->mutex);
+        if (conn->fc)
+            conn->fc->shutdown();
     }
+    pool->quiesce();
+    const Status cancelled(StatusCode::Cancelled, "client destroyed");
+    for (auto &conn : conns)
+        failPending(conn.get(), cancelled);
 }
 
 bool
 RpcClient::ensureConnected(ClientConn *conn)
 {
     int64_t now = 0;
+    bool suppressed = false;
+    std::unordered_map<uint64_t, Callback> orphaned;
     {
         MutexLock guard(conn->mutex);
         if (conn->fc && !conn->fc->isDead())
             return true;
+        // Calls are only added while the connection is live, so what
+        // is pending now rode the dead one: fail it before replacing.
+        if (conn->fc) {
+            orphaned.swap(conn->pending);
+            conn->fc = nullptr;
+        }
         // Reconnect backoff: while the hold-off runs, fail fast without
         // a dial so a dead server does not eat a connect storm. A dial
         // already in flight on another thread gets the same answer.
         now = clock().nowNanos();
         if (conn->dialing || now < conn->nextDialAllowedNs) {
             globalCounters().counter("rpc.client.dial_suppressed").add();
-            return false;
+            suppressed = true;
+        } else {
+            conn->dialing = true;
         }
-        conn->dialing = true;
     }
+    for (auto &[id, callback] : orphaned)
+        callback(Status(StatusCode::Unavailable, "connection lost"), {});
+    if (suppressed)
+        return false;
     dialAttempts.fetch_add(1, std::memory_order_relaxed);
     globalCounters().counter("rpc.client.dial_attempts").add();
     // connect(2) blocks, so the dial runs without the connection lock.
@@ -136,10 +225,8 @@ RpcClient::ensureConnected(ClientConn *conn)
     }
     conn->awaitingFirstResponse = true;
     conn->fc = std::make_shared<FramedConnection>(std::move(sock),
-                                                  &conn->shard->poller,
-                                                  conn);
+                                                  conn->poller, conn);
     conn->fc->registerWithPoller();
-    conn->shard->poller.wake();
     return true;
 }
 
@@ -152,33 +239,37 @@ RpcClient::corkWrites()
     // goes on the cork stack so the matching uncork releases exactly
     // one cork per connection corked here, even if a reconnect swaps
     // conn->fc in between.
-    std::vector<std::shared_ptr<FramedConnection>> fcs;
-    fcs.reserve(conns.size());
+    std::vector<Corked> corked;
+    corked.reserve(conns.size());
     for (auto &conn : conns) {
         MutexLock guard(conn->mutex);
         if (conn->fc && !conn->fc->isDead())
-            fcs.push_back(conn->fc);
+            corked.push_back({conn.get(), conn->fc});
     }
-    for (auto &fc : fcs)
-        fc->cork();
+    for (Corked &entry : corked)
+        entry.fc->cork();
     MutexLock guard(corkMutex);
-    corkStack.push_back(std::move(fcs));
+    corkStack.push_back(std::move(corked));
     return true;
 }
 
 void
 RpcClient::uncorkWrites()
 {
-    std::vector<std::shared_ptr<FramedConnection>> fcs;
+    std::vector<Corked> corked;
     {
         MutexLock guard(corkMutex);
         if (corkStack.empty())
             return; // Unmatched uncork: tolerate.
-        fcs = std::move(corkStack.back());
+        corked = std::move(corkStack.back());
         corkStack.pop_back();
     }
-    for (auto &fc : fcs)
-        fc->uncork();
+    for (Corked &entry : corked) {
+        if (!entry.fc->uncork()) {
+            failPendingOf(entry.conn, entry.fc.get(),
+                          Status(StatusCode::Unavailable, "send failed"));
+        }
+    }
 }
 
 bool
@@ -229,8 +320,15 @@ RpcClient::transportCall(uint32_t method, std::string body,
     }
 
     if (!fc->sendFrameOwned(std::move(frame))) {
-        // Connection died under us: reclaim the callback if the
-        // completion thread has not already failed it.
+        if (fc->isDead()) {
+            // The connection died under us, with this call and any
+            // others still waiting on it.
+            failPendingOf(conn, fc.get(),
+                          Status(StatusCode::Unavailable, "send failed"));
+            return;
+        }
+        // Rejected without harm to the connection (oversized): reclaim
+        // just this call.
         Callback reclaimed;
         {
             MutexLock guard(conn->mutex);
@@ -246,31 +344,22 @@ RpcClient::transportCall(uint32_t method, std::string body,
 }
 
 void
-RpcClient::completionMain(size_t index)
+RpcClient::onConnEvent(ClientConn *conn, const PollEvent &event)
 {
-    setCurrentThreadRole(ThreadRole::completion);
-    CompletionShard &shard = *shards[index];
-    const int timeout_ms = options.blockingPoll ? -1 : 0;
-
-    while (!stopping.load(std::memory_order_acquire)) {
-        auto events = shard.poller.wait(timeout_ms);
-        for (const PollEvent &event : events) {
-            if (event.isWakeup)
-                continue;
-            ClientConn *conn = static_cast<ClientConn *>(event.data);
-            if (event.writable) {
-                std::shared_ptr<FramedConnection> fc;
-                {
-                    MutexLock guard(conn->mutex);
-                    fc = conn->fc;
-                }
-                if (fc)
-                    fc->onWritable();
-            }
-            if (event.readable || event.error)
-                onConnReadable(conn);
+    bool flush_failed = false;
+    if (event.writable) {
+        std::shared_ptr<FramedConnection> fc;
+        {
+            MutexLock guard(conn->mutex);
+            fc = conn->fc;
+        }
+        if (fc) {
+            fc->onWritable();
+            flush_failed = fc->isDead();
         }
     }
+    if (event.readable || event.error || flush_failed)
+        conn->owner->onConnReadable(conn);
 }
 
 void
@@ -314,10 +403,26 @@ RpcClient::onConnReadable(ClientConn *conn)
         callback(responseStatus(header.status, header.budgetNs), payload);
     });
 
-    if (!alive) {
-        failPending(conn,
-                    Status(StatusCode::Unavailable, "connection lost"));
+    // A connection the destructor shut down keeps its pending calls
+    // for the destructor's one CANCELLED each.
+    if (!alive && !closing.load()) {
+        failPendingOf(conn, fc.get(),
+                      Status(StatusCode::Unavailable, "connection lost"));
     }
+}
+
+void
+RpcClient::failPendingOf(ClientConn *conn, const FramedConnection *fc,
+                         const Status &status)
+{
+    std::unordered_map<uint64_t, Callback> orphaned;
+    {
+        MutexLock guard(conn->mutex);
+        if (conn->fc.get() == fc)
+            orphaned.swap(conn->pending);
+    }
+    for (auto &[id, callback] : orphaned)
+        callback(status, {});
 }
 
 void

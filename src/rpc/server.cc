@@ -284,6 +284,7 @@ Server::pollerMain(size_t index)
     PollerShard &shard = *shards[index];
     const int static_timeout_ms = options.blockingPoll ? -1 : 0;
     int empty_streak = 0;
+    std::vector<PollEvent> events;
 
     while (!stopping.load(std::memory_order_acquire)) {
         int timeout_ms = static_timeout_ms;
@@ -293,7 +294,7 @@ Server::pollerMain(size_t index)
             timeout_ms =
                 empty_streak >= options.adaptiveIdleStreak ? -1 : 0;
         }
-        auto events = shard.poller.wait(timeout_ms);
+        shard.poller.wait(timeout_ms, events);
         if (events.empty()) {
             if (empty_streak < INT_MAX)
                 ++empty_streak;

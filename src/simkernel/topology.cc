@@ -89,8 +89,10 @@ buildTopology(SimClock &clock, const graph::GraphScenario &scenario,
         for (size_t i = 0; i < width[d]; ++i) {
             auto host = std::make_unique<SimHost>();
             rpc::ServerOptions server_options;
-            server_options.name =
-                "g" + std::to_string(d) + "." + std::to_string(i);
+            server_options.name = "g";
+            server_options.name += std::to_string(d);
+            server_options.name += '.';
+            server_options.name += std::to_string(i);
             graph::NodeOptions node_options;
             node_options.seed = mixSeed(scenario.seed, 100 + d, i);
             if (d == 0) {

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <memory>
 #include <string>
@@ -250,6 +254,94 @@ TEST(FaultInjectionTest, ReconnectBackoffLimitsDialStorm)
         uint64_t(elapsed / options.reconnectBackoffNs) + 2;
     EXPECT_LE(client.connectAttempts(), max_dials);
     EXPECT_GE(client.connectAttempts(), 1u);
+}
+
+/** Dial-suppression count since `before`. */
+uint64_t
+dialsSuppressedSince(const CounterSnapshot &before)
+{
+    return CounterSet::valueOf(
+        CounterSet::diff(before, globalCounters().snapshot()),
+        "rpc.client.dial_suppressed");
+}
+
+TEST(FaultInjectionTest, CallDuringReconnectHoldOffFailsFastWithoutDialing)
+{
+    uint16_t dead_port;
+    {
+        auto server = makeEchoServer();
+        dead_port = server->port();
+        server->stop();
+    }
+    ClientOptions options;
+    options.reconnectBackoffNs = 60'000'000'000; // Outlasts the test.
+    RpcClient client(dead_port, options);
+    ASSERT_EQ(client.connectAttempts(), 1u); // The refused first dial.
+
+    const CounterSnapshot before = globalCounters().snapshot();
+    const Reply reply = client.callSync(kEcho, "x");
+    EXPECT_EQ(reply.status().code(), StatusCode::Unavailable);
+    EXPECT_EQ(client.connectAttempts(), 1u) << "dialed during hold-off";
+    EXPECT_EQ(dialsSuppressedSince(before), 1u);
+}
+
+TEST(FaultInjectionTest, CallDuringAnotherCallersDialFailsFastWithoutDialing)
+{
+    // A listener with a zero backlog and a full accept queue drops
+    // new SYNs, so a dial to it blocks in connect(2) until the SYN is
+    // retransmitted (about a second later).
+    const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listen_fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listen_fd, 0), 0);
+    socklen_t addr_len = sizeof(addr);
+    ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr *>(&addr),
+                            &addr_len),
+              0);
+    const uint16_t port = ntohs(addr.sin_port);
+
+    RpcClient client(port);
+    ASSERT_TRUE(client.isHealthy());
+    ASSERT_EQ(client.connectAttempts(), 1u);
+    // Take the client's connection off the queue, fill the queue with
+    // another, then drop the client's: its next call must redial.
+    const int accepted = ::accept(listen_fd, nullptr, nullptr);
+    ASSERT_GE(accepted, 0);
+    TcpSocket filler = TcpSocket::connectLoopback(port);
+    ASSERT_TRUE(filler.valid());
+    ::close(accepted);
+    const int64_t cap = nowNanos() + 10'000'000'000;
+    while (client.isHealthy() && nowNanos() < cap)
+        sleepForNanos(1'000'000);
+    ASSERT_FALSE(client.isHealthy());
+
+    std::atomic<int> dialer_code{-1};
+    ScopedThread dialer("dialer", [&client, &dialer_code] {
+        client.call(kEcho, "x", [&dialer_code](const Status &status,
+                                               std::string_view) {
+            dialer_code = int(status.code());
+        });
+    });
+    while (client.connectAttempts() < 2 && nowNanos() < cap)
+        sleepForNanos(1'000'000);
+    ASSERT_EQ(client.connectAttempts(), 2u);
+
+    const CounterSnapshot before = globalCounters().snapshot();
+    const Reply reply = client.callSync(kEcho, "y");
+    EXPECT_EQ(reply.status().code(), StatusCode::Unavailable);
+    EXPECT_EQ(client.connectAttempts(), 2u) << "dialed during a dial";
+    EXPECT_EQ(dialsSuppressedSince(before), 1u);
+
+    // Closing the listener refuses the retransmitted SYN: the blocked
+    // dial fails and its call with it.
+    ::close(listen_fd);
+    dialer.join();
+    EXPECT_EQ(dialer_code.load(), int(StatusCode::Unavailable));
 }
 
 // --------------------------------------------------------------------

@@ -118,6 +118,34 @@ TEST(DeploymentTest2, RouterUsesSixteenShardsByDefault)
     EXPECT_EQ(deployment->leafCount(), 16u);
 }
 
+/** Threads a Router deployment starts, counted at their clone. */
+uint64_t
+routerThreadsStarted(const DeploymentOptions &options)
+{
+    const SyscallSnapshot before = snapshotSyscalls();
+    auto deployment =
+        ServiceDeployment::create(ServiceKind::Router, options);
+    return diffSyscalls(before, snapshotSyscalls())[size_t(Sys::Clone)];
+}
+
+TEST(DeploymentTest2, LeafClientsShareOneResponseThreadPool)
+{
+    // Fig. 8's mid-tier picks up every leaf's responses on one pool of
+    // response threads: 16 leaf pollers, the mid-tier's poller and 4
+    // workers, plus the pool, not one pick-up thread per leaf client.
+    DeploymentOptions options = tinyOptions();
+    options.routerDefaultShards = true;
+    ASSERT_EQ(options.leafServer.pollerThreads, 1);
+    ASSERT_FALSE(options.leafServer.dispatchToWorkers);
+    ASSERT_EQ(options.midTierServer.pollerThreads, 1);
+    ASSERT_EQ(options.midTierServer.workerThreads, 4);
+    ASSERT_EQ(options.midToLeafClient.completionThreads, 1);
+    EXPECT_EQ(routerThreadsStarted(options), 16u + 1u + 4u + 1u);
+
+    options.midToLeafClient.completionThreads = 2;
+    EXPECT_EQ(routerThreadsStarted(options), 16u + 1u + 4u + 2u);
+}
+
 TEST(DeploymentTest2, NonRouterUsesConfiguredShards)
 {
     auto deployment =

@@ -80,7 +80,7 @@ TEST(MuCacheTest, LruEvictsOldest)
     MuCache cache(options);
 
     for (int i = 0; i < 8; ++i)
-        cache.set("k" + std::to_string(i), "12345678");
+        cache.set(std::string("k").append(std::to_string(i)), "12345678");
     EXPECT_GT(cache.stats().evictions, 0u);
     // The most recent key must survive.
     EXPECT_TRUE(cache.get("k7").has_value());
@@ -178,8 +178,8 @@ TEST(MuCacheTest, ConcurrentMixedWorkloadIsConsistent)
             workers.emplace_back("kv-worker", [&, t] {
                 Rng rng(100 + t);
                 for (int i = 0; i < ops; ++i) {
-                    const std::string key =
-                        "k" + std::to_string(rng.nextBounded(256));
+                    const std::string key = std::string("k").append(
+                        std::to_string(rng.nextBounded(256)));
                     // Value is derived from key, so any read result
                     // must match its own key.
                     if (rng.nextBool(0.5)) {

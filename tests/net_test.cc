@@ -144,7 +144,8 @@ TEST(PollerTest, ReportsReadReadiness)
     size_t sent;
     pair.client.send("x", 1, sent);
 
-    auto events = poller.wait(1000);
+    std::vector<PollEvent> events;
+    poller.wait(1000, events);
     ASSERT_FALSE(events.empty());
     bool found = false;
     for (const PollEvent &event : events) {
@@ -159,7 +160,8 @@ TEST(PollerTest, WakeInterruptsBlockedWait)
     Poller poller;
     std::atomic<bool> woke{false};
     ScopedThread waiter("waiter", [&] {
-        auto events = poller.wait(-1);
+        std::vector<PollEvent> events;
+        poller.wait(-1, events);
         for (const PollEvent &event : events)
             woke.store(woke.load() || event.isWakeup);
     });
@@ -172,8 +174,11 @@ TEST(PollerTest, WakeInterruptsBlockedWait)
 TEST(PollerTest, ZeroTimeoutReturnsImmediately)
 {
     Poller poller;
+    // The caller's buffer is refilled, not appended to: events from
+    // an earlier wake must not survive an empty one.
+    std::vector<PollEvent> events(3);
     const int64_t start = nowNanos();
-    auto events = poller.wait(0);
+    poller.wait(0, events);
     EXPECT_TRUE(events.empty());
     EXPECT_LT(nowNanos() - start, 100'000'000);
 }
@@ -184,7 +189,8 @@ TEST(PollerTest, WriteInterestDeliversWritable)
     Poller poller;
     char cookie;
     poller.add(pair.client.fd(), &cookie, true);
-    auto events = poller.wait(1000);
+    std::vector<PollEvent> events;
+    poller.wait(1000, events);
     bool writable = false;
     for (const PollEvent &event : events) {
         if (event.data == &cookie && event.writable)
@@ -294,8 +300,11 @@ TEST_F(FrameTest, ConcurrentSendersInterleaveWholeFrames)
         for (int t = 0; t < threads; ++t) {
             senders.emplace_back("sender", [&, t] {
                 for (int i = 0; i < per_thread; ++i) {
-                    sender->sendFrame("t" + std::to_string(t) + "-" +
-                                      std::to_string(i));
+                    std::string frame = "t";
+                    frame += std::to_string(t);
+                    frame += '-';
+                    frame += std::to_string(i);
+                    sender->sendFrame(frame);
                 }
             });
         }
@@ -311,8 +320,11 @@ TEST_F(FrameTest, ConcurrentSendersInterleaveWholeFrames)
         const int t = frame[1] - '0';
         ASSERT_GE(t, 0);
         ASSERT_LT(t, threads);
-        EXPECT_EQ(frame, "t" + std::to_string(t) + "-" +
-                             std::to_string(next[size_t(t)]));
+        std::string expected = "t";
+        expected += std::to_string(t);
+        expected += '-';
+        expected += std::to_string(next[size_t(t)]);
+        EXPECT_EQ(frame, expected);
         next[size_t(t)]++;
     }
 }

@@ -132,10 +132,11 @@ INSTANTIATE_TEST_SUITE_P(Grid, LshRecallGrid,
                                            LshGrid{4, 4},
                                            LshGrid{8, 8}),
                          [](const auto &info) {
-                             return "L" +
-                                    std::to_string(info.param.tables) +
-                                    "_p" +
-                                    std::to_string(info.param.probes);
+                             std::string name = "L";
+                             name += std::to_string(info.param.tables);
+                             name += "_p";
+                             name += std::to_string(info.param.probes);
+                             return name;
                          });
 
 // --------------------------------------------------------------------
@@ -177,8 +178,11 @@ INSTANTIATE_TEST_SUITE_P(
                       ZipfGrid{1000, 0.8}, ZipfGrid{1000, 0.99},
                       ZipfGrid{100000, 0.99}, ZipfGrid{100000, 1.2}),
     [](const auto &info) {
-        return "n" + std::to_string(info.param.n) + "_s" +
-               std::to_string(int(info.param.s * 100));
+        std::string name = "n";
+        name += std::to_string(info.param.n);
+        name += "_s";
+        name += std::to_string(int(info.param.s * 100));
+        return name;
     });
 
 // --------------------------------------------------------------------

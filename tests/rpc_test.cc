@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <deque>
 #include <thread>
 #include <vector>
 
@@ -384,9 +386,12 @@ INSTANTIATE_TEST_SUITE_P(
                       ThreadingParam{2, 0, false}),
     [](const ::testing::TestParamInfo<ThreadingParam> &info) {
         const auto &p = info.param;
-        return "p" + std::to_string(p.pollers) + "_w" +
-               std::to_string(p.workers) +
-               (p.dispatch ? "_dispatch" : "_inline");
+        std::string name = "p";
+        name += std::to_string(p.pollers);
+        name += "_w";
+        name += std::to_string(p.workers);
+        name += p.dispatch ? "_dispatch" : "_inline";
+        return name;
     });
 
 TEST_F(RpcTest, PipelinedBatchSyscallBudget)
@@ -484,6 +489,204 @@ TEST_F(RpcTest, OversizedPayloadFailsCallNotProcess)
     auto ok = client.callSync(kEcho, "after oversize");
     ASSERT_TRUE(ok.isOk()) << ok.status().toString();
     EXPECT_EQ(ok.payload(), "after oversize");
+}
+
+// --------------------------------------------------------------------
+// CompletionPool: clients sharing one set of pick-up threads.
+// --------------------------------------------------------------------
+
+/** A server whose kHold calls wait, unanswered, until released. */
+class HoldingServer
+{
+  public:
+    static constexpr uint32_t kHold = 9;
+
+    HoldingServer()
+    {
+        ServerOptions options;
+        options.dispatchToWorkers = false;
+        options.name = "hold";
+        server = std::make_unique<Server>(options);
+        server->registerHandler(kEcho, [](ServerCallPtr call) {
+            call->respondOk(call->body());
+        });
+        server->registerHandler(kHold, [this](ServerCallPtr call) {
+            MutexLock lock(mutex);
+            held.push_back(std::move(call));
+        });
+        server->start();
+    }
+
+    ~HoldingServer() { server->stop(); }
+
+    /** Stop serving: every connection closes, held calls unanswered. */
+    void stop() { server->stop(); }
+
+    uint16_t port() const { return server->port(); }
+
+    size_t
+    heldCount()
+    {
+        MutexLock lock(mutex);
+        return held.size();
+    }
+
+    void
+    releaseAll()
+    {
+        std::vector<ServerCallPtr> calls;
+        {
+            MutexLock lock(mutex);
+            calls.swap(held);
+        }
+        for (ServerCallPtr &call : calls)
+            call->respondOk(call->body());
+    }
+
+  private:
+    std::unique_ptr<Server> server;
+    Mutex mutex;
+    std::vector<ServerCallPtr> held GUARDED_BY(mutex);
+};
+
+/** How often one call's callback ran, and with what code. */
+struct CallRecord
+{
+    std::atomic<int> invocations{0};
+    std::atomic<int> code{-1};
+};
+
+/** Poll `done` until it holds or 10 s pass; returns its last value. */
+template <typename Pred>
+bool
+waitUntil(Pred done)
+{
+    const int64_t cap = nowNanos() + 10'000'000'000;
+    while (!done() && nowNanos() < cap)
+        sleepForNanos(1'000'000);
+    return done();
+}
+
+TEST(CompletionPoolTest, ClientsShareOnePoolAndTearDownAlone)
+{
+    constexpr size_t calls = 8;
+    // Declared before the clients, whose teardown may still call back.
+    std::array<CallRecord, calls> records_a;
+    std::array<CallRecord, calls> records_b;
+    HoldingServer server_a;
+    HoldingServer server_b;
+    auto pool = std::make_shared<CompletionPool>(1, "shared");
+    auto client_a = std::make_unique<RpcClient>(server_a.port(), pool);
+    RpcClient client_b(server_b.port(), pool);
+
+    // Both clients' calls complete on the one pick-up thread.
+    const Reply reply_a = client_a->callSync(kEcho, "a");
+    const Reply reply_b = client_b.callSync(kEcho, "b");
+    ASSERT_TRUE(reply_a.isOk());
+    ASSERT_TRUE(reply_b.isOk());
+    EXPECT_EQ(reply_a.payload(), "a");
+    EXPECT_EQ(reply_b.payload(), "b");
+
+    const auto issue = [](RpcClient &client, CallRecord &record) {
+        client.call(HoldingServer::kHold, "held",
+                    [&record](const Status &status, std::string_view) {
+                        record.code = int(status.code());
+                        record.invocations.fetch_add(1);
+                    });
+    };
+    for (size_t i = 0; i < calls; ++i) {
+        issue(*client_a, records_a[i]);
+        issue(client_b, records_b[i]);
+    }
+    ASSERT_TRUE(waitUntil([&] {
+        return server_a.heldCount() == calls &&
+               server_b.heldCount() == calls;
+    }));
+
+    // Destroying A fails each of its in-flight calls with CANCELLED,
+    // exactly once, before the destructor returns.
+    client_a.reset();
+    for (const CallRecord &record : records_a) {
+        EXPECT_EQ(record.invocations.load(), 1);
+        EXPECT_EQ(record.code.load(), int(StatusCode::Cancelled));
+    }
+    // A's server answering now reaches nobody.
+    server_a.releaseAll();
+
+    // B's calls were untouched: still pending, then answered.
+    for (const CallRecord &record : records_b)
+        EXPECT_EQ(record.invocations.load(), 0);
+    server_b.releaseAll();
+    ASSERT_TRUE(waitUntil([&] {
+        for (const CallRecord &record : records_b) {
+            if (record.invocations.load() == 0)
+                return false;
+        }
+        return true;
+    }));
+    for (const CallRecord &record : records_b) {
+        EXPECT_EQ(record.invocations.load(), 1);
+        EXPECT_EQ(record.code.load(), int(StatusCode::Ok));
+    }
+    const Reply after = client_b.callSync(kEcho, "still here");
+    ASSERT_TRUE(after.isOk());
+    EXPECT_EQ(after.payload(), "still here");
+    for (const CallRecord &record : records_a)
+        EXPECT_EQ(record.invocations.load(), 1) << "a call of A ran twice";
+}
+
+TEST(ConnectionDeathTest, ASenderThatSeesTheDeathFailsEveryPendingCall)
+{
+    // A dead connection leaves its poller's epoll set at once, so when
+    // a sender sees it die first, the pick-up thread never learns of
+    // the death. The calls still pending on it must fail anyway.
+    std::deque<CallRecord> records; // Outlives the client's teardown.
+    HoldingServer server;
+    RpcClient client(server.port());
+
+    // Park the client's only pick-up thread in a callback, so only a
+    // sender can see the connection die. The guard lets it go on every
+    // exit, before the client's teardown waits for it.
+    std::atomic<bool> parked{false};
+    std::atomic<bool> unpark{false};
+    struct Unpark
+    {
+        std::atomic<bool> &flag;
+        ~Unpark() { flag = true; }
+    } unpark_on_exit{unpark};
+    client.call(kEcho, "park",
+                [&parked, &unpark](const Status &, std::string_view) {
+                    parked = true;
+                    while (!unpark.load())
+                        sleepForNanos(1'000'000);
+                });
+    ASSERT_TRUE(waitUntil([&parked] { return parked.load(); }));
+
+    const auto issue = [&client, &records] {
+        CallRecord &record = records.emplace_back();
+        client.call(HoldingServer::kHold, "held",
+                    [&record](const Status &status, std::string_view) {
+                        record.code = int(status.code());
+                        record.invocations.fetch_add(1);
+                    });
+        return record.invocations.load() != 0;
+    };
+    issue();
+    ASSERT_TRUE(waitUntil([&server] { return server.heldCount() == 1; }));
+    server.stop();
+
+    // The first send after the close usually succeeds (the peer's
+    // reset is still on its way); a later one fails inline.
+    bool failed_inline = false;
+    for (int i = 0; i < 1000 && !failed_inline; ++i) {
+        failed_inline = issue();
+        sleepForNanos(1'000'000);
+    }
+    ASSERT_TRUE(failed_inline);
+    for (const CallRecord &record : records) {
+        EXPECT_EQ(record.invocations.load(), 1) << "a call was orphaned";
+        EXPECT_EQ(record.code.load(), int(StatusCode::Unavailable));
+    }
 }
 
 } // namespace

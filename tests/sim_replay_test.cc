@@ -34,6 +34,8 @@
 
 #include "base/clock.h"
 #include "base/rng.h"
+#include "base/threading.h"
+#include "base/time_util.h"
 #include "base/timer_heap.h"
 #include "loadgen/loadgen.h"
 #include "rpc/channel.h"
@@ -1075,6 +1077,43 @@ TEST(RealClockTest, CallbackScheduledDuringTeardownStillRuns)
         // Destructor runs here while the callback above is sleeping.
     }
     EXPECT_TRUE(chained.load());
+}
+
+TEST(RealClockTest, EarlierTimerArmedAfterALaterOneFiresFirstAndOnTime)
+{
+    // The timer thread sleeps toward the earliest deadline. A timer
+    // armed later but due sooner must wake it, or it would fire only
+    // when the later one does, seconds late.
+    RealClock clock;
+    std::atomic<int64_t> late_fired{0};
+    const Clock::TimerId late = clock.schedule(
+        5'000'000'000, [&late_fired] { late_fired = nowNanos(); });
+    // Let the timer thread settle into its sleep toward `late`.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    std::atomic<int64_t> early_fired{0};
+    std::atomic<int64_t> second_fired{0};
+    CountdownLatch fired(2);
+    const int64_t armed = nowNanos();
+    clock.schedule(30'000'000, [&early_fired, &fired] {
+        early_fired = nowNanos();
+        fired.countDown();
+    });
+    // Due after `early`: armed without waking the thread, it must
+    // still fire, after `early` and on time.
+    clock.schedule(60'000'000, [&second_fired, &fired] {
+        second_fired = nowNanos();
+        fired.countDown();
+    });
+    fired.wait();
+
+    EXPECT_GE(early_fired.load() - armed, 30'000'000);
+    EXPECT_LT(early_fired.load() - armed, 1'000'000'000);
+    EXPECT_GE(second_fired.load() - armed, 60'000'000);
+    EXPECT_LT(second_fired.load() - armed, 1'000'000'000);
+    EXPECT_LE(early_fired.load(), second_fired.load());
+    EXPECT_EQ(late_fired.load(), 0);
+    EXPECT_TRUE(clock.cancel(late));
 }
 
 } // namespace
